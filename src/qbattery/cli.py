@@ -21,8 +21,8 @@ from .metrics import blp_nonmarkovianity, maximize_over_tau
 from .model import make_params
 from .propagator import trajectory
 from .sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
-                    sweep_to_json, trajectory_to_csv, trajectory_to_json,
-                    _fmt)
+                    sweep_to_json, table_to_csv, trajectory_to_csv,
+                    trajectory_to_json)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -176,6 +176,12 @@ def _make_params(args):
                        else math.inf)
 
 
+def _tmax(args) -> float | None:
+    """--tmax converted from Omega*tau to time units; None selects the
+    quantity's default horizon."""
+    return args.tmax / args.Omega if args.tmax is not None else None
+
+
 def _cmd_evolve(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
     params = _make_params(args)
@@ -194,7 +200,7 @@ def _cmd_sweep(args, parser) -> int:
     spec = SweepSpec(_parse_axis(args.gamma_axis),
                      _parse_axis(args.lambda_axis),
                      args.quantity,
-                     tmax=args.tmax / args.Omega if args.tmax else None,
+                     tmax=_tmax(args),
                      grid=args.grid, omega0=args.omega0, Omega=args.Omega)
     result = run_sweep(spec, workers=args.workers)
     text = (sweep_to_csv(result) if args.format == "csv"
@@ -206,10 +212,9 @@ def _cmd_sweep(args, parser) -> int:
 def _cmd_maxima(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
     params = _make_params(args)
-    tmax = args.tmax / args.Omega if args.tmax else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = maximize_over_tau(params, tmax=tmax)
+        report = maximize_over_tau(params, tmax=_tmax(args))
     payload = {"command": "maxima", "tool_version": __version__,
                "omega0": args.omega0, "Omega": args.Omega,
                "gamma": args.gamma, "lambda": args.lam,
@@ -224,10 +229,10 @@ def _cmd_maxima(args, parser) -> int:
 def _cmd_nonmarkov(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
     params = _make_params(args)
-    tmax = args.tmax / args.Omega if args.tmax else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = blp_nonmarkovianity(params, tmax=tmax, grid=args.grid)
+        report = blp_nonmarkovianity(params, tmax=_tmax(args),
+                                     grid=args.grid)
     payload = {"command": "nonmarkov", "tool_version": __version__,
                "omega0": args.omega0, "Omega": args.Omega,
                "gamma": args.gamma, "lambda": args.lam,
@@ -251,13 +256,9 @@ def _cmd_figure(args, parser) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "manifest.json").write_text(
             json.dumps(bundle.manifest, indent=2) + "\n")
+        comments = [f"figure={bundle.name}", f"tool_version={__version__}"]
         for fname, (cols, table) in bundle.tables.items():
-            lines = [f"# figure={bundle.name}",
-                     f"# tool_version={__version__}",
-                     ",".join(cols)]
-            for row in table:
-                lines.append(",".join(_fmt(v) for v in row))
-            (outdir / fname).write_text("\n".join(lines) + "\n")
+            (outdir / fname).write_text(table_to_csv(comments, cols, table))
     except OSError as exc:
         print(f"error: cannot write bundle: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -26,10 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rk45_linear
 from .model import InitialState, ModelParams
 
 DEFAULT_TOL = 1e-10
+
+# Dormand-Prince 5(4) tableau: stage coefficients, 5th-order weights, and
+# 5th-order minus embedded 4th-order weights over all seven stages.
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.2, 0.0, 0.0, 0.0, 0.0],
+    [0.075, 0.225, 0.0, 0.0, 0.0],
+    [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0],
+    [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0,
+     -212.0 / 729.0, 0.0],
+    [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
+     -5103.0 / 18656.0],
+])
+_B = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
+               -2187.0 / 6784.0, 11.0 / 84.0])
+_E = np.array([71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+               -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0])
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,41 @@ def system_matrix_memoryless(params: ModelParams) -> np.ndarray:
     ], dtype=np.complex128)
 
 
+def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
+                 rtol: float, atol: float) -> np.ndarray:
+    """Dormand-Prince 5(4) integration of the linear system y' = m @ y.
+
+    ``t_eval`` must be sorted ascending, starting at >= 0; steps land exactly
+    on each requested output time, so no interpolation error is introduced.
+    Returns an array of shape (len(t_eval), dim).
+    """
+    out = np.empty((t_eval.size, y0.size), np.complex128)
+    k = np.empty((7, y0.size), np.complex128)
+    t = 0.0
+    y = y0.copy()
+    k[0] = m @ y
+    mnorm = np.abs(m).sum(axis=1).max()  # initial step from the matrix scale
+    h = 0.01 / mnorm if mnorm > 0.0 else 0.1
+    for idx, tt in enumerate(t_eval):
+        while t < tt - 1e-14 * (1.0 + tt):
+            hs = tt - t if t + h > tt else h
+            for i in range(1, 6):
+                k[i] = m @ (y + hs * (_A[i, :i] @ k[:i]))
+            ynew = y + hs * (_B @ k[:6])
+            k[6] = m @ ynew
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+            errnorm = np.sqrt(np.mean((np.abs(hs * (_E @ k)) / scale) ** 2))
+            if errnorm <= 1.0:
+                t += hs
+                y = ynew
+                k[0] = k[6]  # FSAL
+            factor = (5.0 if errnorm == 0.0
+                      else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
+            h = hs * factor
+        out[idx] = y
+    return out
+
+
 def _as_t_eval(tmax: float, t_eval, steps: int) -> np.ndarray:
     if t_eval is not None:
         t_eval = np.asarray(t_eval, dtype=np.float64)
@@ -99,7 +150,7 @@ def integrate(params: ModelParams, init: InitialState, tmax: float,
     _check_tol(tol)
     times = _as_t_eval(tmax, t_eval, steps)
     y0 = np.array([init.c1_0, init.c2_0, 0.0], dtype=np.complex128)
-    ys = rk45_linear(system_matrix(params), y0, times, tol, tol)
+    ys = _rk45_linear(system_matrix(params), y0, times, tol, tol)
     return AmplitudeSeries(times, ys[:, 0], ys[:, 1], ys[:, 2])
 
 
@@ -112,6 +163,6 @@ def integrate_memoryless(params: ModelParams, init: InitialState, tmax: float,
     _check_tol(tol)
     times = _as_t_eval(tmax, t_eval, steps)
     y0 = np.array([init.c1_0, init.c2_0], dtype=np.complex128)
-    ys = rk45_linear(system_matrix_memoryless(params), y0, times, tol, tol)
+    ys = _rk45_linear(system_matrix_memoryless(params), y0, times, tol, tol)
     return AmplitudeSeries(times, ys[:, 0], ys[:, 1],
                            np.zeros_like(ys[:, 0]))

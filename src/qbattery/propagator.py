@@ -128,18 +128,6 @@ def _eval_terms(terms: Terms, t):
     return out
 
 
-def _eval_terms_deriv(terms: Terms, t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
-    for coef, root, power in terms:
-        base = coef * np.exp(root * t)
-        contrib = base * root * t ** power if power else base * root
-        if power:
-            contrib = contrib + base * power * t ** (power - 1)
-        out += contrib
-    return out
-
-
 @functools.lru_cache(maxsize=256)
 def solve_roots(params: ModelParams) -> PropagatorRoots:
     """Roots and kappa residues of the cubic denominator p(s).

@@ -9,7 +9,6 @@ evaluated by a process pool; the result is identical for any worker count.
 from __future__ import annotations
 
 import concurrent.futures
-import io
 import json
 import math
 import warnings
@@ -109,21 +108,27 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def table_to_csv(comments, columns, rows) -> str:
+    """CSV text: one '#'-prefixed line per comment, a header row of
+    ``columns`` and one line per row of numbers at 17 significant digits."""
+    lines = [f"# {comment}" for comment in comments]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def sweep_to_csv(result: SweepResult) -> str:
     """CSV with '#'-prefixed metadata, a header row of lambda/Omega values
     and one row per gamma/Omega value."""
-    buf = io.StringIO()
-    for key, val in result.metadata.items():
-        buf.write(f"# {key}={val}\n")
-    for i, row in enumerate(result.flags):
-        for j, flag in enumerate(row):
-            if flag:
-                buf.write(f"# flag: {i},{j},{flag}\n")
-    buf.write("gamma_over_omega," + ",".join(
-        "lambda_" + _fmt(l) for l in result.spec.lambda_over_omega) + "\n")
-    for g, row in zip(result.spec.gamma_over_omega, result.values):
-        buf.write(_fmt(g) + "," + ",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    comments = [f"{key}={val}" for key, val in result.metadata.items()]
+    comments += [f"flag: {i},{j},{flag}"
+                 for i, row in enumerate(result.flags)
+                 for j, flag in enumerate(row) if flag]
+    columns = ["gamma_over_omega"] + [
+        "lambda_" + _fmt(l) for l in result.spec.lambda_over_omega]
+    rows = ((g, *row)
+            for g, row in zip(result.spec.gamma_over_omega, result.values))
+    return table_to_csv(comments, columns, rows)
 
 
 def sweep_to_json(result: SweepResult) -> str:
@@ -169,13 +174,8 @@ def trajectory_table(traj: ChargingTrajectory) -> np.ndarray:
 
 
 def trajectory_to_csv(traj: ChargingTrajectory, metadata: dict) -> str:
-    buf = io.StringIO()
-    for key, val in metadata.items():
-        buf.write(f"# {key}={val}\n")
-    buf.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-    for row in trajectory_table(traj):
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    return table_to_csv([f"{key}={val}" for key, val in metadata.items()],
+                        TRAJECTORY_COLUMNS, trajectory_table(traj))
 
 
 def trajectory_to_json(traj: ChargingTrajectory, metadata: dict) -> str:

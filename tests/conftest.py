@@ -1,14 +1,6 @@
 import numpy as np
 import pytest
 
-from qbattery._kernels import warmup
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _jit_warmup():
-    """Compile the RK kernel once so timed tests exclude JIT overhead."""
-    warmup()
-
 
 @pytest.fixture
 def rng():

@@ -1,6 +1,5 @@
 """Acceptance suite: one test per criterion, each printing a PASS line and
-enforcing its stated tolerance and runtime budget (JIT warmup excluded via
-the session fixture)."""
+enforcing its stated tolerance and runtime budget."""
 
 import math
 import time

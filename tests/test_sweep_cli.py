@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,3 +205,24 @@ class TestConfigPrecedence:
             cli.main(["evolve", "--config", str(cfg), "--gamma", "0.1",
                       "--lambda", "1"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gamma-axis", "0.5", "--lambda-axis", "0.5",
+     "--quantity", "stored_energy_max"],
+    ["maxima", "--gamma", "0.5", "--lambda", "0.5"],
+    ["nonmarkov", "--gamma", "0.5", "--lambda", "0.5"],
+])
+def test_zero_tmax_is_usage_error(argv, capsys):
+    assert cli.main(argv + ["--tmax", "0"]) == 2
+    assert "tmax must be positive" in capsys.readouterr().err
+
+
+def test_no_module_reads_the_environment():
+    """The CLI promises that environment variables are never consulted."""
+    package = Path(qb.__file__).parent
+    readers = [f"{path.name}:{n}"
+               for path in sorted(package.rglob("*.py"))
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if re.search(r"\b(environb?|getenvb?)\b", line)]
+    assert readers == []
