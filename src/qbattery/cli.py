@@ -197,6 +197,8 @@ def _cmd_evolve(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     _require(args, parser, "gamma_axis", "lambda_axis", "quantity")
+    # _tmax divides by Omega: validate it as the cells would, first
+    make_params(args.omega0, args.Omega, 0.0, math.inf)
     spec = SweepSpec(_parse_axis(args.gamma_axis),
                      _parse_axis(args.lambda_axis),
                      args.quantity,

@@ -11,6 +11,12 @@ matrix (better conditioned near degeneracies than a closed-form cubic) and
 polished with two Newton steps; clustered roots fall back to the confluent
 partial-fraction expansion with t^k * exp(s*t) terms.
 
+The terms of kappa, or of c1 and c2 together, are grouped into a pole
+table: each distinct root with the (output, coefficient, power) rows that
+use it.  One evaluator walks the table in pole order and computes each
+pole's exponential exp(s*t) once per call, whatever the number of terms
+and outputs that share it.
+
 In the flat-spectrum limit the denominator collapses to the quadratic
 s^2 + gamma*s/2 + Omega^2 and the propagator has the closed form
 
@@ -35,6 +41,9 @@ from .model import InitialState, ModelParams, empty_battery_state
 
 # (coefficient, root, power) triples: f(t) = sum coef * t**power * exp(root*t)
 Terms = tuple[tuple[complex, complex, int], ...]
+# (root, ((output index, coefficient, power), ...)) per distinct root, roots
+# in (real, imag) order
+PoleTable = tuple[tuple[complex, tuple[tuple[int, complex, int], ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -117,15 +126,42 @@ def _partial_fraction_terms(num: np.ndarray, roots: np.ndarray,
     return tuple(terms)
 
 
-def _eval_terms(terms: Terms, t):
+def _pole_table(*outputs: Terms) -> PoleTable:
+    """Group the terms of each output by root.
+
+    ``_cluster_roots`` sorts every term list by (real, imag) of its root, so
+    walking the roots in that order visits each output's terms in their
+    original order.
+    """
+    rows: dict[complex, list[tuple[int, complex, int]]] = {}
+    for k, terms in enumerate(outputs):
+        for coef, root, power in terms:
+            rows.setdefault(root, []).append((k, coef, power))
+    return tuple((root, tuple(rows[root]))
+                 for root in sorted(rows, key=lambda s: (s.real, s.imag)))
+
+
+def _eval_poles(table: PoleTable, n_out: int, t) -> list[np.ndarray]:
+    """The ``n_out`` outputs sum_k coef * t**power * exp(root*t) of a pole
+    table, with one exponential per root.
+
+    Each output adds the same products in the same order as a per-term loop
+    would, so the result does not depend on how many outputs share a root.
+    """
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
-    for coef, root, power in terms:
-        contrib = coef * np.exp(root * t)
-        if power:
-            contrib = contrib * t ** power
-        out += contrib
-    return out
+    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(n_out)]
+    for root, rows in table:
+        # exp(0*t) is exactly 1; the cancelled 1/s pole of c2 sits there
+        e = (np.ones(t.shape, dtype=np.complex128) if root == 0
+             else np.exp(root * t))
+        for k, coef, power in rows:
+            term = coef * e
+            if power:
+                term *= t ** power
+            outs[k] += term
+            del term  # keep at most one product alive beside e
+        del e  # free this root's exponential before the next one
+    return outs
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,7 +245,8 @@ def kappa_grid(params: ModelParams, tau) -> np.ndarray:
     """Charging propagator kappa on an array of times."""
     if params.memoryless:
         return kappa_memoryless_grid(params, tau)
-    return _eval_terms(solve_roots(params).kappa_terms, tau)
+    return _eval_poles(_pole_table(solve_roots(params).kappa_terms), 1,
+                       tau)[0]
 
 
 def kappa_at(params: ModelParams, tau: float) -> complex:
@@ -219,9 +256,8 @@ def kappa_at(params: ModelParams, tau: float) -> complex:
     return complex(kappa_grid(params, np.float64(tau)))
 
 
-@functools.lru_cache(maxsize=512)
-def _amplitude_terms(params: ModelParams,
-                     init: InitialState) -> tuple[Terms, Terms]:
+def _amplitude_partial_fractions(params: ModelParams,
+                                 init: InitialState) -> tuple[Terms, Terms]:
     """Partial-fraction terms of c1(t) and c2(t) for arbitrary initial
     amplitudes (finite width).
 
@@ -247,6 +283,12 @@ def _amplitude_terms(params: ModelParams,
     return terms1, terms2
 
 
+@functools.lru_cache(maxsize=512)
+def _amplitude_terms(params: ModelParams, init: InitialState) -> PoleTable:
+    """Pole table of c1 (output 0) and c2 (output 1) at finite width."""
+    return _pole_table(*_amplitude_partial_fractions(params, init))
+
+
 def _amplitudes_memoryless_grid(params: ModelParams, init: InitialState,
                                 tau) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (c1, c2) in the flat-spectrum limit for arbitrary init."""
@@ -259,10 +301,12 @@ def _amplitudes_memoryless_grid(params: ModelParams, init: InitialState,
     a = init.c2_0
     b = -1j * om * init.c1_0 + 0.25 * gamma * init.c2_0  # c2'(0)+g/4*c2(0)
     shc = _sinhc(x)
-    c2 = env * (a * np.cosh(x) + b * tau * shc)
+    ch = np.cosh(x)
+    del x
+    c2 = env * (a * ch + b * tau * shc)
     # c2' = -(g/4) c2 + env*(a*(R^2 t/16) sinhc + b cosh); c1 = i*c2'/Omega
     c2p = (-0.25 * gamma * c2
-           + env * (a * (r * r / 16.0) * tau * shc + b * np.cosh(x)))
+           + env * (a * (r * r / 16.0) * tau * shc + b * ch))
     c1 = 1j * c2p / om
     return c1, c2
 
@@ -272,8 +316,8 @@ def amplitude_grid(params: ModelParams, init: InitialState,
     """(c1, c2) amplitudes on an array of times."""
     if params.memoryless:
         return _amplitudes_memoryless_grid(params, init, tau)
-    terms1, terms2 = _amplitude_terms(params, init)
-    return _eval_terms(terms1, tau), _eval_terms(terms2, tau)
+    c1, c2 = _eval_poles(_amplitude_terms(params, init), 2, tau)
+    return c1, c2
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,

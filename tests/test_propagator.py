@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qbattery as qb
 from qbattery.model import excited_battery_state
-from qbattery.propagator import (_eval_terms, _partial_fraction_terms,
+from qbattery.propagator import (_amplitude_partial_fractions, _eval_poles,
+                                 _partial_fraction_terms, _pole_table,
                                  amplitude_grid, cubic_coefficients,
                                  kappa_grid, kappa_memoryless_grid)
 
@@ -14,6 +16,23 @@ GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
 def params(gamma, lam, Omega=1.0, omega0=1.0):
     return qb.make_params(omega0, Omega, gamma, lam)
+
+
+def eval_terms_reference(terms, t):
+    """Per-term loop, one exponential per term: the reference the pole-table
+    evaluator must reproduce bit for bit."""
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros(t.shape, dtype=np.complex128)
+    for coef, root, power in terms:
+        contrib = coef * np.exp(root * t)
+        if power:
+            contrib = contrib * t ** power
+        out += contrib
+    return out
+
+
+def eval_terms(terms, t):
+    return _eval_poles(_pole_table(terms), 1, t)[0]
 
 
 class TestSolveRoots:
@@ -161,9 +180,11 @@ class TestConfluentExpansion:
         exact = _partial_fraction_terms(num, np.array([a, a, b]), 1e-9)
         nearby = _partial_fraction_terms(num, np.array([a, a + eps, b]), 1e-9)
         t = np.linspace(0.0, 5.0, 50)
-        np.testing.assert_allclose(_eval_terms(exact, t),
-                                   _eval_terms(nearby, t), atol=1e-4)
+        np.testing.assert_allclose(eval_terms(exact, t),
+                                   eval_terms(nearby, t), atol=1e-4)
         assert any(p == 1 for _, _, p in exact)
+        assert (eval_terms(exact, t).tobytes()
+                == eval_terms_reference(exact, t).tobytes())
 
     def test_triple_root_matches_perturbed_simple(self):
         num = np.array([1.0, 0.5j])
@@ -173,9 +194,67 @@ class TestConfluentExpansion:
         nearby = _partial_fraction_terms(
             num, np.array([a, a + eps, a - eps]), 1e-9)
         t = np.linspace(0.0, 4.0, 40)
-        np.testing.assert_allclose(_eval_terms(exact, t),
-                                   _eval_terms(nearby, t), atol=1e-4)
+        np.testing.assert_allclose(eval_terms(exact, t),
+                                   eval_terms(nearby, t), atol=1e-4)
         assert any(p == 2 for _, _, p in exact)
+        assert (eval_terms(exact, t).tobytes()
+                == eval_terms_reference(exact, t).tobytes())
+
+
+SEEDED_CELLS = [tuple(float(v) for v in cell) for cell in np.exp(
+    np.random.default_rng(20240817).uniform(
+        np.log([1e-3, 1e-3]), np.log([20.0, 100.0]), size=(50, 2)))]
+# gamma, lambda: the triple root of the cubic, a zero-discriminant point
+# (double root, confluent terms) and two extreme widths
+SPECIAL_CELLS = [(16 * math.sqrt(3) / 9, 3 * math.sqrt(3)),
+                 (3.2406446189062073, 6.0), (0.1, 1e7), (0.1, 1e9)]
+
+
+class TestPoleEvaluator:
+    @pytest.mark.parametrize("gamma,lam", SEEDED_CELLS + SPECIAL_CELLS)
+    def test_bytes_match_per_term_loop(self, gamma, lam):
+        p = params(gamma, lam)
+        inits = [qb.empty_battery_state(), excited_battery_state(),
+                 qb.make_initial_state(0.6, 0.8j)]
+        for tau in (np.linspace(0.0, 50.0, 2001), np.float64(3.7)):
+            kap = kappa_grid(p, tau)
+            want = eval_terms_reference(qb.solve_roots(p).kappa_terms, tau)
+            assert kap.shape == np.shape(tau)
+            assert kap.tobytes() == want.tobytes()
+            for init in inits:
+                got = amplitude_grid(p, init, tau)
+                terms = _amplitude_partial_fractions(p, init)
+                for amp, amp_terms in zip(got, terms):
+                    want = eval_terms_reference(amp_terms, tau)
+                    assert amp.shape == np.shape(tau)
+                    assert amp.tobytes() == want.tobytes()
+
+    def test_double_root_cell_is_confluent(self):
+        pr = qb.solve_roots(params(*SPECIAL_CELLS[1]))
+        assert pr.degenerate
+        assert any(power == 1 for _, _, power in pr.kappa_terms)
+
+    @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 6.5)])
+    def test_peak_memory(self, lam, arrays):
+        """Peak traced allocation of one 200001-point call, c1 and c2
+        included, stays within the peak of the per-term loop: 5
+        result-sized complex arrays (16.0 MB) at finite width, 6.5
+        (20.8 MB) in the memoryless closed form."""
+        p = params(0.3, lam)
+        tau = np.linspace(0.0, 200.0, 200001)
+        amplitude_grid(p, excited_battery_state(), tau)  # fill the caches
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            amplitude_grid(p, excited_battery_state(), tau)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= arrays * tau.size * 16 + 4096
 
 
 class TestOracleEquivalence:

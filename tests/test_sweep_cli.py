@@ -207,15 +207,25 @@ class TestConfigPrecedence:
         assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+TMAX_COMMANDS = [
     ["sweep", "--gamma-axis", "0.5", "--lambda-axis", "0.5",
      "--quantity", "stored_energy_max"],
     ["maxima", "--gamma", "0.5", "--lambda", "0.5"],
     ["nonmarkov", "--gamma", "0.5", "--lambda", "0.5"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", TMAX_COMMANDS)
 def test_zero_tmax_is_usage_error(argv, capsys):
     assert cli.main(argv + ["--tmax", "0"]) == 2
     assert "tmax must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", TMAX_COMMANDS)
+def test_zero_Omega_with_tmax_is_usage_error(argv, capsys):
+    """--tmax is converted with Omega; a bad Omega is still a usage error."""
+    assert cli.main(argv + ["--Omega", "0", "--tmax", "5"]) == 2
+    assert "Omega must be finite and positive" in capsys.readouterr().err
 
 
 def test_no_module_reads_the_environment():
