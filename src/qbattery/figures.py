@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .metrics import blp_nonmarkovianity, maximize_over_tau
+from .metrics import maximize_over_tau_many
 from .model import make_params
 from .propagator import trajectory
 from .sweep import _fmt
@@ -62,16 +62,16 @@ def _grid_table(quantity: str, tmax: float | None = None,
 
 
 def _maxima_vs(axis_name: str, axis, fixed: dict) -> tuple[list[str], np.ndarray]:
-    de, w = [], []
+    params = []
     for v in axis:
         kw = dict(fixed)
         kw[axis_name] = v
-        params = make_params(1.0, 1.0, kw["gamma"], kw["lam"])
-        rep = maximize_over_tau(params)
-        de.append(rep.delta_e_max)
-        w.append(rep.w_max)
+        params.append(make_params(1.0, 1.0, kw["gamma"], kw["lam"]))
+    reports = maximize_over_tau_many(params)
     return ([axis_name, "stored_energy_max", "ergotropy_max"],
-            np.column_stack([np.array(axis), de, w]))
+            np.column_stack([np.array(axis),
+                             [rep.delta_e_max for rep in reports],
+                             [rep.w_max for rep in reports]]))
 
 
 def _base_manifest(name: str, **extra) -> dict:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import amplitude_grid
+from .propagator import amplitude_grid, c2_of_cells
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in units of 1/Omega
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in units of 1/Omega
@@ -132,8 +132,8 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
         return NonMarkovReport(math.inf, (), divergent=True)
     if tmax is None:
         tmax = BLP_DEFAULT_TMAX / om
-    if tmax <= 0:
-        raise ValueError("tmax must be positive")
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
     if grid is None:
         grid = int(round(tmax * om / BLP_SCAN_SPACING)) + 1
     if grid < 3:
@@ -165,23 +165,85 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                            truncated=truncated)
 
 
-def _golden_max(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [a, b]."""
+def _golden_max(f, a: np.ndarray, b: np.ndarray,
+                xtol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of unimodal functions on [a, b], one per
+    cell, run in lockstep.
+
+    ``f`` maps one point per cell to one value per cell.  Each step moves
+    every cell whose bracket is still wider than its ``xtol`` as a scalar
+    search would (to [c, b] where f(c) < f(d), else to [a, d]) and freezes
+    the others, so each cell takes the steps and makes the comparisons of
+    its own scalar search.  One call of ``f`` serves all cells per step.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+    active = b - a > xtol
+    while active.any():
+        right = fc < fd
+        up, down = active & right, active & ~right
+        a = np.where(up, c, a)
+        b = np.where(down, d, b)
+        x = np.where(right, a + invphi * (b - a), b - invphi * (b - a))
+        fx = f(x)
+        c, fc, d, fd = (np.where(up, d, np.where(down, x, c)),
+                        np.where(up, fd, np.where(down, fx, fc)),
+                        np.where(up, x, np.where(down, c, d)),
+                        np.where(up, fx, np.where(down, fc, fd)))
+        active = b - a > xtol
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def maximize_over_tau_many(params_seq, init: InitialState | None = None,
+                           tmax: float | None = None) -> list[MaximaReport]:
+    """``maximize_over_tau`` for many cells at once, one report per cell.
+
+    Each cell gets its own 2000-point coarse scan; the golden-section
+    refinements of all cells then run in lockstep, with one c2 evaluation
+    per step for the whole batch.  A cell's report does not depend on the
+    batch it is in.  Warns once when any optimum sits at the tmax boundary.
+    """
+    if init is None:
+        init = empty_battery_state()
+    if tmax is not None and not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
+    params_seq = list(params_seq)
+    if not params_seq:
+        return []
+    oms = [p.coupling_qb_cavity for p in params_seq]
+    tmaxes = [MAXIMA_DEFAULT_TMAX / om if tmax is None else tmax
+              for om in oms]
+
+    def pop(c2):
+        return np.minimum(np.abs(c2) ** 2, 1.0)
+
+    n = 2000
+    lo, hi = [], []
+    for params, t_end in zip(params_seq, tmaxes):
+        taus = np.linspace(0.0, t_end, n)
+        i = int(np.argmax(pop(amplitude_grid(params, init, taus)[1])))
+        lo.append(taus[max(i - 1, 0)])
+        hi.append(taus[min(i + 1, n - 1)])
+    c2 = c2_of_cells(params_seq, init)
+    tau_star, p_star = _golden_max(lambda t: pop(c2(t)), np.array(lo),
+                                   np.array(hi),
+                                   np.array([1e-8 / om for om in oms]))
+
+    reports = []
+    for params, om, t_end, tau, p in zip(params_seq, oms, tmaxes,
+                                         tau_star.tolist(), p_star.tolist()):
+        de = stored_energy(params, p)
+        w = ergotropy_qubit(params, p)
+        tau_w = om * tau if w > 0.0 else math.nan
+        reports.append(MaximaReport(de, w, om * tau, tau_w,
+                                    tau > t_end - (t_end / (n - 1))))
+    if any(r.at_boundary for r in reports):
+        warnings.warn("population optimum lies at the tmax boundary; "
+                      "increase tmax", stacklevel=2)
+    return reports
 
 
 def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
@@ -190,35 +252,8 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
 
     Coarse scan on a 2000-point grid over [0, tmax], then golden-section
     refinement of the population peak to |delta tau| < 1e-8/Omega.  Warns
-    when the optimum sits at the tmax boundary.
+    when the optimum sits at the tmax boundary.  This is the one-cell case
+    of ``maximize_over_tau_many``, which sweeps and figures use to batch
+    their cells.
     """
-    om = params.coupling_qb_cavity
-    if init is None:
-        init = empty_battery_state()
-    if tmax is None:
-        tmax = MAXIMA_DEFAULT_TMAX / om
-    if tmax <= 0:
-        raise ValueError("tmax must be positive")
-
-    n = 2000
-    taus = np.linspace(0.0, tmax, n)
-
-    def pop_at(t):
-        _, c2 = amplitude_grid(params, init, np.asarray(t, dtype=np.float64))
-        return np.minimum(np.abs(c2) ** 2, 1.0)
-
-    pops = pop_at(taus)
-    i = int(np.argmax(pops))
-    a = taus[max(i - 1, 0)]
-    b = taus[min(i + 1, n - 1)]
-    tau_star, p_star = _golden_max(lambda t: float(pop_at(np.array([t]))[0]),
-                                   float(a), float(b), 1e-8 / om)
-    at_boundary = tau_star > tmax - (tmax / (n - 1))
-    if at_boundary:
-        warnings.warn("population optimum lies at the tmax boundary; "
-                      "increase tmax", stacklevel=2)
-
-    de = stored_energy(params, p_star)
-    w = ergotropy_qubit(params, p_star)
-    tau_w = om * tau_star if w > 0.0 else math.nan
-    return MaximaReport(de, w, om * tau_star, tau_w, at_boundary)
+    return maximize_over_tau_many([params], init, tmax)[0]

@@ -15,7 +15,9 @@ The terms of kappa, or of c1 and c2 together, are grouped into a pole
 table: each distinct root with the (output, coefficient, power) rows that
 use it.  One evaluator walks the table in pole order and computes each
 pole's exponential exp(s*t) once per call, whatever the number of terms
-and outputs that share it.
+and outputs that share it.  The tables of many cells stack into one whose
+roots, coefficients and powers carry a leading cell axis; the same
+evaluator then advances every cell at one time point each.
 
 In the flat-spectrum limit the denominator collapses to the quadratic
 s^2 + gamma*s/2 + Omega^2 and the propagator has the closed form
@@ -131,14 +133,53 @@ def _pole_table(*outputs: Terms) -> PoleTable:
 
     ``_cluster_roots`` sorts every term list by (real, imag) of its root, so
     walking the roots in that order visits each output's terms in their
-    original order.
+    original order.  Terms whose coefficient is exactly zero (c2's cancelled
+    1/s pole) add nothing and are left out, and so is a root left without
+    terms.
     """
     rows: dict[complex, list[tuple[int, complex, int]]] = {}
     for k, terms in enumerate(outputs):
         for coef, root, power in terms:
-            rows.setdefault(root, []).append((k, coef, power))
+            if coef != 0:
+                rows.setdefault(root, []).append((k, coef, power))
     return tuple((root, tuple(rows[root]))
                  for root in sorted(rows, key=lambda s: (s.real, s.imag)))
+
+
+def _stack_tables(tables: list[PoleTable], k: int) -> PoleTable:
+    """Output ``k`` of many cells' pole tables as one single-output table
+    with a leading cell axis.
+
+    Slot j holds every cell's j-th root and, row by row, its coefficients
+    and powers as arrays; a cell with fewer roots or rows is padded with
+    zero coefficients at the zero root, which add exactly nothing.  Each
+    cell therefore adds its own products in its own order, as the one-cell
+    table would.
+    """
+    cells = [[(root, [(coef, power) for kk, coef, power in rows if kk == k])
+              for root, rows in table] for table in tables]
+    cells = [[(root, rows) for root, rows in cell if rows] for cell in cells]
+    pad = (0j, [])
+    stacked = []
+    for j in range(max(map(len, cells), default=0)):
+        slot = [cell[j] if j < len(cell) else pad for cell in cells]
+        rows = tuple(
+            (0, np.array([r[i][0] if i < len(r) else 0j for _, r in slot]),
+             np.array([r[i][1] if i < len(r) else 0 for _, r in slot]))
+            for i in range(max(len(r) for _, r in slot)))
+        stacked.append((np.array([root for root, _ in slot]), rows))
+    return tuple(stacked)
+
+
+def _t_power(t: np.ndarray, power) -> np.ndarray:
+    """t**power; with an array of per-cell powers each cell gets the bytes
+    of the one-cell ``t ** power`` (1 where its power is 0)."""
+    if np.ndim(power) == 0:
+        return t ** power
+    out = np.ones(t.shape)
+    for p in np.unique(power[power != 0]).tolist():
+        out = np.where(power == p, t ** p, out)
+    return out
 
 
 def _eval_poles(table: PoleTable, n_out: int, t) -> list[np.ndarray]:
@@ -147,17 +188,16 @@ def _eval_poles(table: PoleTable, n_out: int, t) -> list[np.ndarray]:
 
     Each output adds the same products in the same order as a per-term loop
     would, so the result does not depend on how many outputs share a root.
+    For a stacked table (``_stack_tables``) ``t`` holds one time per cell.
     """
     t = np.asarray(t, dtype=np.float64)
     outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(n_out)]
     for root, rows in table:
-        # exp(0*t) is exactly 1; the cancelled 1/s pole of c2 sits there
-        e = (np.ones(t.shape, dtype=np.complex128) if root == 0
-             else np.exp(root * t))
+        e = np.exp(root * t)  # exactly 1 at a zero root
         for k, coef, power in rows:
             term = coef * e
-            if power:
-                term *= t ** power
+            if np.any(power):
+                term *= _t_power(t, power)
             outs[k] += term
             del term  # keep at most one product alive beside e
         del e  # free this root's exponential before the next one
@@ -289,24 +329,35 @@ def _amplitude_terms(params: ModelParams, init: InitialState) -> PoleTable:
     return _pole_table(*_amplitude_partial_fractions(params, init))
 
 
-def _amplitudes_memoryless_grid(params: ModelParams, init: InitialState,
-                                tau) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (c1, c2) in the flat-spectrum limit for arbitrary init."""
-    tau = np.asarray(tau, dtype=np.float64)
+def _memoryless_constants(params: ModelParams, init: InitialState) -> tuple:
+    """Per-cell scalars of the flat-spectrum closed form:
+    (Omega, R/4, -gamma/4, a, b, a*R^2/16) with a = c2(0) and
+    b = c2'(0) + gamma/4*c2(0)."""
     om = params.coupling_qb_cavity
     gamma = params.coupling_cavity_env
     r = _memoryless_R(params)
-    x = 0.25 * r * tau
-    env = np.exp(-0.25 * gamma * tau)
     a = init.c2_0
-    b = -1j * om * init.c1_0 + 0.25 * gamma * init.c2_0  # c2'(0)+g/4*c2(0)
+    b = -1j * om * init.c1_0 + 0.25 * gamma * init.c2_0
+    return om, 0.25 * r, -0.25 * gamma, a, b, a * (r * r / 16.0)
+
+
+def _amplitudes_memoryless_grid(consts: tuple,
+                                tau) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (c1, c2) in the flat-spectrum limit for arbitrary init.
+
+    ``consts`` comes from ``_memoryless_constants``; with each constant an
+    array over cells, ``tau`` holds one time per cell.
+    """
+    tau = np.asarray(tau, dtype=np.float64)
+    om, quarter_r, quarter_gamma, a, b, a_r2 = consts
+    x = quarter_r * tau
+    env = np.exp(quarter_gamma * tau)
     shc = _sinhc(x)
     ch = np.cosh(x)
     del x
     c2 = env * (a * ch + b * tau * shc)
     # c2' = -(g/4) c2 + env*(a*(R^2 t/16) sinhc + b cosh); c1 = i*c2'/Omega
-    c2p = (-0.25 * gamma * c2
-           + env * (a * (r * r / 16.0) * tau * shc + b * ch))
+    c2p = quarter_gamma * c2 + env * (a_r2 * tau * shc + b * ch)
     c1 = 1j * c2p / om
     return c1, c2
 
@@ -315,9 +366,37 @@ def amplitude_grid(params: ModelParams, init: InitialState,
                    tau) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2) amplitudes on an array of times."""
     if params.memoryless:
-        return _amplitudes_memoryless_grid(params, init, tau)
+        return _amplitudes_memoryless_grid(
+            _memoryless_constants(params, init), tau)
     c1, c2 = _eval_poles(_amplitude_terms(params, init), 2, tau)
     return c1, c2
+
+
+def c2_of_cells(params_seq, init: InitialState):
+    """The battery amplitude c2 of many cells, one time per cell.
+
+    Returns ``f(t) -> c2`` for ``t`` of shape ``(len(params_seq),)``.
+    Finite-width cells share one stacked pole table, memoryless cells one
+    set of per-cell closed-form constants; each cell's value has the bytes
+    of ``amplitude_grid(params, init, t[i:i+1])[1]``.
+    """
+    memoryless = np.array([p.memoryless for p in params_seq], dtype=bool)
+    fin = np.flatnonzero(~memoryless)
+    flat = np.flatnonzero(memoryless)
+    table = _stack_tables([_amplitude_terms(params_seq[i], init)
+                           for i in fin], 1)
+    consts = tuple(np.array(col) for col in zip(
+        *(_memoryless_constants(params_seq[i], init) for i in flat)))
+
+    def c2(t: np.ndarray) -> np.ndarray:
+        out = np.empty(t.shape, dtype=np.complex128)
+        if fin.size:
+            out[fin] = _eval_poles(table, 1, t[fin])[0]
+        if flat.size:
+            out[flat] = _amplitudes_memoryless_grid(consts, t[flat])[1]
+        return out
+
+    return c2
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,
@@ -353,8 +432,8 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
 
     ``tmax`` is a physical time; the stored grid is Omega*tau.
     """
-    if tmax <= 0:
-        raise ValueError("tmax must be positive")
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if init is None:

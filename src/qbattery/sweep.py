@@ -4,6 +4,9 @@ Grids are keyed by the dimensionless ratios gamma/Omega and lambda/Omega
 (the latter may be ``inf`` for the flat-spectrum limit); cell values are in
 units of omega0 for the energy quantities.  Cells are independent and may be
 evaluated by a process pool; the result is identical for any worker count.
+BLP cells are evaluated one by one.  Maxima cells are batched: the cells go
+to ``maximize_over_tau_many`` in one batch, or in one contiguous chunk per
+worker, whose golden-section searches run in lockstep.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .metrics import blp_nonmarkovianity, maximize_over_tau
+from .metrics import blp_nonmarkovianity, maximize_over_tau_many
 from .model import make_params
 from .propagator import ChargingTrajectory
 
@@ -59,34 +62,43 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _eval_cell(args) -> tuple[float, str]:
-    g_ratio, l_ratio, quantity, omega0, Omega, tmax, grid = args
-    params = make_params(omega0, Omega, g_ratio * Omega, l_ratio * Omega)
+def _eval_cells(args) -> list[tuple[float, str]]:
+    """(value, flag) of each cell of a contiguous run of cells; maxima
+    cells are searched as one batch."""
+    cells, quantity, omega0, Omega, tmax, grid = args
+    params = [make_params(omega0, Omega, g * Omega, l * Omega)
+              for g, l in cells]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if quantity == "nonmarkovianity":
-            report = blp_nonmarkovianity(params, tmax=tmax, grid=grid)
-            if report.divergent:
-                return math.nan, "divergent"
-            return report.measure, "truncated" if report.truncated else ""
-        report = maximize_over_tau(params, tmax=tmax)
-        flag = "boundary" if report.at_boundary else ""
-        if quantity == "stored_energy_max":
-            return report.delta_e_max / omega0, flag
-        return report.w_max / omega0, flag
+            reports = [blp_nonmarkovianity(p, tmax=tmax, grid=grid)
+                       for p in params]
+            return [(math.nan, "divergent") if r.divergent else
+                    (r.measure, "truncated" if r.truncated else "")
+                    for r in reports]
+        reports = maximize_over_tau_many(params, tmax=tmax)
+    return [((r.delta_e_max if quantity == "stored_energy_max" else r.w_max)
+             / omega0, "boundary" if r.at_boundary else "")
+            for r in reports]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the requested quantity on the full axes cross product."""
-    cells = [(g, l, spec.quantity, spec.omega0, spec.Omega, spec.tmax,
-              spec.grid)
-             for g in spec.gamma_over_omega
+    cells = [(g, l) for g in spec.gamma_over_omega
              for l in spec.lambda_over_omega]
+    # BLP cells go one by one; maxima cells in one contiguous chunk per worker
+    n_chunks = (len(cells) if spec.quantity == "nonmarkovianity"
+                else max(workers, 1))
+    bounds = [len(cells) * k // n_chunks for k in range(n_chunks + 1)]
+    tasks = [(cells[lo:hi], spec.quantity, spec.omega0, spec.Omega,
+              spec.tmax, spec.grid)
+             for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            results = list(pool.map(_eval_cell, cells))
+            chunks = list(pool.map(_eval_cells, tasks))
     else:
-        results = [_eval_cell(c) for c in cells]
+        chunks = [_eval_cells(task) for task in tasks]
+    results = [cell for chunk in chunks for cell in chunk]
 
     ng = len(spec.gamma_over_omega)
     nl = len(spec.lambda_over_omega)

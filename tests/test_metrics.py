@@ -1,4 +1,6 @@
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 import qbattery as qb
+from qbattery.metrics import maximize_over_tau_many
+from qbattery.propagator import amplitude_grid
 
 
 def params(gamma, lam):
@@ -217,3 +221,115 @@ class TestTrends:
             vals = [qb.blp_nonmarkovianity(params(g, lam)).measure
                     for g in self.GRID]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def golden_max_reference(f, a, b, xtol):
+    """Scalar golden-section maximization: the reference the lockstep
+    search must reproduce bit for bit, cell by cell."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def maximize_reference(params, init=None, tmax=None):
+    """Per-cell search: 2000-point scan, then a scalar golden section with
+    one single-point ``amplitude_grid`` call per step."""
+    om = params.coupling_qb_cavity
+    init = qb.empty_battery_state() if init is None else init
+    tmax = 50.0 / om if tmax is None else tmax
+    n = 2000
+    taus = np.linspace(0.0, tmax, n)
+
+    def pop_at(t):
+        _, c2 = amplitude_grid(params, init, np.asarray(t, dtype=np.float64))
+        return np.minimum(np.abs(c2) ** 2, 1.0)
+
+    i = int(np.argmax(pop_at(taus)))
+    tau_star, p_star = golden_max_reference(
+        lambda t: float(pop_at(np.array([t]))[0]),
+        float(taus[max(i - 1, 0)]), float(taus[min(i + 1, n - 1)]),
+        1e-8 / om)
+    w = qb.ergotropy_qubit(params, p_star)
+    return qb.MaximaReport(qb.stored_energy(params, p_star), w,
+                           om * tau_star, om * tau_star if w > 0.0 else math.nan,
+                           tau_star > tmax - (tmax / (n - 1)))
+
+
+def same_report(got, want):
+    """All five fields equal as bytes; NaN equals NaN."""
+    def same(x, y):
+        return ((math.isnan(x) and math.isnan(y))
+                or struct.pack("<d", x) == struct.pack("<d", y))
+    return (all(same(getattr(got, f), getattr(want, f))
+                for f in ("delta_e_max", "w_max", "tau_at_e_max",
+                          "tau_at_w_max"))
+            and got.at_boundary is want.at_boundary)
+
+
+# memoryless (gamma = 4 Omega is R = 0, the sinhc series branch), the triple
+# root, a double root, lambda/Omega = 1e7, and cells at Omega != 1, where
+# the golden-section tolerance 1e-8/Omega scales
+BATCH_CELLS = (
+    [params(g, math.inf) for g in (0.1, 2.0, 4.0, 7.5)]
+    + [params(16 * math.sqrt(3) / 9, 3 * math.sqrt(3)),
+       params(3.2406446189062073, 6.0), params(0.1, 1e7),
+       params(0.1, 0.1), params(1.0, 1.0), params(0.0, 1.0)]
+    + [qb.make_params(2.0, 2.5, 2.5 * g, 2.5 * lam)
+       for g, lam in ((0.1, 0.1), (0.7, math.inf), (5.0, 0.3))]
+    + [qb.make_params(1.0, 0.04, 0.004, 0.02)])
+BATCH_INITS = {"empty": None, "excited": qb.excited_battery_state(),
+               "general": qb.make_initial_state(0.6, 0.8j)}
+
+
+class TestMaximizeBatch:
+    """The lockstep batch search against the per-cell search it replaced."""
+
+    @pytest.mark.parametrize("tmax", [None, 1.0], ids=["default", "boundary"])
+    @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
+    def test_bytes_match_per_cell_reference(self, init, tmax):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = maximize_over_tau_many(BATCH_CELLS, init, tmax)
+            for p, got in zip(BATCH_CELLS, batch):
+                assert same_report(got, maximize_reference(p, init, tmax)), p
+                alone = maximize_over_tau_many([p], init, tmax)[0]
+                assert same_report(alone, got), p
+        if tmax is not None and init is None:  # Rabi-like peaks after 1.0
+            assert any(r.at_boundary for r in batch)
+        assert len(batch) == len(BATCH_CELLS)
+
+    def test_independent_of_batch_order(self):
+        forward = maximize_over_tau_many(BATCH_CELLS)
+        backward = maximize_over_tau_many(BATCH_CELLS[::-1])[::-1]
+        assert all(same_report(f, b) for f, b in zip(forward, backward))
+
+    def test_single_cell_is_one_cell_batch(self):
+        p = params(0.5, 0.5)
+        assert same_report(qb.maximize_over_tau(p),
+                           maximize_over_tau_many([p])[0])
+
+    def test_empty_batch(self):
+        assert maximize_over_tau_many([]) == []
+
+    def test_one_boundary_warning_per_batch(self):
+        with pytest.warns(UserWarning, match="boundary") as record:
+            maximize_over_tau_many([params(0.0, 1.0), params(0.0, 2.0)],
+                                   tmax=1.0)
+        assert len(record) == 1
+
+    @pytest.mark.parametrize("tmax", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tmax(self, tmax):
+        with pytest.raises(ValueError, match="positive and finite"):
+            maximize_over_tau_many([params(0.5, 0.5)], tmax=tmax)

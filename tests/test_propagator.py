@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -6,9 +7,10 @@ import pytest
 
 import qbattery as qb
 from qbattery.model import excited_battery_state
-from qbattery.propagator import (_amplitude_partial_fractions, _eval_poles,
+from qbattery.propagator import (_amplitude_partial_fractions,
+                                 _amplitude_terms, _eval_poles,
                                  _partial_fraction_terms, _pole_table,
-                                 amplitude_grid, cubic_coefficients,
+                                 _sinhc, amplitude_grid, cubic_coefficients,
                                  kappa_grid, kappa_memoryless_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
@@ -29,6 +31,26 @@ def eval_terms_reference(terms, t):
             contrib = contrib * t ** power
         out += contrib
     return out
+
+
+def amplitudes_memoryless_reference(p, init, tau):
+    """The flat-spectrum closed form written out per cell: the reference the
+    memoryless evaluator (one cell or a stack of cells) must reproduce bit
+    for bit."""
+    tau = np.asarray(tau, dtype=np.float64)
+    om = p.coupling_qb_cavity
+    gamma = p.coupling_cavity_env
+    r = cmath.sqrt(complex(gamma * gamma - 16.0 * om * om))
+    x = 0.25 * r * tau
+    env = np.exp(-0.25 * gamma * tau)
+    a = init.c2_0
+    b = -1j * om * init.c1_0 + 0.25 * gamma * init.c2_0
+    shc = _sinhc(x)
+    ch = np.cosh(x)
+    c2 = env * (a * ch + b * tau * shc)
+    c2p = (-0.25 * gamma * c2
+           + env * (a * (r * r / 16.0) * tau * shc + b * ch))
+    return 1j * c2p / om, c2
 
 
 def eval_terms(terms, t):
@@ -162,6 +184,21 @@ class TestAmplitudes:
         assert c1 == pytest.approx(series.c1[0], abs=1e-8)
         assert c2 == pytest.approx(series.c2[0], abs=1e-8)
 
+    @pytest.mark.parametrize("Omega", [1.0, 2.5, 0.03])
+    def test_memoryless_bytes_match_closed_form_reference(self, Omega):
+        """gamma = 4 Omega is R = 0, the sinhc series branch."""
+        inits = [qb.empty_battery_state(), excited_battery_state(),
+                 qb.make_initial_state(0.6, 0.8j)]
+        for g in (0.0, 0.1, 2.0, 4.0, 7.5):
+            p = params(g * Omega, math.inf, Omega)
+            for init in inits:
+                for tau in (np.linspace(0.0, 60.0, 3001) / Omega,
+                            np.float64(1.7 / Omega)):
+                    got = amplitude_grid(p, init, tau)
+                    want = amplitudes_memoryless_reference(p, init, tau)
+                    assert all(x.tobytes() == y.tobytes()
+                               for x, y in zip(got, want))
+
     def test_memoryless_general_init_against_oracle(self):
         p = params(0.5, math.inf)
         init = qb.make_initial_state(0.6, 0.8j)
@@ -228,6 +265,28 @@ class TestPoleEvaluator:
                     want = eval_terms_reference(amp_terms, tau)
                     assert amp.shape == np.shape(tau)
                     assert amp.tobytes() == want.tobytes()
+
+    def test_zero_coefficient_rows_are_skipped(self):
+        """c2's cancelled 1/s pole has coefficient exactly 0 at Omega = 1
+        and leaves the table; a roundoff coefficient at a small Omega is
+        kept, and the values still match the per-term loop."""
+        tau = np.linspace(0.0, 50.0, 2001)
+        for gamma, lam in SPECIAL_CELLS[:2] + [(0.5, 0.5)]:
+            for init in (qb.empty_battery_state(), excited_battery_state()):
+                table = _amplitude_terms(params(gamma, lam), init)
+                assert all(root != 0 for root, _ in table)
+                assert all(coef != 0 for _, rows in table
+                           for _, coef, _ in rows)
+        om = 0.003265088842593968
+        p = params(0.08856090101436478 * om, 16.036066952937396 * om, om)
+        init = excited_battery_state()
+        [zero] = [rows for root, rows in _amplitude_terms(p, init)
+                  if root == 0]
+        assert zero[0][1] != 0
+        got = amplitude_grid(p, init, tau / om)
+        for amp, terms in zip(got, _amplitude_partial_fractions(p, init)):
+            assert amp.tobytes() == eval_terms_reference(terms,
+                                                         tau / om).tobytes()
 
     def test_double_root_cell_is_confluent(self):
         pr = qb.solve_roots(params(*SPECIAL_CELLS[1]))

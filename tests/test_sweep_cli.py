@@ -107,11 +107,17 @@ class TestSweep:
             cli._parse_axis("1:2:3:badscale")
 
     def test_worker_count_equivalence(self):
-        spec = SweepSpec((0.5, 2.0), (1.0, math.inf), "stored_energy_max")
-        serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
-        np.testing.assert_array_equal(serial.values, parallel.values)
-        assert serial.flags == parallel.flags
+        """Maxima cells go in one batch per worker chunk; 12 cells in 5
+        chunks have unequal lengths (2, 2, 3, 2, 3)."""
+        for quantity in ("stored_energy_max", "ergotropy_max"):
+            spec = SweepSpec((0.5, 2.0, 6.0), (0.3, 1.0, 4.0, math.inf),
+                             quantity, tmax=1.5)
+            serial = run_sweep(spec, workers=1)
+            assert any(any(row) for row in serial.flags)  # boundary cells
+            for workers in (2, 3, 5):
+                parallel = run_sweep(spec, workers=workers)
+                np.testing.assert_array_equal(serial.values, parallel.values)
+                assert serial.flags == parallel.flags
 
     def test_json_round_trip_exact(self):
         spec = SweepSpec((0.5, 5.0), (0.5, math.inf), "ergotropy_max")
@@ -212,6 +218,7 @@ TMAX_COMMANDS = [
      "--quantity", "stored_energy_max"],
     ["maxima", "--gamma", "0.5", "--lambda", "0.5"],
     ["nonmarkov", "--gamma", "0.5", "--lambda", "0.5"],
+    ["evolve", "--gamma", "0.5", "--lambda", "0.5"],
 ]
 
 
@@ -219,6 +226,13 @@ TMAX_COMMANDS = [
 def test_zero_tmax_is_usage_error(argv, capsys):
     assert cli.main(argv + ["--tmax", "0"]) == 2
     assert "tmax must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tmax", ["nan", "inf"])
+@pytest.mark.parametrize("argv", TMAX_COMMANDS)
+def test_non_finite_tmax_is_usage_error(argv, tmax, capsys):
+    assert cli.main(argv + ["--tmax", tmax]) == 2
+    assert "tmax must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", TMAX_COMMANDS)
