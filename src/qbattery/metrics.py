@@ -49,20 +49,51 @@ class MaximaReport:
     at_boundary: bool = False
 
 
-def stored_energy(params: ModelParams, population: float) -> float:
-    """Energy held by the battery at excited population p: omega0 * p."""
-    if not -1e-12 <= population <= 1.0 + 1e-9:
-        raise ValueError(f"population outside [0, 1]: {population}")
-    return params.omega0 * min(max(population, 0.0), 1.0)
+def _clipped_population(population) -> np.ndarray:
+    """Population as a float array clipped to [0, 1], after a range guard
+    that rejects any entry outside [-1e-12, 1 + 1e-9], NaN included."""
+    p = np.asarray(population, dtype=np.float64)
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValueError(f"population outside [0, 1]: {p[bad].flat[0]}")
+    return np.clip(p, 0.0, 1.0)
 
 
-def ergotropy_qubit(params: ModelParams, population: float) -> float:
+def _like(population, values: np.ndarray) -> float | np.ndarray:
+    """``values`` as a Python float for a scalar population, else as is."""
+    return float(values) if np.ndim(population) == 0 else values
+
+
+def _stored(omega0, population):
+    """Stored energy; ``omega0`` is a scalar or one value per entry."""
+    return omega0 * _clipped_population(population)
+
+
+def _ergotropy(omega0, population):
+    """Qubit ergotropy; ``omega0`` is a scalar or one value per entry."""
+    p = _clipped_population(population)
+    return np.where(p > 0.5, omega0 * (2.0 * p - 1.0), 0.0)
+
+
+def stored_energy(params: ModelParams,
+                  population: float | np.ndarray) -> float | np.ndarray:
+    """Energy held by the battery at excited population p: omega0 * p.
+
+    ``population`` is a scalar (a Python float is returned) or an array
+    (an array of the same shape is returned); every entry must lie in
+    [0, 1] up to roundoff, else ValueError.
+    """
+    return _like(population, _stored(params.omega0, population))
+
+
+def ergotropy_qubit(params: ModelParams,
+                    population: float | np.ndarray) -> float | np.ndarray:
     """Extractable work of the diagonal qubit state diag(p, 1-p):
-    omega0*(2p - 1) above the passive boundary p = 1/2, else zero."""
-    if not -1e-12 <= population <= 1.0 + 1e-9:
-        raise ValueError(f"population outside [0, 1]: {population}")
-    p = min(max(population, 0.0), 1.0)
-    return params.omega0 * (2.0 * p - 1.0) if p > 0.5 else 0.0
+    omega0*(2p - 1) above the passive boundary p = 1/2, else zero.
+
+    Takes a scalar or an array population, as ``stored_energy`` does.
+    """
+    return _like(population, _ergotropy(params.omega0, population))
 
 
 def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
@@ -128,8 +159,6 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     not yet decayed below 1e-6.
     """
     om = params.coupling_qb_cavity
-    if params.coupling_cavity_env == 0.0:
-        return NonMarkovReport(math.inf, (), divergent=True)
     if tmax is None:
         tmax = BLP_DEFAULT_TMAX / om
     if not 0 < tmax < math.inf:
@@ -138,6 +167,8 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
         grid = int(round(tmax * om / BLP_SCAN_SPACING)) + 1
     if grid < 3:
         raise ValueError("grid must be at least 3 points")
+    if params.coupling_cavity_env == 0.0:
+        return NonMarkovReport(math.inf, (), divergent=True)
 
     taus = np.linspace(0.0, tmax, grid)
     d, dp = _survival(params, taus)
@@ -232,11 +263,11 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                                    np.array(hi),
                                    np.array([1e-8 / om for om in oms]))
 
+    omega0 = np.array([p.omega0 for p in params_seq])
     reports = []
-    for params, om, t_end, tau, p in zip(params_seq, oms, tmaxes,
-                                         tau_star.tolist(), p_star.tolist()):
-        de = stored_energy(params, p)
-        w = ergotropy_qubit(params, p)
+    for om, t_end, tau, de, w in zip(oms, tmaxes, tau_star.tolist(),
+                                     _stored(omega0, p_star).tolist(),
+                                     _ergotropy(omega0, p_star).tolist()):
         tau_w = om * tau if w > 0.0 else math.nan
         reports.append(MaximaReport(de, w, om * tau, tau_w,
                                     tau > t_end - (t_end / (n - 1))))

@@ -444,7 +444,6 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     kap = kappa_grid(params, taus)
     _, c2 = amplitude_grid(params, init, taus)
     pop = np.minimum(np.abs(c2) ** 2, 1.0)
-    stored = np.array([metrics.stored_energy(params, p) for p in pop])
-    ergo = np.array([metrics.ergotropy_qubit(params, p) for p in pop])
     return ChargingTrajectory(params.coupling_qb_cavity * taus, kap, pop,
-                              stored, ergo)
+                              metrics.stored_energy(params, pop),
+                              metrics.ergotropy_qubit(params, pop))

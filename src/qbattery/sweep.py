@@ -120,13 +120,50 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def table_to_csv(comments, columns, rows) -> str:
+def table_to_csv(comments, columns, table) -> str:
     """CSV text: one '#'-prefixed line per comment, a header row of
-    ``columns`` and one line per row of numbers at 17 significant digits."""
+    ``columns`` and one line per row of the 2-d numeric ``table``.  Each
+    row is written by one ``"%.17g"`` format string (17 significant digits
+    per value, the same text as ``_fmt``)."""
+    row = ",".join(["%.17g"] * len(columns))
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(columns))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend([row % tuple(values)
+                  for values in np.asarray(table, dtype=np.float64).tolist()])
     return "\n".join(lines) + "\n"
+
+
+def _table_json(table: np.ndarray) -> list[str]:
+    """Text parts of a 2-d float table as ``json.dumps(..., indent=2)``
+    lays it out one level down: each row and each value on its own line.
+
+    The values are encoded by json's C encoder in one call (``indent``
+    would make json encode them one by one in Python); its compact text is
+    then re-laid.  Floats print as ``repr``, ``NaN`` and ``Infinity`` in
+    both encoders, and no float's text holds ``", "``.
+    """
+    if not table.size:
+        return [json.dumps(table.tolist(), indent=2).replace("\n", "\n  ")]
+    return ["[\n    [\n      ",
+            json.dumps(table.tolist())[2:-2]
+            .replace("], [", "\n    ],\n    [\n      ")
+            .replace(", ", ",\n      "),
+            "\n    ]\n  ]"]
+
+
+def _to_json(payload: dict, table_key: str) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, with the 2-d float
+    table ``payload[table_key]`` written by ``_table_json``."""
+    parts = []
+    for key, value in payload.items():
+        parts.append(("{\n  " if not parts else ",\n  ")
+                     + json.dumps(key) + ": ")
+        if key == table_key:
+            parts += _table_json(np.asarray(value, dtype=np.float64))
+        else:
+            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+    parts.append("\n}")
+    return "".join(parts)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -138,9 +175,8 @@ def sweep_to_csv(result: SweepResult) -> str:
                  for j, flag in enumerate(row) if flag]
     columns = ["gamma_over_omega"] + [
         "lambda_" + _fmt(l) for l in result.spec.lambda_over_omega]
-    rows = ((g, *row)
-            for g, row in zip(result.spec.gamma_over_omega, result.values))
-    return table_to_csv(comments, columns, rows)
+    table = np.column_stack([result.spec.gamma_over_omega, result.values])
+    return table_to_csv(comments, columns, table)
 
 
 def sweep_to_json(result: SweepResult) -> str:
@@ -152,11 +188,11 @@ def sweep_to_json(result: SweepResult) -> str:
         "grid": result.spec.grid,
         "omega0": result.spec.omega0,
         "Omega": result.spec.Omega,
-        "values": [list(row) for row in result.values],
+        "values": result.values,
         "flags": result.flags,
         "metadata": result.metadata,
     }
-    return json.dumps(payload, indent=2)
+    return _to_json(payload, "values")
 
 
 def sweep_from_json(text: str) -> SweepResult:
@@ -191,8 +227,7 @@ def trajectory_to_csv(traj: ChargingTrajectory, metadata: dict) -> str:
 
 
 def trajectory_to_json(traj: ChargingTrajectory, metadata: dict) -> str:
-    table = trajectory_table(traj)
     payload = {"metadata": metadata,
                "columns": list(TRAJECTORY_COLUMNS),
-               "rows": [list(row) for row in table]}
-    return json.dumps(payload, indent=2)
+               "rows": trajectory_table(traj)}
+    return _to_json(payload, "rows")

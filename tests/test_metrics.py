@@ -91,6 +91,54 @@ class TestErgotropyQubit:
             assert w <= qb.stored_energy(p, pop) + 1e-15
 
 
+class TestArrayPopulation:
+    """The energy metrics take a whole population column at once; each
+    entry must carry the bytes of the scalar call on that entry."""
+
+    EDGES = [0.0, 0.5, 1.0, 1.0 + 1e-9, -1e-12]
+
+    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
+    @pytest.mark.parametrize("omega0", [1.0, 2.5, 1e-3])
+    def test_bytes_match_scalar_loop(self, fn, omega0, rng):
+        p = qb.make_params(omega0, 1.0, 0.1, 0.1)
+        pops = np.concatenate([rng.uniform(0.0, 1.0, 500), self.EDGES])
+        got = fn(p, pops)
+        assert isinstance(got, np.ndarray) and got.shape == pops.shape
+        expected = np.array([fn(p, float(x)) for x in pops])
+        assert got.tobytes() == expected.tobytes()
+        assert fn(p, pops.reshape(5, -1)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
+    def test_scalar_gives_python_float(self, fn):
+        p = params(0.1, 0.1)
+        for pop in [0.75, np.float64(0.75), 1.0 + 1e-9, -1e-12]:
+            assert type(fn(p, pop)) is float
+        assert fn(p, 0.75) == fn(p, np.array([0.75]))[0]
+
+    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
+    @pytest.mark.parametrize("bad", [math.nan, 1.1, 1.0 + 2e-9, -1e-11])
+    def test_one_bad_entry_rejects_the_array(self, fn, bad):
+        pops = np.linspace(0.0, 1.0, 11)
+        pops[4] = bad
+        with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
+            fn(params(0.1, 0.1), pops)
+        with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
+            fn(params(0.1, 0.1), bad)
+
+    def test_nan_population_in_trajectory_raises(self, monkeypatch):
+        import qbattery.propagator as prop
+
+        def nan_amplitudes(params, init, taus):
+            c1, c2 = amplitude_grid(params, init, taus)
+            c2 = c2.copy()
+            c2[len(c2) // 2] = math.nan
+            return c1, c2
+
+        monkeypatch.setattr(prop, "amplitude_grid", nan_amplitudes)
+        with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
+            qb.trajectory(params(0.1, 0.1), tmax=5.0, steps=101)
+
+
 class TestErgotropyGeneral:
     def test_matches_qubit_form(self):
         h = np.diag([1.0, 0.0])  # omega0 |e><e| in the {|e>, |g>} basis

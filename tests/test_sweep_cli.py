@@ -219,6 +219,8 @@ TMAX_COMMANDS = [
     ["maxima", "--gamma", "0.5", "--lambda", "0.5"],
     ["nonmarkov", "--gamma", "0.5", "--lambda", "0.5"],
     ["evolve", "--gamma", "0.5", "--lambda", "0.5"],
+    # gamma = 0 has a divergent BLP report; bad options still come first
+    ["nonmarkov", "--gamma", "0", "--lambda", "1"],
 ]
 
 
@@ -233,6 +235,16 @@ def test_zero_tmax_is_usage_error(argv, capsys):
 def test_non_finite_tmax_is_usage_error(argv, tmax, capsys):
     assert cli.main(argv + ["--tmax", tmax]) == 2
     assert "tmax must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--tmax", "-1"], "tmax must be positive and finite"),
+    (["--grid", "2"], "grid must be at least 3 points"),
+])
+def test_divergent_cell_validates_options_first(option, message, capsys):
+    assert cli.main(["nonmarkov", "--gamma", "0", "--lambda", "1"]
+                    + option) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", TMAX_COMMANDS)
