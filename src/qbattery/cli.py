@@ -15,6 +15,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .figures import FIGURE_NAMES, figure_bundle
 from .metrics import blp_nonmarkovianity, maximize_over_tau
@@ -50,11 +52,9 @@ def _parse_axis(text: str) -> tuple[float, ...]:
         if scale == "log":
             if start <= 0 or stop <= 0:
                 raise ValueError("log axis needs positive endpoints")
-            import numpy as np
             return tuple(np.logspace(math.log10(start), math.log10(stop),
                                      count))
         if scale == "lin":
-            import numpy as np
             return tuple(np.linspace(start, stop, count))
         raise ValueError(f"unknown axis scale {scale!r}")
     return tuple(_parse_lambda(tok) for tok in text.split(","))
@@ -95,15 +95,13 @@ def _write_output(out: str, text: str) -> None:
         raise SystemExit(EXIT_IO)
 
 
-def _add_common(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None,
                      help="optional key=value config file (defaults layer)")
     sub.add_argument("--omega0", type=float, default=1.0)
     sub.add_argument("--Omega", type=float, default=1.0)
-    if with_out:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--out", default="-",
-                         help="output path, '-' for stdout")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
 def _add_params(sub: argparse.ArgumentParser) -> None:

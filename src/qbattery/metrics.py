@@ -179,6 +179,9 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                       "backflow measure is truncated", stacklevel=2)
 
     sign = dp > 0.0
+    # D'(0) = 0 exactly and D''(0) = -2*Omega^2 < 0: D falls right after
+    # t = 0, and the computed sign of D'(0) is roundoff
+    sign[0] = False
     crossings = np.nonzero(sign[1:] != sign[:-1])[0]
     extrema = _refine_extrema(params, taus[crossings], taus[crossings + 1],
                               sign[crossings])

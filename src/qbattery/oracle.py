@@ -22,6 +22,7 @@ shares no code with the partial-fraction inversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,29 +63,23 @@ class AmplitudeSeries:
 
 
 def system_matrix(params: ModelParams) -> np.ndarray:
-    """3x3 generator of the (c1, c2, z) system; its eigenvalues are the
-    roots of the cubic s^3 + lam*s^2 + (Omega^2 + lam*gamma/2)*s + lam*Omega^2."""
-    if params.memoryless:
-        raise ValueError("memoryless params have no finite-width system matrix")
+    """Generator of the amplitude system: 3x3 on (c1, c2, z), whose
+    eigenvalues are the roots of the cubic
+    s^3 + lam*s^2 + (Omega^2 + lam*gamma/2)*s + lam*Omega^2, or when
+    memoryless 2x2 on (c1, c2), whose eigenvalues are the roots of
+    s^2 + gamma*s/2 + Omega^2."""
     om = params.coupling_qb_cavity
     gamma = params.coupling_cavity_env
+    if params.memoryless:
+        return np.array([
+            [-0.5 * gamma, -1j * om],
+            [-1j * om, 0.0],
+        ], dtype=np.complex128)
     lam = params.spectral_width
     return np.array([
         [0.0, -1j * om, -0.5 * gamma * lam],
         [-1j * om, 0.0, 0.0],
         [1.0, 0.0, -lam],
-    ], dtype=np.complex128)
-
-
-def system_matrix_memoryless(params: ModelParams) -> np.ndarray:
-    """2x2 generator of the flat-spectrum (c1, c2) system."""
-    if not params.memoryless:
-        raise ValueError("params are not memoryless")
-    om = params.coupling_qb_cavity
-    gamma = params.coupling_cavity_env
-    return np.array([
-        [-0.5 * gamma, -1j * om],
-        [-1j * om, 0.0],
     ], dtype=np.complex128)
 
 
@@ -128,11 +123,13 @@ def _as_t_eval(tmax: float, t_eval, steps: int) -> np.ndarray:
         t_eval = np.asarray(t_eval, dtype=np.float64)
         if t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) < 0):
             raise ValueError("t_eval must be a non-empty ascending 1-d array")
+        if not np.all(np.isfinite(t_eval)):
+            raise ValueError("t_eval must be finite")
         if t_eval[0] < 0:
             raise ValueError("t_eval must be non-negative")
         return t_eval
-    if tmax <= 0:
-        raise ValueError(f"tmax must be positive, got {tmax}")
+    if not 0 < tmax < math.inf:
+        raise ValueError(f"tmax must be positive and finite, got {tmax}")
     return np.linspace(0.0, tmax, steps)
 
 
@@ -141,28 +138,31 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
 
 
+def _integrate(params: ModelParams, init: InitialState, tmax: float,
+               tol: float, t_eval, steps: int) -> AmplitudeSeries:
+    _check_tol(tol)
+    times = _as_t_eval(tmax, t_eval, steps)
+    m = system_matrix(params)
+    y0 = np.zeros(len(m), dtype=np.complex128)
+    y0[:2] = init.c1_0, init.c2_0
+    ys = _rk45_linear(m, y0, times, tol, tol)
+    z = np.zeros_like(ys[:, 0]) if params.memoryless else ys[:, 2]
+    return AmplitudeSeries(times, ys[:, 0], ys[:, 1], z)
+
+
 def integrate(params: ModelParams, init: InitialState, tmax: float,
               tol: float = DEFAULT_TOL, t_eval=None,
               steps: int = 501) -> AmplitudeSeries:
-    """Adaptive RK45 integration of the finite-width 3-component system."""
-    if params.memoryless:
-        raise ValueError("memoryless params: use integrate_memoryless")
-    _check_tol(tol)
-    times = _as_t_eval(tmax, t_eval, steps)
-    y0 = np.array([init.c1_0, init.c2_0, 0.0], dtype=np.complex128)
-    ys = _rk45_linear(system_matrix(params), y0, times, tol, tol)
-    return AmplitudeSeries(times, ys[:, 0], ys[:, 1], ys[:, 2])
+    """Adaptive RK45 integration of the amplitude system: the 3-component
+    finite-width system, or the 2-component one when memoryless (``z`` is
+    then zeros)."""
+    return _integrate(params, init, tmax, tol, t_eval, steps)
 
 
 def integrate_memoryless(params: ModelParams, init: InitialState, tmax: float,
                          tol: float = DEFAULT_TOL, t_eval=None,
                          steps: int = 501) -> AmplitudeSeries:
-    """Adaptive RK45 integration of the flat-spectrum 2-component system."""
+    """``integrate`` for memoryless params only."""
     if not params.memoryless:
         raise ValueError("finite-width params: use integrate")
-    _check_tol(tol)
-    times = _as_t_eval(tmax, t_eval, steps)
-    y0 = np.array([init.c1_0, init.c2_0], dtype=np.complex128)
-    ys = _rk45_linear(system_matrix_memoryless(params), y0, times, tol, tol)
-    return AmplitudeSeries(times, ys[:, 0], ys[:, 1],
-                           np.zeros_like(ys[:, 0]))
+    return _integrate(params, init, tmax, tol, t_eval, steps)

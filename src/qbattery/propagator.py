@@ -11,13 +11,14 @@ matrix (better conditioned near degeneracies than a closed-form cubic) and
 polished with two Newton steps; clustered roots fall back to the confluent
 partial-fraction expansion with t^k * exp(s*t) terms.
 
-The terms of kappa, or of c1 and c2 together, are grouped into a pole
-table: each distinct root with the (output, coefficient, power) rows that
-use it.  One evaluator walks the table in pole order and computes each
-pole's exponential exp(s*t) once per call, whatever the number of terms
-and outputs that share it.  The tables of many cells stack into one whose
-roots, coefficients and powers carry a leading cell axis; the same
-evaluator then advances every cell at one time point each.
+The terms of kappa, or of c1 and c2 together, are held as poles: a pair
+of arrays (roots, coefs), the distinct roots in (real, imag) order and
+coefs[output, root, power] the coefficient of t**power * exp(root*t).  One
+evaluator walks the roots in order and computes each root's exponential
+exp(s*t) once per call, whatever the number of terms and outputs that share
+it.  The poles of many cells stack along a trailing cell axis, padded with
+zero coefficients at the zero root; the same evaluator then advances every
+cell at one time point each.
 
 In the flat-spectrum limit the denominator collapses to the quadratic
 s^2 + gamma*s/2 + Omega^2 and the propagator has the closed form
@@ -43,9 +44,9 @@ from .model import InitialState, ModelParams, empty_battery_state
 
 # (coefficient, root, power) triples: f(t) = sum coef * t**power * exp(root*t)
 Terms = tuple[tuple[complex, complex, int], ...]
-# (root, ((output index, coefficient, power), ...)) per distinct root, roots
-# in (real, imag) order
-PoleTable = tuple[tuple[complex, tuple[tuple[int, complex, int], ...]], ...]
+# (roots, coefs): distinct roots in (real, imag) order and coefs indexed
+# [output, root, power]; stacked cells add a trailing axis to both
+Poles = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -128,78 +129,53 @@ def _partial_fraction_terms(num: np.ndarray, roots: np.ndarray,
     return tuple(terms)
 
 
-def _pole_table(*outputs: Terms) -> PoleTable:
-    """Group the terms of each output by root.
+def _poles(*outputs: Terms) -> Poles:
+    """The terms of each output as poles.
 
-    ``_cluster_roots`` sorts every term list by (real, imag) of its root, so
-    walking the roots in that order visits each output's terms in their
-    original order.  Terms whose coefficient is exactly zero (c2's cancelled
-    1/s pole) add nothing and are left out, and so is a root left without
-    terms.
+    Terms whose coefficient is exactly zero (c2's cancelled 1/s pole) add
+    nothing and are left out, and so is a root left without terms.  Roots
+    keep the (real, imag) order ``_cluster_roots`` gives every term list.
     """
-    rows: dict[complex, list[tuple[int, complex, int]]] = {}
-    for k, terms in enumerate(outputs):
+    kept = [[term for term in terms if term[0] != 0] for terms in outputs]
+    roots = sorted(dict.fromkeys(root for terms in kept
+                                 for _, root, _ in terms),
+                   key=lambda s: (s.real, s.imag))
+    slot = {root: j for j, root in enumerate(roots)}
+    depth = 1 + max((power for terms in kept for *_, power in terms),
+                    default=0)
+    coefs = np.zeros((len(kept), len(roots), depth), dtype=np.complex128)
+    for k, terms in enumerate(kept):
         for coef, root, power in terms:
-            if coef != 0:
-                rows.setdefault(root, []).append((k, coef, power))
-    return tuple((root, tuple(rows[root]))
-                 for root in sorted(rows, key=lambda s: (s.real, s.imag)))
+            coefs[k, slot[root], power] = coef
+    return np.array(roots, dtype=np.complex128), coefs
 
 
-def _stack_tables(tables: list[PoleTable], k: int) -> PoleTable:
-    """Output ``k`` of many cells' pole tables as one single-output table
-    with a leading cell axis.
+def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
+    """The outputs sum coefs[k, j, p] * t**p * exp(roots[j]*t) of poles,
+    with one exponential per root.
 
-    Slot j holds every cell's j-th root and, row by row, its coefficients
-    and powers as arrays; a cell with fewer roots or rows is padded with
-    zero coefficients at the zero root, which add exactly nothing.  Each
-    cell therefore adds its own products in its own order, as the one-cell
-    table would.
+    Each output adds its products root by root, highest power first, as a
+    per-term loop over the partial fractions would, and skips all-zero
+    coefficients, so the result does not depend on how many outputs share
+    a root.  For stacked poles ``t`` holds one time per cell: a cell's zero
+    padding adds exact zeros, so it gets the bytes of its own poles.
     """
-    cells = [[(root, [(coef, power) for kk, coef, power in rows if kk == k])
-              for root, rows in table] for table in tables]
-    cells = [[(root, rows) for root, rows in cell if rows] for cell in cells]
-    pad = (0j, [])
-    stacked = []
-    for j in range(max(map(len, cells), default=0)):
-        slot = [cell[j] if j < len(cell) else pad for cell in cells]
-        rows = tuple(
-            (0, np.array([r[i][0] if i < len(r) else 0j for _, r in slot]),
-             np.array([r[i][1] if i < len(r) else 0 for _, r in slot]))
-            for i in range(max(len(r) for _, r in slot)))
-        stacked.append((np.array([root for root, _ in slot]), rows))
-    return tuple(stacked)
-
-
-def _t_power(t: np.ndarray, power) -> np.ndarray:
-    """t**power; with an array of per-cell powers each cell gets the bytes
-    of the one-cell ``t ** power`` (1 where its power is 0)."""
-    if np.ndim(power) == 0:
-        return t ** power
-    out = np.ones(t.shape)
-    for p in np.unique(power[power != 0]).tolist():
-        out = np.where(power == p, t ** p, out)
-    return out
-
-
-def _eval_poles(table: PoleTable, n_out: int, t) -> list[np.ndarray]:
-    """The ``n_out`` outputs sum_k coef * t**power * exp(root*t) of a pole
-    table, with one exponential per root.
-
-    Each output adds the same products in the same order as a per-term loop
-    would, so the result does not depend on how many outputs share a root.
-    For a stacked table (``_stack_tables``) ``t`` holds one time per cell.
-    """
+    roots, coefs = poles
     t = np.asarray(t, dtype=np.float64)
-    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in range(n_out)]
-    for root, rows in table:
+    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in coefs]
+    for j, root in enumerate(roots):
+        if not coefs[:, j].any():
+            continue
         e = np.exp(root * t)  # exactly 1 at a zero root
-        for k, coef, power in rows:
-            term = coef * e
-            if np.any(power):
-                term *= _t_power(t, power)
-            outs[k] += term
-            del term  # keep at most one product alive beside e
+        for out, rows in zip(outs, coefs[:, j]):
+            for power in reversed(range(len(rows))):
+                if not rows[power].any():
+                    continue
+                term = rows[power] * e
+                if power:
+                    term *= t ** power
+                out += term
+                del term  # keep at most one product alive beside e
         del e  # free this root's exponential before the next one
     return outs
 
@@ -229,12 +205,9 @@ def solve_roots(params: ModelParams) -> PropagatorRoots:
 
     om = params.coupling_qb_cavity
     lam = params.spectral_width
-    tol = _cluster_tol(params)
-    degenerate = any(
-        abs(roots[i] - roots[j]) < tol
-        for i in range(3) for j in range(i + 1, 3))
     num = np.array([-1j * om, -1j * om * lam])  # -i*Omega*(s + lam)
-    terms = _partial_fraction_terms(num, roots, tol)
+    terms = _partial_fraction_terms(num, roots, _cluster_tol(params))
+    degenerate = any(power for _, _, power in terms)
     if degenerate:
         residues = tuple(np.polyval(num, s) / np.polyval(dcoeffs, s)
                          for s in roots)  # formal values, unused for kappa
@@ -261,32 +234,15 @@ def _sinhc(z):
     return np.where(small, series, full)
 
 
-def kappa_memoryless_grid(params: ModelParams, tau) -> np.ndarray:
-    """Flat-spectrum closed form of the charging propagator on an array."""
-    if not params.memoryless:
-        raise ValueError("params are not memoryless")
-    tau = np.asarray(tau, dtype=np.float64)
-    om = params.coupling_qb_cavity
-    gamma = params.coupling_cavity_env
-    r = _memoryless_R(params)
-    x = 0.25 * r * tau
-    # -(4i*Omega/R) sinh(R t/4) = -i*Omega*t*sinhc(R t/4)
-    return -1j * om * tau * _sinhc(x) * np.exp(-0.25 * gamma * tau)
-
-
-def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
-    """Closed-form kappa(tau) in the memoryless limit (tau >= 0)."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
-    return complex(kappa_memoryless_grid(params, np.float64(tau)))
-
-
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
     """Charging propagator kappa on an array of times."""
     if params.memoryless:
-        return kappa_memoryless_grid(params, tau)
-    return _eval_poles(_pole_table(solve_roots(params).kappa_terms), 1,
-                       tau)[0]
+        tau = np.asarray(tau, dtype=np.float64)
+        x = 0.25 * _memoryless_R(params) * tau
+        # -(4i*Omega/R) sinh(R t/4) = -i*Omega*t*sinhc(R t/4)
+        return (-1j * params.coupling_qb_cavity * tau * _sinhc(x)
+                * np.exp(-0.25 * params.coupling_cavity_env * tau))
+    return _eval_poles(_poles(solve_roots(params).kappa_terms), tau)[0]
 
 
 def kappa_at(params: ModelParams, tau: float) -> complex:
@@ -294,6 +250,13 @@ def kappa_at(params: ModelParams, tau: float) -> complex:
     if tau < 0:
         raise ValueError("tau must be non-negative")
     return complex(kappa_grid(params, np.float64(tau)))
+
+
+def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
+    """``kappa_at`` for memoryless params only."""
+    if not params.memoryless:
+        raise ValueError("params are not memoryless")
+    return kappa_at(params, tau)
 
 
 def _amplitude_partial_fractions(params: ModelParams,
@@ -324,9 +287,9 @@ def _amplitude_partial_fractions(params: ModelParams,
 
 
 @functools.lru_cache(maxsize=512)
-def _amplitude_terms(params: ModelParams, init: InitialState) -> PoleTable:
-    """Pole table of c1 (output 0) and c2 (output 1) at finite width."""
-    return _pole_table(*_amplitude_partial_fractions(params, init))
+def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
+    """Poles of c1 (output 0) and c2 (output 1) at finite width."""
+    return _poles(*_amplitude_partial_fractions(params, init))
 
 
 def _memoryless_constants(params: ModelParams, init: InitialState) -> tuple:
@@ -368,7 +331,7 @@ def amplitude_grid(params: ModelParams, init: InitialState,
     if params.memoryless:
         return _amplitudes_memoryless_grid(
             _memoryless_constants(params, init), tau)
-    c1, c2 = _eval_poles(_amplitude_terms(params, init), 2, tau)
+    c1, c2 = _eval_poles(_amplitude_poles(params, init), tau)
     return c1, c2
 
 
@@ -376,22 +339,28 @@ def c2_of_cells(params_seq, init: InitialState):
     """The battery amplitude c2 of many cells, one time per cell.
 
     Returns ``f(t) -> c2`` for ``t`` of shape ``(len(params_seq),)``.
-    Finite-width cells share one stacked pole table, memoryless cells one
+    Finite-width cells share one stack of c2 poles, memoryless cells one
     set of per-cell closed-form constants; each cell's value has the bytes
     of ``amplitude_grid(params, init, t[i:i+1])[1]``.
     """
     memoryless = np.array([p.memoryless for p in params_seq], dtype=bool)
     fin = np.flatnonzero(~memoryless)
     flat = np.flatnonzero(memoryless)
-    table = _stack_tables([_amplitude_terms(params_seq[i], init)
-                           for i in fin], 1)
+    cells = [_amplitude_poles(params_seq[i], init) for i in fin]
+    n_roots = max((r.size for r, _ in cells), default=0)
+    depth = max((c.shape[2] for _, c in cells), default=0)
+    roots = np.zeros((n_roots, fin.size), dtype=np.complex128)
+    coefs = np.zeros((1, n_roots, depth, fin.size), dtype=np.complex128)
+    for i, (r, c) in enumerate(cells):
+        roots[:r.size, i] = r
+        coefs[0, :r.size, :c.shape[2], i] = c[1]  # c2 only
     consts = tuple(np.array(col) for col in zip(
         *(_memoryless_constants(params_seq[i], init) for i in flat)))
 
     def c2(t: np.ndarray) -> np.ndarray:
         out = np.empty(t.shape, dtype=np.complex128)
         if fin.size:
-            out[fin] = _eval_poles(table, 1, t[fin])[0]
+            out[fin] = _eval_poles((roots, coefs), t[fin])[0]
         if flat.size:
             out[flat] = _amplitudes_memoryless_grid(consts, t[flat])[1]
         return out

@@ -83,18 +83,21 @@ def _eval_cells(args) -> list[tuple[float, str]]:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the requested quantity on the full axes cross product."""
+    """Evaluate the requested quantity on the full axes cross product,
+    in at most ``workers`` processes (one per task at most)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [(g, l) for g in spec.gamma_over_omega
              for l in spec.lambda_over_omega]
     # BLP cells go one by one; maxima cells in one contiguous chunk per worker
-    n_chunks = (len(cells) if spec.quantity == "nonmarkovianity"
-                else max(workers, 1))
+    n_chunks = len(cells) if spec.quantity == "nonmarkovianity" else workers
     bounds = [len(cells) * k // n_chunks for k in range(n_chunks + 1)]
     tasks = [(cells[lo:hi], spec.quantity, spec.omega0, spec.Omega,
               spec.tmax, spec.grid)
              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        with concurrent.futures.ProcessPoolExecutor(processes) as pool:
             chunks = list(pool.map(_eval_cells, tasks))
     else:
         chunks = [_eval_cells(task) for task in tasks]

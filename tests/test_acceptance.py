@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery.propagator import kappa_grid, kappa_memoryless_grid
+from qbattery.propagator import kappa_grid
 
 from test_metrics import orbit_minimum_energy, random_density_matrix
 
@@ -97,7 +97,7 @@ def test_criterion_6_rabi_limit():
 def test_criterion_7_memoryless_convergence():
     with Timer() as t:
         taus = np.linspace(0.0, 25.0, 2001)
-        reference = kappa_memoryless_grid(params(0.1, math.inf), taus)
+        reference = kappa_grid(params(0.1, math.inf), taus)
         dev3 = np.max(np.abs(kappa_grid(params(0.1, 1e3), taus) - reference))
         dev4 = np.max(np.abs(kappa_grid(params(0.1, 1e4), taus) - reference))
     assert dev3 < 2e-2

@@ -211,6 +211,15 @@ class TestBlp:
         nonmk = qb.blp_nonmarkovianity(params(0.5, math.inf))
         assert nonmk.measure > 0.0 and nonmk.backflow_intervals
 
+    def test_roundoff_at_zero_is_not_backflow(self):
+        """D'(0) = 0 and D''(0) = -2 Omega^2: D falls right after t = 0.
+        On this cell the computed D'(0) is positive by roundoff, which
+        must not open a backflow interval at t = 0."""
+        report = qb.blp_nonmarkovianity(
+            params(3.1622776601683795, 5.011872336272722), grid=4405)
+        assert report.measure == 0.0
+        assert report.backflow_intervals == ()
+
     def test_truncation_flagged(self):
         with pytest.warns(UserWarning, match="truncated"):
             report = qb.blp_nonmarkovianity(params(0.1, 0.1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery.oracle import system_matrix, system_matrix_memoryless
+from qbattery.oracle import system_matrix
 from qbattery.propagator import cubic_coefficients
 
 
@@ -33,7 +33,7 @@ def test_system_matrix_eigenvalues_are_cubic_roots(gamma, lam):
 def test_memoryless_matrix_characteristic_polynomial():
     # det(sI - M) must be s^2 + gamma*s/2 + Omega^2
     p = params(0.8, math.inf)
-    m = system_matrix_memoryless(p)
+    m = system_matrix(p)
     assert np.trace(m) == pytest.approx(-0.4)
     assert np.linalg.det(m) == pytest.approx(1.0)
 
@@ -122,10 +122,40 @@ def test_large_width_crosscheck():
 
 def test_dispatch_validation():
     with pytest.raises(ValueError):
-        qb.integrate(params(0.1, math.inf), qb.empty_battery_state(), 1.0)
-    with pytest.raises(ValueError):
         qb.integrate_memoryless(params(0.1, 0.1), qb.empty_battery_state(),
                                 1.0)
     with pytest.raises(ValueError):
         qb.integrate(params(0.1, 0.1), qb.empty_battery_state(), 1.0,
                      tol=1e-4)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.1, 2.0, 4.0, 7.5])
+def test_integrate_takes_memoryless_params(gamma):
+    """One entry point for both regimes: on memoryless params ``integrate``
+    gives the bytes of ``integrate_memoryless``."""
+    p = params(gamma, math.inf)
+    for init in (qb.empty_battery_state(), qb.excited_battery_state(),
+                 qb.make_initial_state(0.6, 0.8j)):
+        for kwargs in ({"t_eval": np.linspace(0.0, 20.0, 201)},
+                       {"steps": 51}):
+            got = qb.integrate(p, init, 20.0, **kwargs)
+            want = qb.integrate_memoryless(p, init, 20.0, **kwargs)
+            for name in ("times", "c1", "c2", "z"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(want, name).tobytes())
+            assert not np.any(got.z)
+
+
+@pytest.mark.parametrize("lam", [0.5, math.inf])
+@pytest.mark.parametrize("times", [
+    {"tmax": math.nan}, {"tmax": math.inf}, {"tmax": -math.inf},
+    {"t_eval": [0.0, math.nan, 2.0]}, {"t_eval": [0.0, 1.0, math.inf]},
+    {"t_eval": [math.nan]}, {"t_eval": [-math.inf, 0.0]}],
+    ids=["tmax-nan", "tmax-inf", "tmax-neg-inf", "t_eval-nan",
+         "t_eval-inf", "t_eval-only-nan", "t_eval-neg-inf"])
+def test_non_finite_times_rejected(lam, times):
+    kwargs = dict(times)
+    tmax = kwargs.pop("tmax", 1.0)
+    with pytest.raises(ValueError):
+        qb.integrate(params(0.1, lam), qb.empty_battery_state(), tmax,
+                     **kwargs)

@@ -8,10 +8,10 @@ import pytest
 import qbattery as qb
 from qbattery.model import excited_battery_state
 from qbattery.propagator import (_amplitude_partial_fractions,
-                                 _amplitude_terms, _eval_poles,
-                                 _partial_fraction_terms, _pole_table,
-                                 _sinhc, amplitude_grid, cubic_coefficients,
-                                 kappa_grid, kappa_memoryless_grid)
+                                 _amplitude_poles, _cluster_tol,
+                                 _eval_poles, _partial_fraction_terms,
+                                 _poles, _sinhc, amplitude_grid,
+                                 cubic_coefficients, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -54,7 +54,24 @@ def amplitudes_memoryless_reference(p, init, tau):
 
 
 def eval_terms(terms, t):
-    return _eval_poles(_pole_table(terms), 1, t)[0]
+    return _eval_poles(_poles(terms), t)[0]
+
+
+def double_root_cell(r):
+    """(gamma, lambda) at Omega = 1 whose cubic has the double root r < -1
+    and the simple root q = 2r/(r^2 - 1)."""
+    q = 2 * r / (r * r - 1)
+    lam = -(2 * r + q)
+    return 2 * (r * r + 2 * r * q - 1) / lam, lam
+
+
+TRIPLE_ROOT = (16 * math.sqrt(3) / 9, 3 * math.sqrt(3))
+DEGENERACY_CELLS = (
+    [tuple(float(v) for v in cell) for cell in np.exp(
+        np.random.default_rng(7).uniform(np.log([1e-3, 1e-3]),
+                                         np.log([50.0, 1e3]), size=(200, 2)))]
+    + [TRIPLE_ROOT]
+    + [double_root_cell(r) for r in (-1.01, -1.2, -1.5, -2.0, -3.0, -10.0)])
 
 
 class TestSolveRoots:
@@ -89,6 +106,19 @@ class TestSolveRoots:
     def test_rejects_memoryless(self):
         with pytest.raises(ValueError):
             qb.solve_roots(params(0.1, math.inf))
+
+    def test_degenerate_matches_pairwise_distance(self):
+        """``degenerate`` comes from the confluent terms; the pairwise
+        root-distance check it replaced is the reference."""
+        for gamma, lam in DEGENERACY_CELLS:
+            p = params(gamma, lam)
+            pr = qb.solve_roots(p)
+            tol = _cluster_tol(p)
+            pairwise = any(abs(pr.roots[i] - pr.roots[j]) < tol
+                           for i in range(3) for j in range(i + 1, 3))
+            assert pr.degenerate == pairwise, (gamma, lam)
+        assert any(qb.solve_roots(params(*cell)).degenerate
+                   for cell in DEGENERACY_CELLS)
 
 
 class TestKappa:
@@ -132,7 +162,7 @@ class TestKappaMemoryless:
     def test_gamma_zero_is_rabi(self):
         p = params(0.0, math.inf)
         taus = np.linspace(0.0, 10.0, 101)
-        np.testing.assert_allclose(kappa_memoryless_grid(p, taus),
+        np.testing.assert_allclose(kappa_grid(p, taus),
                                    -1j * np.sin(taus), atol=1e-12)
 
     def test_critical_damping_value(self):
@@ -143,14 +173,14 @@ class TestKappaMemoryless:
 
     def test_branch_continuity_across_threshold(self):
         taus = np.linspace(0.0, 10.0, 201)
-        below = kappa_memoryless_grid(params(4.0 - 1e-7, math.inf), taus)
-        above = kappa_memoryless_grid(params(4.0 + 1e-7, math.inf), taus)
+        below = kappa_grid(params(4.0 - 1e-7, math.inf), taus)
+        above = kappa_grid(params(4.0 + 1e-7, math.inf), taus)
         np.testing.assert_allclose(below, above, atol=1e-6)
 
     def test_peak_population(self):
         p = params(0.1, math.inf)
         taus = np.linspace(0.0, 25.0, 20001)
-        peak = np.max(np.abs(kappa_memoryless_grid(p, taus)) ** 2)
+        peak = np.max(np.abs(kappa_grid(p, taus)) ** 2)
         assert peak == pytest.approx(0.925, abs=0.005)
 
     def test_rejects_finite_width(self):
@@ -268,21 +298,20 @@ class TestPoleEvaluator:
 
     def test_zero_coefficient_rows_are_skipped(self):
         """c2's cancelled 1/s pole has coefficient exactly 0 at Omega = 1
-        and leaves the table; a roundoff coefficient at a small Omega is
+        and leaves the poles; a roundoff coefficient at a small Omega is
         kept, and the values still match the per-term loop."""
         tau = np.linspace(0.0, 50.0, 2001)
         for gamma, lam in SPECIAL_CELLS[:2] + [(0.5, 0.5)]:
             for init in (qb.empty_battery_state(), excited_battery_state()):
-                table = _amplitude_terms(params(gamma, lam), init)
-                assert all(root != 0 for root, _ in table)
-                assert all(coef != 0 for _, rows in table
-                           for _, coef, _ in rows)
+                roots, coefs = _amplitude_poles(params(gamma, lam), init)
+                assert np.all(roots != 0)
+                assert np.all(coefs.any(axis=(0, 2)))  # no all-zero root
         om = 0.003265088842593968
         p = params(0.08856090101436478 * om, 16.036066952937396 * om, om)
         init = excited_battery_state()
-        [zero] = [rows for root, rows in _amplitude_terms(p, init)
-                  if root == 0]
-        assert zero[0][1] != 0
+        roots, coefs = _amplitude_poles(p, init)
+        [zero] = np.flatnonzero(roots == 0)
+        assert coefs[1, zero, 0] != 0
         got = amplitude_grid(p, init, tau / om)
         for amp, terms in zip(got, _amplitude_partial_fractions(p, init)):
             assert amp.tobytes() == eval_terms_reference(terms,
@@ -330,7 +359,7 @@ class TestOracleEquivalence:
 class TestMemorylessConvergence:
     def test_large_width_limit(self):
         taus = np.linspace(0.0, 25.0, 2001)
-        reference = kappa_memoryless_grid(params(0.1, math.inf), taus)
+        reference = kappa_grid(params(0.1, math.inf), taus)
         dev3 = np.max(np.abs(kappa_grid(params(0.1, 1e3), taus) - reference))
         dev4 = np.max(np.abs(kappa_grid(params(0.1, 1e4), taus) - reference))
         assert dev3 < 2e-2

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery import cli
+from qbattery import cli, sweep
 from qbattery.sweep import (SweepSpec, run_sweep, sweep_from_json,
                             sweep_to_csv, sweep_to_json)
 
@@ -118,6 +118,45 @@ class TestSweep:
                 parallel = run_sweep(spec, workers=workers)
                 np.testing.assert_array_equal(serial.values, parallel.values)
                 assert serial.flags == parallel.flags
+
+    def test_processes_capped_at_task_count(self, monkeypatch):
+        """One process per task at most: 2 maxima cells with 64 workers
+        start 2, 3 BLP cells with 8 workers start 3.  A serial fake
+        executor records the count and starts no process."""
+        started = []
+
+        class SerialExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sweep.concurrent.futures, "ProcessPoolExecutor",
+                            SerialExecutor)
+        for spec, workers, processes in (
+                (SweepSpec((0.5, 2.0), (1.0,), "stored_energy_max"), 64, 2),
+                (SweepSpec((0.5, 2.0, 8.0), (math.inf,), "nonmarkovianity",
+                           tmax=5.0, grid=501), 8, 3)):
+            result = run_sweep(spec, workers=workers)
+            assert started.pop() == processes
+            np.testing.assert_array_equal(result.values,
+                                          run_sweep(spec).values)
+        assert started == []
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workers, capsys):
+        code = cli.main(["sweep", "--gamma-axis", "0.5", "--lambda-axis",
+                         "1", "--quantity", "stored_energy_max",
+                         "--workers", workers])
+        assert code == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
     def test_json_round_trip_exact(self):
         spec = SweepSpec((0.5, 5.0), (0.5, math.inf), "ergotropy_max")
