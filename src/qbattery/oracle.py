@@ -130,6 +130,8 @@ def _as_t_eval(tmax: float, t_eval, steps: int) -> np.ndarray:
         return t_eval
     if not 0 < tmax < math.inf:
         raise ValueError(f"tmax must be positive and finite, got {tmax}")
+    if steps < 2:
+        raise ValueError(f"steps must be at least 2, got {steps}")
     return np.linspace(0.0, tmax, steps)
 
 

@@ -1,7 +1,7 @@
 """Exact amplitudes and the charging propagator kappa(t).
 
 The Laplace-domain solution of the amplitude equations has, after clearing
-fractions, the common cubic denominator
+fractions, the common cubic denominator at finite width lam
 
     p(s) = s^3 + lam*s^2 + (Omega^2 + lam*gamma/2)*s + lam*Omega^2,
 
@@ -20,20 +20,14 @@ it.  The poles of many cells stack along a trailing cell axis, padded with
 zero coefficients at the zero root; the same evaluator then advances every
 cell at one time point each.
 
-In the flat-spectrum limit the denominator collapses to the quadratic
-s^2 + gamma*s/2 + Omega^2 and the propagator has the closed form
-
-    kappa(t) = -(4i*Omega/R) * exp(-gamma*t/4) * sinh(R*t/4),
-    R = sqrt(gamma^2 - 16*Omega^2),
-
-with the removable R -> 0 limit kappa(t) = -i*Omega*t*exp(-gamma*t/4).
-(The exponent and prefactor follow from exact inversion; the form is
-analytic in R^2, so the branch of the square root cancels.)
+In the flat-spectrum limit (infinite width) the same engine runs on the
+quadratic denominator p(s) = s^2 + gamma*s/2 + Omega^2, whose roots have
+a closed form; its exceptional point gamma = 4*Omega is an exact double
+root and takes the confluent expansion like any clustered root.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,10 +45,9 @@ Poles = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PropagatorRoots:
-    """Roots and kappa partial-fraction data of the cubic denominator."""
+    """Roots and kappa partial-fraction terms of the denominator p(s)."""
 
-    roots: tuple[complex, complex, complex]
-    residues_kappa: tuple[complex, complex, complex]
+    roots: tuple[complex, ...]
     degenerate: bool
     kappa_terms: Terms
 
@@ -67,8 +60,20 @@ def cubic_coefficients(params: ModelParams) -> np.ndarray:
                     dtype=np.complex128)
 
 
+def _polynomials(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Denominator p(s) and memory factor m(s), kappa(s) = -i*Omega*m(s)/p(s):
+    the cubic and s + lam at finite width, the quadratic and 1 when
+    memoryless."""
+    if params.memoryless:
+        om = params.coupling_qb_cavity
+        return (np.array([1.0, 0.5 * params.coupling_cavity_env, om ** 2],
+                         dtype=np.complex128), np.array([1.0]))
+    return cubic_coefficients(params), np.array([1.0, params.spectral_width])
+
+
 def _cluster_tol(params: ModelParams) -> float:
-    return 1e-7 * max(params.coupling_qb_cavity, params.spectral_width,
+    lam = 0.0 if params.memoryless else params.spectral_width
+    return 1e-7 * max(params.coupling_qb_cavity, lam,
                       params.coupling_cavity_env)
 
 
@@ -180,75 +185,62 @@ def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
     return outs
 
 
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the monic p(s) in (real, imag) order.
+
+    The quadratic s^2 + b*s + c (b = gamma/2, c = Omega^2) has the larger
+    root -(b + sqrt(b^2 - 4c))/2 = -(gamma + R)/4, R = sqrt(gamma^2 -
+    16*Omega^2), and the other c/larger; at gamma = 4*Omega both are the
+    larger one, as c/larger can miss it by an ulp (Omega = 0.1).  The
+    cubic's are the companion-matrix eigenvalues, polished with two Newton
+    steps.
+    """
+    if len(coeffs) == 3:
+        _, b, c = coeffs
+        r = np.sqrt(b * b - 4.0 * c)
+        big = -0.5 * (b + r)
+        roots = np.array([big, c / big if r else big])
+    else:
+        roots = np.roots(coeffs)
+        dcoeffs = np.polyder(coeffs)
+        for _ in range(2):  # Newton polish
+            pv = np.polyval(coeffs, roots)
+            dv = np.polyval(dcoeffs, roots)
+            mask = np.abs(dv) > 0
+            roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0),
+                             roots)
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
 @functools.lru_cache(maxsize=256)
 def solve_roots(params: ModelParams) -> PropagatorRoots:
-    """Roots and kappa residues of the cubic denominator p(s).
+    """Roots of the denominator p(s) and the partial-fraction terms of
+    kappa(s) = -i*Omega*m(s)/p(s).
 
-    Roots come from the companion-matrix eigenvalues, polished with two
-    Newton steps.  Residues A_j = -i*Omega*(s_j + lam)/p'(s_j) are valid for
-    simple roots; near-degenerate roots set the ``degenerate`` flag and the
-    confluent expansion is stored in ``kappa_terms``.
+    Near-degenerate roots set the ``degenerate`` flag and give confluent
+    terms t**k * exp(s*t) in ``kappa_terms``.
     """
-    if params.memoryless:
-        raise ValueError("memoryless params have no cubic denominator; "
-                         "use kappa_memoryless_at")
-    coeffs = cubic_coefficients(params)
-    roots = np.roots(coeffs)
-    dcoeffs = np.polyder(coeffs)
-    for _ in range(2):  # Newton polish
-        pv = np.polyval(coeffs, roots)
-        dv = np.polyval(dcoeffs, roots)
-        mask = np.abs(dv) > 0
-        roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0), roots)
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-
-    om = params.coupling_qb_cavity
-    lam = params.spectral_width
-    num = np.array([-1j * om, -1j * om * lam])  # -i*Omega*(s + lam)
-    terms = _partial_fraction_terms(num, roots, _cluster_tol(params))
-    degenerate = any(power for _, _, power in terms)
-    if degenerate:
-        residues = tuple(np.polyval(num, s) / np.polyval(dcoeffs, s)
-                         for s in roots)  # formal values, unused for kappa
-    else:
-        residues = tuple(complex(c) for c, _, _ in terms)
+    coeffs, memory = _polynomials(params)
+    roots = _roots(coeffs)
+    terms = _partial_fraction_terms(-1j * params.coupling_qb_cavity * memory,
+                                    roots, _cluster_tol(params))
     return PropagatorRoots(tuple(complex(s) for s in roots),
-                           residues, degenerate, terms)
-
-
-def _memoryless_R(params: ModelParams) -> complex:
-    gamma = params.coupling_cavity_env
-    om = params.coupling_qb_cavity
-    return cmath.sqrt(complex(gamma * gamma - 16.0 * om * om))
-
-
-def _sinhc(z):
-    """sinh(z)/z with a series for small |z| (removable singularity)."""
-    z = np.asarray(z, dtype=np.complex128)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 0.0, z)
-    with np.errstate(invalid="ignore"):
-        full = np.where(small, 1.0, np.sinh(zs) / np.where(small, 1.0, zs))
-    series = 1.0 + z * z / 6.0 * (1.0 + z * z / 20.0)
-    return np.where(small, series, full)
+                           any(power for _, _, power in terms), terms)
 
 
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
     """Charging propagator kappa on an array of times."""
-    if params.memoryless:
-        tau = np.asarray(tau, dtype=np.float64)
-        x = 0.25 * _memoryless_R(params) * tau
-        # -(4i*Omega/R) sinh(R t/4) = -i*Omega*t*sinhc(R t/4)
-        return (-1j * params.coupling_qb_cavity * tau * _sinhc(x)
-                * np.exp(-0.25 * params.coupling_cavity_env * tau))
     return _eval_poles(_poles(solve_roots(params).kappa_terms), tau)[0]
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < math.inf:
+        raise ValueError(f"tau must be non-negative and finite, got {tau}")
 
 
 def kappa_at(params: ModelParams, tau: float) -> complex:
     """kappa(tau): amplitude reaching the battery from a full cavity."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    _check_tau(tau)
     return complex(kappa_grid(params, np.float64(tau)))
 
 
@@ -262,75 +254,36 @@ def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
 def _amplitude_partial_fractions(params: ModelParams,
                                  init: InitialState) -> tuple[Terms, Terms]:
     """Partial-fraction terms of c1(t) and c2(t) for arbitrary initial
-    amplitudes (finite width).
+    amplitudes.
 
-    c1(s) = (c1_0*s - i*Omega*c2_0)(s + lam) / p(s)
-    c2(s) = c2_0/s - i*Omega*(c1_0*s - i*Omega*c2_0)(s + lam) / (s*p(s))
+    c1(s) = (c1_0*s - i*Omega*c2_0) m(s) / p(s)
+    c2(s) = c2_0/s - i*Omega*(c1_0*s - i*Omega*c2_0) m(s) / (s*p(s))
     (the two 1/s poles cancel exactly; they are kept in the expansion for
     robustness rather than cancelled by hand).
     """
-    pr = solve_roots(params)
-    roots3 = np.array(pr.roots)
-    lam = params.spectral_width
+    roots = np.array(solve_roots(params).roots)
     om = params.coupling_qb_cavity
     tol = _cluster_tol(params)
+    coeffs, memory = _polynomials(params)
     lin = np.array([init.c1_0, -1j * om * init.c2_0])  # c1_0*s - i*Om*c2_0
-    shift = np.array([1.0, lam])                       # s + lam
-    n1 = np.polymul(lin, shift)
-    terms1 = _partial_fraction_terms(n1, roots3, tol)
+    n1 = np.polymul(lin, memory)
+    terms1 = _partial_fraction_terms(n1, roots, tol)
     # c2: expand (c2_0*p(s) - i*Omega*N1(s)) / (s * p(s))
-    coeffs = cubic_coefficients(params)
     n2 = np.polyadd(init.c2_0 * coeffs, -1j * om * n1)
-    roots4 = np.concatenate(([0.0 + 0.0j], roots3))
-    terms2 = _partial_fraction_terms(n2, roots4, tol)
+    terms2 = _partial_fraction_terms(
+        n2, np.concatenate(([0.0 + 0.0j], roots)), tol)
     return terms1, terms2
 
 
 @functools.lru_cache(maxsize=512)
 def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
-    """Poles of c1 (output 0) and c2 (output 1) at finite width."""
+    """Poles of c1 (output 0) and c2 (output 1)."""
     return _poles(*_amplitude_partial_fractions(params, init))
-
-
-def _memoryless_constants(params: ModelParams, init: InitialState) -> tuple:
-    """Per-cell scalars of the flat-spectrum closed form:
-    (Omega, R/4, -gamma/4, a, b, a*R^2/16) with a = c2(0) and
-    b = c2'(0) + gamma/4*c2(0)."""
-    om = params.coupling_qb_cavity
-    gamma = params.coupling_cavity_env
-    r = _memoryless_R(params)
-    a = init.c2_0
-    b = -1j * om * init.c1_0 + 0.25 * gamma * init.c2_0
-    return om, 0.25 * r, -0.25 * gamma, a, b, a * (r * r / 16.0)
-
-
-def _amplitudes_memoryless_grid(consts: tuple,
-                                tau) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (c1, c2) in the flat-spectrum limit for arbitrary init.
-
-    ``consts`` comes from ``_memoryless_constants``; with each constant an
-    array over cells, ``tau`` holds one time per cell.
-    """
-    tau = np.asarray(tau, dtype=np.float64)
-    om, quarter_r, quarter_gamma, a, b, a_r2 = consts
-    x = quarter_r * tau
-    env = np.exp(quarter_gamma * tau)
-    shc = _sinhc(x)
-    ch = np.cosh(x)
-    del x
-    c2 = env * (a * ch + b * tau * shc)
-    # c2' = -(g/4) c2 + env*(a*(R^2 t/16) sinhc + b cosh); c1 = i*c2'/Omega
-    c2p = quarter_gamma * c2 + env * (a_r2 * tau * shc + b * ch)
-    c1 = 1j * c2p / om
-    return c1, c2
 
 
 def amplitude_grid(params: ModelParams, init: InitialState,
                    tau) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2) amplitudes on an array of times."""
-    if params.memoryless:
-        return _amplitudes_memoryless_grid(
-            _memoryless_constants(params, init), tau)
     c1, c2 = _eval_poles(_amplitude_poles(params, init), tau)
     return c1, c2
 
@@ -338,41 +291,25 @@ def amplitude_grid(params: ModelParams, init: InitialState,
 def c2_of_cells(params_seq, init: InitialState):
     """The battery amplitude c2 of many cells, one time per cell.
 
-    Returns ``f(t) -> c2`` for ``t`` of shape ``(len(params_seq),)``.
-    Finite-width cells share one stack of c2 poles, memoryless cells one
-    set of per-cell closed-form constants; each cell's value has the bytes
-    of ``amplitude_grid(params, init, t[i:i+1])[1]``.
+    Returns ``f(t) -> c2`` for ``t`` of shape ``(len(params_seq),)``.  The
+    cells share one stack of c2 poles; each cell's value has the bytes of
+    ``amplitude_grid(params, init, t[i:i+1])[1]``.
     """
-    memoryless = np.array([p.memoryless for p in params_seq], dtype=bool)
-    fin = np.flatnonzero(~memoryless)
-    flat = np.flatnonzero(memoryless)
-    cells = [_amplitude_poles(params_seq[i], init) for i in fin]
+    cells = [_amplitude_poles(p, init) for p in params_seq]
     n_roots = max((r.size for r, _ in cells), default=0)
     depth = max((c.shape[2] for _, c in cells), default=0)
-    roots = np.zeros((n_roots, fin.size), dtype=np.complex128)
-    coefs = np.zeros((1, n_roots, depth, fin.size), dtype=np.complex128)
+    roots = np.zeros((n_roots, len(cells)), dtype=np.complex128)
+    coefs = np.zeros((1, n_roots, depth, len(cells)), dtype=np.complex128)
     for i, (r, c) in enumerate(cells):
         roots[:r.size, i] = r
         coefs[0, :r.size, :c.shape[2], i] = c[1]  # c2 only
-    consts = tuple(np.array(col) for col in zip(
-        *(_memoryless_constants(params_seq[i], init) for i in flat)))
-
-    def c2(t: np.ndarray) -> np.ndarray:
-        out = np.empty(t.shape, dtype=np.complex128)
-        if fin.size:
-            out[fin] = _eval_poles((roots, coefs), t[fin])[0]
-        if flat.size:
-            out[flat] = _amplitudes_memoryless_grid(consts, t[flat])[1]
-        return out
-
-    return c2
+    return lambda t: _eval_poles((roots, coefs), t)[0]
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,
                   tau: float) -> tuple[complex, complex]:
     """(c1, c2) at a single time; for the empty battery c2 = kappa * c1(0)."""
-    if tau < 0:
-        raise ValueError("tau must be non-negative")
+    _check_tau(tau)
     c1, c2 = amplitude_grid(params, init, np.float64(tau))
     return complex(c1), complex(c2)
 

@@ -132,7 +132,7 @@ SWEEP_JSON = """\
   "values": [
     [
       0.6141200946905179,
-      0.4391601393903007
+      0.4391601393903004
     ],
     [
       0.33679113573469915,

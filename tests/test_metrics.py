@@ -335,9 +335,9 @@ def same_report(got, want):
             and got.at_boundary is want.at_boundary)
 
 
-# memoryless (gamma = 4 Omega is R = 0, the sinhc series branch), the triple
-# root, a double root, lambda/Omega = 1e7, and cells at Omega != 1, where
-# the golden-section tolerance 1e-8/Omega scales
+# memoryless (gamma = 4 Omega is the quadratic's double root, confluent
+# terms), the triple root, a double root, lambda/Omega = 1e7, and cells at
+# Omega != 1, where the golden-section tolerance 1e-8/Omega scales
 BATCH_CELLS = (
     [params(g, math.inf) for g in (0.1, 2.0, 4.0, 7.5)]
     + [params(16 * math.sqrt(3) / 9, 3 * math.sqrt(3)),

@@ -146,6 +146,16 @@ def test_integrate_takes_memoryless_params(gamma):
             assert not np.any(got.z)
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_too_few_steps_rejected(steps):
+    init = qb.empty_battery_state()
+    with pytest.raises(ValueError):
+        qb.integrate(params(0.1, 0.5), init, 1.0, steps=steps)
+    with pytest.raises(ValueError):
+        qb.integrate_memoryless(params(0.1, math.inf), init, 1.0,
+                                steps=steps)
+
+
 @pytest.mark.parametrize("lam", [0.5, math.inf])
 @pytest.mark.parametrize("times", [
     {"tmax": math.nan}, {"tmax": math.inf}, {"tmax": -math.inf},

@@ -10,7 +10,7 @@ from qbattery.model import excited_battery_state
 from qbattery.propagator import (_amplitude_partial_fractions,
                                  _amplitude_poles, _cluster_tol,
                                  _eval_poles, _partial_fraction_terms,
-                                 _poles, _sinhc, amplitude_grid,
+                                 _poles, amplitude_grid,
                                  cubic_coefficients, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
@@ -33,10 +33,25 @@ def eval_terms_reference(terms, t):
     return out
 
 
+def _sinhc(z):
+    """sinh(z)/z with a series for small |z| (removable singularity)."""
+    z = np.asarray(z, dtype=np.complex128)
+    small = np.abs(z) < 1e-4
+    zs = np.where(small, 0.0, z)
+    with np.errstate(invalid="ignore"):
+        full = np.where(small, 1.0, np.sinh(zs) / np.where(small, 1.0, zs))
+    series = 1.0 + z * z / 6.0 * (1.0 + z * z / 20.0)
+    return np.where(small, series, full)
+
+
 def amplitudes_memoryless_reference(p, init, tau):
-    """The flat-spectrum closed form written out per cell: the reference the
-    memoryless evaluator (one cell or a stack of cells) must reproduce bit
-    for bit."""
+    """The flat-spectrum closed form written out per cell, with
+    R = sqrt(gamma^2 - 16 Omega^2):
+
+        c2(t) = exp(-gamma t/4) (a cosh(R t/4) + b t sinhc(R t/4)),
+        a = c2(0), b = c2'(0) + gamma/4 c2(0), c1 = i c2'/Omega.
+
+    It overflows to nan once R t/4 > 710, so use it at moderate gamma."""
     tau = np.asarray(tau, dtype=np.float64)
     om = p.coupling_qb_cavity
     gamma = p.coupling_cavity_env
@@ -101,11 +116,25 @@ class TestSolveRoots:
     @pytest.mark.parametrize("lam", GRID)
     def test_residues_sum_to_zero(self, gamma, lam):
         pr = qb.solve_roots(params(gamma, lam))
-        assert abs(sum(pr.residues_kappa)) < 1e-10
+        assert abs(sum(c for c, _, power in pr.kappa_terms
+                       if power == 0)) < 1e-10
 
-    def test_rejects_memoryless(self):
-        with pytest.raises(ValueError):
-            qb.solve_roots(params(0.1, math.inf))
+    def test_memoryless_quadratic_roots(self):
+        """Memoryless roots are those of s^2 + gamma s/2 + Omega^2; at
+        gamma = 4 Omega they are equal and take the confluent terms."""
+        for Omega in (1.0, 2.5, 0.03, 0.1):
+            for ratio in (0.0, 0.1, 2.0, 4.0, 7.5, 100.0):
+                gamma = ratio * Omega
+                pr = qb.solve_roots(params(gamma, math.inf, Omega))
+                s1, s2 = pr.roots
+                assert s1 + s2 == pytest.approx(-gamma / 2,
+                                                abs=1e-14 * gamma + 1e-15)
+                assert s1 * s2 == pytest.approx(Omega ** 2, rel=1e-14)
+                assert (s1 == s2) == pr.degenerate == (ratio == 4.0)
+                if pr.degenerate:
+                    assert s1 == -Omega
+                    assert any(power == 1
+                               for _, _, power in pr.kappa_terms)
 
     def test_degenerate_matches_pairwise_distance(self):
         """``degenerate`` comes from the confluent terms; the pairwise
@@ -156,6 +185,15 @@ class TestKappa:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             qb.kappa_at(params(0.1, 0.1), -1.0)
+
+    @pytest.mark.parametrize("lam", [0.5, math.inf])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tau_rejected(self, tau, lam):
+        p = params(0.1, lam)
+        with pytest.raises(ValueError):
+            qb.kappa_at(p, tau)
+        with pytest.raises(ValueError):
+            qb.amplitudes_at(p, qb.empty_battery_state(), tau)
 
 
 class TestKappaMemoryless:
@@ -215,19 +253,35 @@ class TestAmplitudes:
         assert c2 == pytest.approx(series.c2[0], abs=1e-8)
 
     @pytest.mark.parametrize("Omega", [1.0, 2.5, 0.03])
-    def test_memoryless_bytes_match_closed_form_reference(self, Omega):
-        """gamma = 4 Omega is R = 0, the sinhc series branch."""
+    def test_memoryless_matches_closed_form_reference(self, Omega):
+        """The quadratic's poles give the closed form within 1e-12 away
+        from its double root gamma = 4 Omega and exactly at it, and within
+        1e-8 of it and of the oracle where the roots split by less than
+        1e-6 relative, the band where the partial fractions meet the
+        confluent cut-off."""
         inits = [qb.empty_battery_state(), excited_battery_state(),
                  qb.make_initial_state(0.6, 0.8j)]
-        for g in (0.0, 0.1, 2.0, 4.0, 7.5):
+        tau = np.linspace(0.0, 60.0, 3001) / Omega
+        for g in (0.0, 0.1, 2.0, 4.0, 4.0 * (1 + 1e-6), 4.0 * (1 - 1e-6),
+                  7.5, 13.0):
             p = params(g * Omega, math.inf, Omega)
             for init in inits:
-                for tau in (np.linspace(0.0, 60.0, 3001) / Omega,
-                            np.float64(1.7 / Omega)):
-                    got = amplitude_grid(p, init, tau)
-                    want = amplitudes_memoryless_reference(p, init, tau)
-                    assert all(x.tobytes() == y.tobytes()
-                               for x, y in zip(got, want))
+                for t in (tau, np.float64(1.7 / Omega)):
+                    got = amplitude_grid(p, init, t)
+                    want = amplitudes_memoryless_reference(p, init, t)
+                    for x, y in zip(got, want):
+                        assert x.shape == y.shape
+                        assert np.max(np.abs(x - y)) <= 1e-12, g
+        for k in (1e-12, -1e-12, 1e-9, -1e-9):
+            p = params(4.0 * (1 + k) * Omega, math.inf, Omega)
+            for init in inits:
+                got = amplitude_grid(p, init, tau)
+                want = amplitudes_memoryless_reference(p, init, tau)
+                series = qb.integrate(p, init, tau[-1], t_eval=tau[::50],
+                                      tol=1e-12)
+                for x, y, z in zip(got, want, (series.c1, series.c2)):
+                    assert np.max(np.abs(x - y)) <= 1e-8, k
+                    assert np.max(np.abs(x[::50] - z)) <= 1e-8, k
 
     def test_memoryless_general_init_against_oracle(self):
         p = params(0.5, math.inf)
@@ -322,12 +376,12 @@ class TestPoleEvaluator:
         assert pr.degenerate
         assert any(power == 1 for _, _, power in pr.kappa_terms)
 
-    @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 6.5)])
+    @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 5.0)])
     def test_peak_memory(self, lam, arrays):
         """Peak traced allocation of one 200001-point call, c1 and c2
         included, stays within the peak of the per-term loop: 5
-        result-sized complex arrays (16.0 MB) at finite width, 6.5
-        (20.8 MB) in the memoryless closed form."""
+        result-sized complex arrays (16.0 MB), at finite width and
+        memoryless alike."""
         p = params(0.3, lam)
         tau = np.linspace(0.0, 200.0, 200001)
         amplitude_grid(p, excited_battery_state(), tau)  # fill the caches

@@ -42,6 +42,18 @@ class TestEvolve:
         pops = [float(r.split(",")[3]) for r in rows]
         assert max(pops) == pytest.approx(0.925, abs=0.005)
 
+    def test_memoryless_large_gamma_populations(self, capsys):
+        """gamma = 1000 Omega: with R = sqrt(gamma^2 - 16 Omega^2), R t/4
+        passes 710 within the horizon, where exp(-gamma t/4) cosh(R t/4)
+        is 0 * inf = nan; the populations stay in [0, 1]."""
+        code, out = run_cli(["evolve", "--gamma", "1000", "--lambda", "inf",
+                             "--tmax", "25"], capsys)
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")][1:]
+        pops = np.array([float(r.split(",")[3]) for r in rows])
+        assert pops.size == 1001
+        assert np.all((pops >= 0.0) & (pops <= 1.0))
+
     def test_deterministic_bytes(self, capsys):
         args = ["evolve", "--gamma", "0.1", "--lambda", "0.1",
                 "--tmax", "25", "--steps", "201"]
@@ -206,6 +218,43 @@ class TestNonmarkovCommand:
                              "--lambda", "0.1"], capsys)
         assert code == 4
         assert json.loads(out)["truncated"]
+
+    def test_memoryless_large_gamma_truncated(self, capsys):
+        """gamma = 100 Omega decays slowly, D(200/Omega) ~ 3e-4, so the
+        measure is truncated; R t/4 passes 710 on this horizon."""
+        code, out = run_cli(["nonmarkov", "--gamma", "100",
+                             "--lambda", "inf"], capsys)
+        assert code == 4
+        assert json.loads(out)["truncated"]
+
+
+class TestMaximaCommand:
+    def test_memoryless_large_gamma_matches_oracle(self, capsys):
+        """gamma = 100 Omega: the peak sits at Omega tau ~ 0.157, found here
+        as the zero of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)) on the
+        oracle's amplitudes.  The golden section compares values, and one
+        ulp of the peak population (5.4e-20 at 4e-4, curvature -8e-4)
+        spans 1.2e-8 in tau, so tau gets a few of those."""
+        code, out = run_cli(["maxima", "--gamma", "100", "--lambda", "inf"],
+                            capsys)
+        assert code == 0
+        report = json.loads(out)
+        p = qb.make_params(1.0, 1.0, 100.0, math.inf)
+
+        def oracle(t):
+            s = qb.integrate(p, qb.empty_battery_state(), t[-1], tol=1e-12,
+                             t_eval=t)
+            return s.c2, 2.0 * np.real(np.conj(s.c2) * (-1j * s.c1))
+
+        t = np.linspace(0.0, 2.0, 2001)
+        i = np.flatnonzero(oracle(t)[1] <= 0.0)[1]  # first fall after 0
+        a, b = t[i - 1], t[i]
+        for _ in range(40):
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if oracle(np.array([mid]))[1][0] > 0 else (a, mid)
+        c2 = oracle(np.array([a]))[0][0]
+        assert abs(report["tau_at_e_max"] - a) <= 5e-8
+        assert abs(report["delta_e_max"] - abs(c2) ** 2) <= 1e-8
 
 
 class TestFigureCommand:
