@@ -1,9 +1,10 @@
 """Command-line front end: evolve, sweep, maxima, nonmarkov, figure.
 
 Exit codes: 0 ok, 2 usage error, 3 I/O error, 4 numerical guard triggered
-(divergent or truncated backflow measure).  Times on the command line are
-the dimensionless Omega*tau used on every figure axis.  Environment
-variables are never consulted; precedence is flags > config file > defaults.
+(divergent or truncated backflow measure, or a computed population outside
+[0, 1]).  Times on the command line are the dimensionless Omega*tau used on
+every figure axis.  Environment variables are never consulted; precedence
+is flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from . import __version__
 from .figures import FIGURE_NAMES, figure_bundle
-from .metrics import blp_nonmarkovianity, maximize_over_tau
+from .metrics import (NumericalGuardError, blp_nonmarkovianity,
+                      maximize_over_tau)
 from .model import make_params
 from .propagator import trajectory
 from .sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
+    except NumericalGuardError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import amplitude_grid, c2_of_cells
+from .propagator import amplitude_grid, amplitudes_of_cells
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in units of 1/Omega
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in units of 1/Omega
@@ -49,13 +49,20 @@ class MaximaReport:
     at_boundary: bool = False
 
 
+class NumericalGuardError(ValueError):
+    """A computed quantity left its physical range, such as a population
+    outside [0, 1]; the command line exits 4 on it."""
+
+
 def _clipped_population(population) -> np.ndarray:
     """Population as a float array clipped to [0, 1], after a range guard
-    that rejects any entry outside [-1e-12, 1 + 1e-9], NaN included."""
+    that rejects any entry outside [-1e-12, 1 + 1e-9], NaN included, with
+    ``NumericalGuardError``."""
     p = np.asarray(population, dtype=np.float64)
     bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-9))
     if bad.any():
-        raise ValueError(f"population outside [0, 1]: {p[bad].flat[0]}")
+        raise NumericalGuardError(
+            f"population outside [0, 1]: {p[bad].flat[0]}")
     return np.clip(p, 0.0, 1.0)
 
 
@@ -126,23 +133,31 @@ def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
     return max(work, 0.0)
 
 
+def _slope(om: float, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """d|c2|^2/dt = 2 Re(conj(c2) c2'), exact via c2' = -i*Omega*c1."""
+    return 2.0 * np.real(np.conj(c2) * (-1j * om * c1))
+
+
 def _survival(params: ModelParams, taus: np.ndarray):
     """Survival amplitude mu of the battery excitation and the trace
-    distance D = |mu|^2 with its exact derivative (via c2' = -i*Omega*c1)."""
+    distance D = |mu|^2 with its exact derivative."""
     c1, c2 = amplitude_grid(params, excited_battery_state(), taus)
-    om = params.coupling_qb_cavity
-    d = np.abs(c2) ** 2
-    dp = 2.0 * np.real(np.conj(c2) * (-1j * om * c1))
-    return d, dp
+    return np.abs(c2) ** 2, _slope(params.coupling_qb_cavity, c1, c2)
 
 
-def _refine_extrema(params: ModelParams, a: np.ndarray, b: np.ndarray,
-                    sign_a: np.ndarray) -> np.ndarray:
-    """Vectorized bisection for the roots of dD/dt inside brackets (a, b)."""
+def _bisect_slope(slope, a: np.ndarray, b: np.ndarray,
+                  rising_at_a) -> np.ndarray:
+    """Lockstep bisection for the sign changes of ``slope`` inside the
+    brackets (a, b), 60 halvings each.
+
+    ``slope`` maps one point per bracket to one slope per bracket.  A
+    bracket whose midpoint is rising exactly when ``rising_at_a`` says its
+    left end is moves that end to the midpoint, else its right end; a
+    bracket without a sign change closes on one of its ends.
+    """
     for _ in range(60):
         mid = 0.5 * (a + b)
-        _, dp = _survival(params, mid)
-        go_right = (dp > 0.0) == sign_a
+        go_right = (slope(mid) > 0.0) == rising_at_a
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     return 0.5 * (a + b)
@@ -183,8 +198,9 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     # t = 0, and the computed sign of D'(0) is roundoff
     sign[0] = False
     crossings = np.nonzero(sign[1:] != sign[:-1])[0]
-    extrema = _refine_extrema(params, taus[crossings], taus[crossings + 1],
-                              sign[crossings])
+    extrema = _bisect_slope(lambda t: _survival(params, t)[1],
+                            taus[crossings], taus[crossings + 1],
+                            sign[crossings])
     crit = np.concatenate(([0.0], extrema, [tmax]))
     d_crit, _ = _survival(params, crit)
 
@@ -199,46 +215,14 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                            truncated=truncated)
 
 
-def _golden_max(f, a: np.ndarray, b: np.ndarray,
-                xtol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of unimodal functions on [a, b], one per
-    cell, run in lockstep.
-
-    ``f`` maps one point per cell to one value per cell.  Each step moves
-    every cell whose bracket is still wider than its ``xtol`` as a scalar
-    search would (to [c, b] where f(c) < f(d), else to [a, d]) and freezes
-    the others, so each cell takes the steps and makes the comparisons of
-    its own scalar search.  One call of ``f`` serves all cells per step.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    active = b - a > xtol
-    while active.any():
-        right = fc < fd
-        up, down = active & right, active & ~right
-        a = np.where(up, c, a)
-        b = np.where(down, d, b)
-        x = np.where(right, a + invphi * (b - a), b - invphi * (b - a))
-        fx = f(x)
-        c, fc, d, fd = (np.where(up, d, np.where(down, x, c)),
-                        np.where(up, fd, np.where(down, fx, fc)),
-                        np.where(up, x, np.where(down, c, d)),
-                        np.where(up, fx, np.where(down, fc, fd)))
-        active = b - a > xtol
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                            tmax: float | None = None) -> list[MaximaReport]:
     """``maximize_over_tau`` for many cells at once, one report per cell.
 
-    Each cell gets its own 2000-point coarse scan; the golden-section
-    refinements of all cells then run in lockstep, with one c2 evaluation
-    per step for the whole batch.  A cell's report does not depend on the
-    batch it is in.  Warns once when any optimum sits at the tmax boundary.
+    Each cell gets its own 2000-point coarse scan; the bisections of all
+    cells then run in lockstep, with one c1/c2 evaluation per halving for
+    the whole batch.  A cell's report does not depend on the batch it is
+    in.  Warns once when any optimum sits at the tmax boundary.
     """
     if init is None:
         init = empty_battery_state()
@@ -251,20 +235,19 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     tmaxes = [MAXIMA_DEFAULT_TMAX / om if tmax is None else tmax
               for om in oms]
 
-    def pop(c2):
-        return np.minimum(np.abs(c2) ** 2, 1.0)
-
     n = 2000
     lo, hi = [], []
     for params, t_end in zip(params_seq, tmaxes):
         taus = np.linspace(0.0, t_end, n)
-        i = int(np.argmax(pop(amplitude_grid(params, init, taus)[1])))
+        c2 = amplitude_grid(params, init, taus)[1]
+        i = int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
         lo.append(taus[max(i - 1, 0)])
         hi.append(taus[min(i + 1, n - 1)])
-    c2 = c2_of_cells(params_seq, init)
-    tau_star, p_star = _golden_max(lambda t: pop(c2(t)), np.array(lo),
-                                   np.array(hi),
-                                   np.array([1e-8 / om for om in oms]))
+    amplitudes = amplitudes_of_cells(params_seq, init)
+    om_cells = np.array(oms)
+    tau_star = _bisect_slope(lambda t: _slope(om_cells, *amplitudes(t)),
+                             np.array(lo), np.array(hi), True)
+    p_star = _clipped_population(np.abs(amplitudes(tau_star)[1]) ** 2)
 
     omega0 = np.array([p.omega0 for p in params_seq])
     reports = []
@@ -284,10 +267,14 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
                       tmax: float | None = None) -> MaximaReport:
     """Optimal stored energy and ergotropy over the charging time.
 
-    Coarse scan on a 2000-point grid over [0, tmax], then golden-section
-    refinement of the population peak to |delta tau| < 1e-8/Omega.  Warns
-    when the optimum sits at the tmax boundary.  This is the one-cell case
-    of ``maximize_over_tau_many``, which sweeps and figures use to batch
-    their cells.
+    Coarse scan of the population |c2|^2 on a 2000-point grid over
+    [0, tmax], then 60 halvings of the bracket around the largest sample
+    on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)), as
+    ``blp_nonmarkovianity`` refines its extrema: tau is found to the
+    roundoff of that slope, well within 1e-8/Omega, and an optimum at 0 or
+    tmax is reached exactly.  A population outside [0, 1] raises
+    ``NumericalGuardError``.  Warns when the optimum sits at the tmax
+    boundary.  This is the one-cell case of ``maximize_over_tau_many``,
+    which sweeps and figures use to batch their cells.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

@@ -8,17 +8,20 @@ fractions, the common cubic denominator at finite width lam
 so every amplitude is a sum of (at most) three exponentials, obtained by
 partial fractions.  Roots are computed as eigenvalues of the companion
 matrix (better conditioned near degeneracies than a closed-form cubic) and
-polished with two Newton steps; clustered roots fall back to the confluent
-partial-fraction expansion with t^k * exp(s*t) terms.
+polished with two Newton steps; roots closer than 1e-7 relative to the
+larger of the pair form a cluster and take the confluent partial-fraction
+expansion with t^k * exp(s*t) terms.
 
-The terms of kappa, or of c1 and c2 together, are held as poles: a pair
-of arrays (roots, coefs), the distinct roots in (real, imag) order and
-coefs[output, root, power] the coefficient of t**power * exp(root*t).  One
-evaluator walks the roots in order and computes each root's exponential
-exp(s*t) once per call, whatever the number of terms and outputs that share
-it.  The poles of many cells stack along a trailing cell axis, padded with
-zero coefficients at the zero root; the same evaluator then advances every
-cell at one time point each.
+One partial-fraction expansion per (params, initial state) gives c1 and c2
+together as poles: a pair of arrays (roots, coefs), the distinct roots in
+(real, imag) order and coefs[output, root, power] the coefficient of
+t**power * exp(root*t).  The charging propagator kappa is c2 of the empty
+battery.  One evaluator walks the roots in order and computes each root's
+exponential exp(s*t) once per call, whatever the number of terms and
+outputs that share it.  The poles of many cells stack along a trailing
+cell axis, padded with zero coefficients at the zero root; the same
+evaluator then advances every cell at one time point each, as the
+lockstep searches of ``metrics`` need.
 
 In the flat-spectrum limit (infinite width) the same engine runs on the
 quadratic denominator p(s) = s^2 + gamma*s/2 + Omega^2, whose roots have
@@ -36,8 +39,6 @@ import numpy as np
 
 from .model import InitialState, ModelParams, empty_battery_state
 
-# (coefficient, root, power) triples: f(t) = sum coef * t**power * exp(root*t)
-Terms = tuple[tuple[complex, complex, int], ...]
 # (roots, coefs): distinct roots in (real, imag) order and coefs indexed
 # [output, root, power]; stacked cells add a trailing axis to both
 Poles = tuple[np.ndarray, np.ndarray]
@@ -45,11 +46,10 @@ Poles = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PropagatorRoots:
-    """Roots and kappa partial-fraction terms of the denominator p(s)."""
+    """Roots of the denominator p(s), and whether any of them cluster."""
 
     roots: tuple[complex, ...]
     degenerate: bool
-    kappa_terms: Terms
 
 
 def cubic_coefficients(params: ModelParams) -> np.ndarray:
@@ -71,14 +71,9 @@ def _polynomials(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return cubic_coefficients(params), np.array([1.0, params.spectral_width])
 
 
-def _cluster_tol(params: ModelParams) -> float:
-    lam = 0.0 if params.memoryless else params.spectral_width
-    return 1e-7 * max(params.coupling_qb_cavity, lam,
-                      params.coupling_cavity_env)
-
-
-def _cluster_roots(roots: np.ndarray, tol: float) -> list[tuple[complex, int]]:
-    """Union-find clustering of near-coincident roots -> (center, multiplicity)."""
+def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
+    """Union-find clustering of roots closer than 1e-7 relative to the
+    larger of each pair -> (center, multiplicity), in (real, imag) order."""
     n = len(roots)
     parent = list(range(n))
 
@@ -89,7 +84,8 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> list[tuple[complex, int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) < tol:
+            if (abs(roots[i] - roots[j])
+                    < 1e-7 * max(abs(roots[i]), abs(roots[j]))):
                 parent[find(j)] = find(i)
     groups: dict[int, list[complex]] = {}
     for i in range(n):
@@ -99,16 +95,17 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return clusters
 
 
-def _partial_fraction_terms(num: np.ndarray, roots: np.ndarray,
-                            tol: float) -> Terms:
-    """Inverse Laplace transform of N(s) / prod_j (s - s_j).
+def _partial_fractions(nums, roots: np.ndarray) -> Poles:
+    """Poles of the inverse Laplace transforms of N_k(s) / prod_j (s - s_j),
+    one output per numerator N_k in ``nums``.
 
-    Handles repeated roots (clustered within ``tol``) via derivatives of the
-    reduced numerator q(s) = N(s) / prod_other(s - s_k).
+    A cluster of roots takes the confluent terms t**k * exp(s*t), from
+    derivatives of the reduced numerator q(s) = N(s) / prod_other(s - s_k).
     """
-    clusters = _cluster_roots(roots, tol)
-    terms: list[tuple[complex, complex, int]] = []
-    for s0, m in clusters:
+    clusters = _cluster_roots(roots)
+    coefs = np.zeros((len(nums), len(clusters),
+                      max(m for _, m in clusters)), dtype=np.complex128)
+    for j, (s0, m) in enumerate(clusters):
         others = [c for c, mc in clusters if c != s0 for _ in range(mc)]
         # evaluate R(s0) = prod (s0 - r_k) and its log-derivative sums from
         # the factors directly: expanded coefficients lose precision badly
@@ -116,43 +113,23 @@ def _partial_fraction_terms(num: np.ndarray, roots: np.ndarray,
         r0 = complex(np.prod([s0 - r for r in others])) if others else 1.0 + 0j
         sum1 = sum(1.0 / (s0 - r) for r in others)
         sum2 = sum(1.0 / (s0 - r) ** 2 for r in others)
-        n0 = np.polyval(num, s0)
-        qd = [n0 / r0]
-        if m >= 2:
-            n1 = np.polyval(np.polyder(num), s0)
-            r1 = r0 * sum1
-            qd.append((n1 - qd[0] * r1) / r0)
-        if m >= 3:
-            n2 = np.polyval(np.polyder(num, 2), s0)
-            r2 = r0 * (sum1 * sum1 - sum2)
-            qd.append((n2 - 2.0 * qd[1] * r1 - qd[0] * r2) / r0)
-        for r in range(m):
-            # coefficient of 1/(s-s0)^(m-r) is q^(r)(s0)/r!
-            power = m - r - 1
-            coef = qd[r] / math.factorial(r) / math.factorial(power)
-            terms.append((complex(coef), complex(s0), power))
-    return tuple(terms)
-
-
-def _poles(*outputs: Terms) -> Poles:
-    """The terms of each output as poles.
-
-    Terms whose coefficient is exactly zero (c2's cancelled 1/s pole) add
-    nothing and are left out, and so is a root left without terms.  Roots
-    keep the (real, imag) order ``_cluster_roots`` gives every term list.
-    """
-    kept = [[term for term in terms if term[0] != 0] for terms in outputs]
-    roots = sorted(dict.fromkeys(root for terms in kept
-                                 for _, root, _ in terms),
-                   key=lambda s: (s.real, s.imag))
-    slot = {root: j for j, root in enumerate(roots)}
-    depth = 1 + max((power for terms in kept for *_, power in terms),
-                    default=0)
-    coefs = np.zeros((len(kept), len(roots), depth), dtype=np.complex128)
-    for k, terms in enumerate(kept):
-        for coef, root, power in terms:
-            coefs[k, slot[root], power] = coef
-    return np.array(roots, dtype=np.complex128), coefs
+        r1 = r0 * sum1
+        r2 = r0 * (sum1 * sum1 - sum2)
+        for k, num in enumerate(nums):
+            qd = [np.polyval(num, s0) / r0]
+            if m >= 2:
+                n1 = np.polyval(np.polyder(num), s0)
+                qd.append((n1 - qd[0] * r1) / r0)
+            if m >= 3:
+                n2 = np.polyval(np.polyder(num, 2), s0)
+                qd.append((n2 - 2.0 * qd[1] * r1 - qd[0] * r2) / r0)
+            for r in range(m):
+                # coefficient of 1/(s-s0)^(m-r) is q^(r)(s0)/r!
+                power = m - r - 1
+                coefs[k, j, power] = (qd[r] / math.factorial(r)
+                                      / math.factorial(power))
+    return (np.array([s0 for s0, _ in clusters], dtype=np.complex128),
+            coefs)
 
 
 def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
@@ -214,23 +191,18 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def solve_roots(params: ModelParams) -> PropagatorRoots:
-    """Roots of the denominator p(s) and the partial-fraction terms of
-    kappa(s) = -i*Omega*m(s)/p(s).
-
-    Near-degenerate roots set the ``degenerate`` flag and give confluent
-    terms t**k * exp(s*t) in ``kappa_terms``.
-    """
-    coeffs, memory = _polynomials(params)
-    roots = _roots(coeffs)
-    terms = _partial_fraction_terms(-1j * params.coupling_qb_cavity * memory,
-                                    roots, _cluster_tol(params))
+    """Roots of the denominator p(s); ``degenerate`` is set when some of
+    them cluster and take confluent terms t**k * exp(s*t)."""
+    roots = _roots(_polynomials(params)[0])
     return PropagatorRoots(tuple(complex(s) for s in roots),
-                           any(power for _, _, power in terms), terms)
+                           any(m > 1 for _, m in _cluster_roots(roots)))
 
 
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
-    """Charging propagator kappa on an array of times."""
-    return _eval_poles(_poles(solve_roots(params).kappa_terms), tau)[0]
+    """Charging propagator kappa on an array of times: c2 of the empty
+    battery."""
+    roots, coefs = _amplitude_poles(params, empty_battery_state())
+    return _eval_poles((roots, coefs[1:]), tau)[0]
 
 
 def _check_tau(tau: float) -> None:
@@ -251,34 +223,24 @@ def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
     return kappa_at(params, tau)
 
 
-def _amplitude_partial_fractions(params: ModelParams,
-                                 init: InitialState) -> tuple[Terms, Terms]:
-    """Partial-fraction terms of c1(t) and c2(t) for arbitrary initial
-    amplitudes.
+@functools.lru_cache(maxsize=512)
+def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
+    """Poles of c1 (output 0) and c2 (output 1) for arbitrary initial
+    amplitudes:
 
-    c1(s) = (c1_0*s - i*Omega*c2_0) m(s) / p(s)
-    c2(s) = c2_0/s - i*Omega*(c1_0*s - i*Omega*c2_0) m(s) / (s*p(s))
-    (the two 1/s poles cancel exactly; they are kept in the expansion for
-    robustness rather than cancelled by hand).
+    c1(s) = n1(s) / p(s),  n1(s) = (c1_0*s - i*Omega*c2_0) m(s)
+    c2(s) = (c2_0*p(s) - i*Omega*n1(s)) / (s*p(s))
+
+    The numerator of c2 vanishes at s = 0 (c2_0*lam*Omega^2 on both sides
+    at finite width, c2_0*Omega^2 when memoryless), so dropping its
+    constant term divides it by s exactly and c2 has the poles of p alone.
     """
-    roots = np.array(solve_roots(params).roots)
     om = params.coupling_qb_cavity
-    tol = _cluster_tol(params)
     coeffs, memory = _polynomials(params)
     lin = np.array([init.c1_0, -1j * om * init.c2_0])  # c1_0*s - i*Om*c2_0
     n1 = np.polymul(lin, memory)
-    terms1 = _partial_fraction_terms(n1, roots, tol)
-    # c2: expand (c2_0*p(s) - i*Omega*N1(s)) / (s * p(s))
-    n2 = np.polyadd(init.c2_0 * coeffs, -1j * om * n1)
-    terms2 = _partial_fraction_terms(
-        n2, np.concatenate(([0.0 + 0.0j], roots)), tol)
-    return terms1, terms2
-
-
-@functools.lru_cache(maxsize=512)
-def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
-    """Poles of c1 (output 0) and c2 (output 1)."""
-    return _poles(*_amplitude_partial_fractions(params, init))
+    n2 = np.polyadd(init.c2_0 * coeffs, -1j * om * n1)[:-1]
+    return _partial_fractions((n1, n2), np.array(solve_roots(params).roots))
 
 
 def amplitude_grid(params: ModelParams, init: InitialState,
@@ -288,22 +250,22 @@ def amplitude_grid(params: ModelParams, init: InitialState,
     return c1, c2
 
 
-def c2_of_cells(params_seq, init: InitialState):
-    """The battery amplitude c2 of many cells, one time per cell.
+def amplitudes_of_cells(params_seq, init: InitialState):
+    """The amplitudes c1 and c2 of many cells, one time per cell.
 
-    Returns ``f(t) -> c2`` for ``t`` of shape ``(len(params_seq),)``.  The
-    cells share one stack of c2 poles; each cell's value has the bytes of
-    ``amplitude_grid(params, init, t[i:i+1])[1]``.
+    Returns ``f(t) -> (c1, c2)`` for ``t`` of shape ``(len(params_seq),)``.
+    The cells share one stack of poles; each cell's values have the bytes
+    of ``amplitude_grid(params, init, t[i:i+1])``.
     """
     cells = [_amplitude_poles(p, init) for p in params_seq]
     n_roots = max((r.size for r, _ in cells), default=0)
     depth = max((c.shape[2] for _, c in cells), default=0)
     roots = np.zeros((n_roots, len(cells)), dtype=np.complex128)
-    coefs = np.zeros((1, n_roots, depth, len(cells)), dtype=np.complex128)
+    coefs = np.zeros((2, n_roots, depth, len(cells)), dtype=np.complex128)
     for i, (r, c) in enumerate(cells):
         roots[:r.size, i] = r
-        coefs[0, :r.size, :c.shape[2], i] = c[1]  # c2 only
-    return lambda t: _eval_poles((roots, coefs), t)[0]
+        coefs[:, :r.size, :c.shape[2], i] = c
+    return lambda t: _eval_poles((roots, coefs), t)
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,
@@ -336,7 +298,8 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
                tmax: float = 25.0, steps: int = 1001) -> ChargingTrajectory:
     """Evaluate amplitudes and figures of merit on a uniform time grid.
 
-    ``tmax`` is a physical time; the stored grid is Omega*tau.
+    ``tmax`` is a physical time; the stored grid is Omega*tau.  A
+    population |c2|^2 outside [0, 1] raises ``metrics.NumericalGuardError``.
     """
     if not 0 < tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
@@ -349,7 +312,7 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     taus = np.linspace(0.0, tmax, steps)
     kap = kappa_grid(params, taus)
     _, c2 = amplitude_grid(params, init, taus)
-    pop = np.minimum(np.abs(c2) ** 2, 1.0)
+    pop = metrics._clipped_population(np.abs(c2) ** 2)
     return ChargingTrajectory(params.coupling_qb_cavity * taus, kap, pop,
                               metrics.stored_energy(params, pop),
                               metrics.ergotropy_qubit(params, pop))

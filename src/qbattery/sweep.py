@@ -6,7 +6,7 @@ units of omega0 for the energy quantities.  Cells are independent and may be
 evaluated by a process pool; the result is identical for any worker count.
 BLP cells are evaluated one by one.  Maxima cells are batched: the cells go
 to ``maximize_over_tau_many`` in one batch, or in one contiguous chunk per
-worker, whose golden-section searches run in lockstep.
+worker, whose bisections run in lockstep.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ EVOLVE_JSON = """\
       0.0,
       0.0,
       0.0,
-      2.7083389842945504e-35,
-      2.7083389842945504e-35,
+      0.0,
+      0.0,
       0.0
     ],
     [
@@ -59,9 +59,9 @@ EVOLVE_JSON = """\
       5.0,
       0.0,
       0.9517092319690481,
-      0.905750462215115,
-      0.905750462215115,
-      0.81150092443023
+      0.9057504622151155,
+      0.9057504622151155,
+      0.8115009244302309
     ]
   ]
 }"""
@@ -131,12 +131,12 @@ SWEEP_JSON = """\
   "Omega": 1.0,
   "values": [
     [
-      0.6141200946905179,
-      0.4391601393903004
+      0.6141200971094255,
+      0.4391601408166763
     ],
     [
       0.33679113573469915,
-      0.09921256574801243
+      0.09921256574801247
     ]
   ],
   "flags": [

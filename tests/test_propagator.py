@@ -7,10 +7,8 @@ import pytest
 
 import qbattery as qb
 from qbattery.model import excited_battery_state
-from qbattery.propagator import (_amplitude_partial_fractions,
-                                 _amplitude_poles, _cluster_tol,
-                                 _eval_poles, _partial_fraction_terms,
-                                 _poles, amplitude_grid,
+from qbattery.propagator import (_amplitude_poles, _eval_poles,
+                                 _partial_fractions, amplitude_grid,
                                  cubic_coefficients, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
@@ -20,17 +18,28 @@ def params(gamma, lam, Omega=1.0, omega0=1.0):
     return qb.make_params(omega0, Omega, gamma, lam)
 
 
-def eval_terms_reference(terms, t):
-    """Per-term loop, one exponential per term: the reference the pole-table
+def eval_terms_reference(poles, t, output=0):
+    """Per-(root, power) loop over the poles of one output, highest power
+    first and one exponential per nonzero term: the reference the pole
     evaluator must reproduce bit for bit."""
+    roots, coefs = poles
     t = np.asarray(t, dtype=np.float64)
     out = np.zeros(t.shape, dtype=np.complex128)
-    for coef, root, power in terms:
-        contrib = coef * np.exp(root * t)
-        if power:
-            contrib = contrib * t ** power
-        out += contrib
+    for root, rows in zip(roots, coefs[output]):
+        for power in reversed(range(len(rows))):
+            if rows[power] == 0:
+                continue
+            contrib = rows[power] * np.exp(root * t)
+            if power:
+                contrib = contrib * t ** power
+            out += contrib
     return out
+
+
+def kappa_poles(p):
+    """Poles of kappa: the c2 row of the empty battery's poles."""
+    roots, coefs = _amplitude_poles(p, qb.empty_battery_state())
+    return roots, coefs[1:]
 
 
 def _sinhc(z):
@@ -66,10 +75,6 @@ def amplitudes_memoryless_reference(p, init, tau):
     c2p = (-0.25 * gamma * c2
            + env * (a * (r * r / 16.0) * tau * shc + b * ch))
     return 1j * c2p / om, c2
-
-
-def eval_terms(terms, t):
-    return _eval_poles(_poles(terms), t)[0]
 
 
 def double_root_cell(r):
@@ -115,9 +120,8 @@ class TestSolveRoots:
     @pytest.mark.parametrize("gamma", GRID)
     @pytest.mark.parametrize("lam", GRID)
     def test_residues_sum_to_zero(self, gamma, lam):
-        pr = qb.solve_roots(params(gamma, lam))
-        assert abs(sum(c for c, _, power in pr.kappa_terms
-                       if power == 0)) < 1e-10
+        _, coefs = kappa_poles(params(gamma, lam))
+        assert abs(coefs[0, :, 0].sum()) < 1e-10
 
     def test_memoryless_quadratic_roots(self):
         """Memoryless roots are those of s^2 + gamma s/2 + Omega^2; at
@@ -133,17 +137,17 @@ class TestSolveRoots:
                 assert (s1 == s2) == pr.degenerate == (ratio == 4.0)
                 if pr.degenerate:
                     assert s1 == -Omega
-                    assert any(power == 1
-                               for _, _, power in pr.kappa_terms)
+                    _, coefs = kappa_poles(params(gamma, math.inf, Omega))
+                    assert coefs[0, :, 1].any()
 
     def test_degenerate_matches_pairwise_distance(self):
-        """``degenerate`` comes from the confluent terms; the pairwise
-        root-distance check it replaced is the reference."""
+        """``degenerate`` comes from the root clusters; a pairwise check of
+        the distance relative to the larger root is the reference."""
         for gamma, lam in DEGENERACY_CELLS:
-            p = params(gamma, lam)
-            pr = qb.solve_roots(p)
-            tol = _cluster_tol(p)
-            pairwise = any(abs(pr.roots[i] - pr.roots[j]) < tol
+            pr = qb.solve_roots(params(gamma, lam))
+            r = pr.roots
+            pairwise = any(abs(r[i] - r[j]) < 1e-7 * max(abs(r[i]),
+                                                          abs(r[j]))
                            for i in range(3) for j in range(i + 1, 3))
             assert pr.degenerate == pairwise, (gamma, lam)
         assert any(qb.solve_roots(params(*cell)).degenerate
@@ -298,27 +302,26 @@ class TestConfluentExpansion:
         num = np.array([2.0 + 1j, -0.5])
         a, b = -0.3 + 0.4j, -1.1 + 0.0j
         eps = 1e-6
-        exact = _partial_fraction_terms(num, np.array([a, a, b]), 1e-9)
-        nearby = _partial_fraction_terms(num, np.array([a, a + eps, b]), 1e-9)
+        exact = _partial_fractions((num,), np.array([a, a, b]))
+        nearby = _partial_fractions((num,), np.array([a, a + eps, b]))
         t = np.linspace(0.0, 5.0, 50)
-        np.testing.assert_allclose(eval_terms(exact, t),
-                                   eval_terms(nearby, t), atol=1e-4)
-        assert any(p == 1 for _, _, p in exact)
-        assert (eval_terms(exact, t).tobytes()
+        np.testing.assert_allclose(_eval_poles(exact, t)[0],
+                                   _eval_poles(nearby, t)[0], atol=1e-4)
+        assert exact[1][0, :, 1].any()
+        assert (_eval_poles(exact, t)[0].tobytes()
                 == eval_terms_reference(exact, t).tobytes())
 
     def test_triple_root_matches_perturbed_simple(self):
         num = np.array([1.0, 0.5j])
         a = -0.2 + 0.1j
         eps = 1e-5
-        exact = _partial_fraction_terms(num, np.array([a, a, a]), 1e-9)
-        nearby = _partial_fraction_terms(
-            num, np.array([a, a + eps, a - eps]), 1e-9)
+        exact = _partial_fractions((num,), np.array([a, a, a]))
+        nearby = _partial_fractions((num,), np.array([a, a + eps, a - eps]))
         t = np.linspace(0.0, 4.0, 40)
-        np.testing.assert_allclose(eval_terms(exact, t),
-                                   eval_terms(nearby, t), atol=1e-4)
-        assert any(p == 2 for _, _, p in exact)
-        assert (eval_terms(exact, t).tobytes()
+        np.testing.assert_allclose(_eval_poles(exact, t)[0],
+                                   _eval_poles(nearby, t)[0], atol=1e-4)
+        assert exact[1][0, :, 2].any()
+        assert (_eval_poles(exact, t)[0].tobytes()
                 == eval_terms_reference(exact, t).tobytes())
 
 
@@ -339,42 +342,45 @@ class TestPoleEvaluator:
                  qb.make_initial_state(0.6, 0.8j)]
         for tau in (np.linspace(0.0, 50.0, 2001), np.float64(3.7)):
             kap = kappa_grid(p, tau)
-            want = eval_terms_reference(qb.solve_roots(p).kappa_terms, tau)
+            want = eval_terms_reference(kappa_poles(p), tau)
             assert kap.shape == np.shape(tau)
             assert kap.tobytes() == want.tobytes()
             for init in inits:
                 got = amplitude_grid(p, init, tau)
-                terms = _amplitude_partial_fractions(p, init)
-                for amp, amp_terms in zip(got, terms):
-                    want = eval_terms_reference(amp_terms, tau)
+                for k, amp in enumerate(got):
+                    want = eval_terms_reference(_amplitude_poles(p, init),
+                                                tau, k)
                     assert amp.shape == np.shape(tau)
                     assert amp.tobytes() == want.tobytes()
 
-    def test_zero_coefficient_rows_are_skipped(self):
-        """c2's cancelled 1/s pole has coefficient exactly 0 at Omega = 1
-        and leaves the poles; a roundoff coefficient at a small Omega is
-        kept, and the values still match the per-term loop."""
+    def test_no_zero_root_in_c2_poles(self):
+        """c2's numerator is divided by s exactly, so its poles are those
+        of p alone: no zero root, also at a small Omega where the cancelled
+        1/s pole used to keep a roundoff coefficient, and the values still
+        match the per-(root, power) loop."""
         tau = np.linspace(0.0, 50.0, 2001)
-        for gamma, lam in SPECIAL_CELLS[:2] + [(0.5, 0.5)]:
-            for init in (qb.empty_battery_state(), excited_battery_state()):
-                roots, coefs = _amplitude_poles(params(gamma, lam), init)
-                assert np.all(roots != 0)
-                assert np.all(coefs.any(axis=(0, 2)))  # no all-zero root
         om = 0.003265088842593968
-        p = params(0.08856090101436478 * om, 16.036066952937396 * om, om)
-        init = excited_battery_state()
-        roots, coefs = _amplitude_poles(p, init)
-        [zero] = np.flatnonzero(roots == 0)
-        assert coefs[1, zero, 0] != 0
-        got = amplitude_grid(p, init, tau / om)
-        for amp, terms in zip(got, _amplitude_partial_fractions(p, init)):
-            assert amp.tobytes() == eval_terms_reference(terms,
-                                                         tau / om).tobytes()
+        cells = [params(gamma, lam) for gamma, lam
+                 in SPECIAL_CELLS[:2] + [(0.5, 0.5)]] + [
+            params(0.08856090101436478 * om, 16.036066952937396 * om, om),
+            params(0.5, math.inf)]
+        for p in cells:
+            for init in (qb.empty_battery_state(), excited_battery_state()):
+                poles = _amplitude_poles(p, init)
+                assert np.all(poles[0] != 0)
+                roots = np.array(qb.solve_roots(p).roots)
+                assert all(np.min(np.abs(roots - s)) < 1e-7 * abs(s)
+                           for s in poles[0])  # roots of p, or clusters
+                got = amplitude_grid(p, init, tau / p.coupling_qb_cavity)
+                for k, amp in enumerate(got):
+                    want = eval_terms_reference(
+                        poles, tau / p.coupling_qb_cavity, k)
+                    assert amp.tobytes() == want.tobytes()
 
     def test_double_root_cell_is_confluent(self):
-        pr = qb.solve_roots(params(*SPECIAL_CELLS[1]))
-        assert pr.degenerate
-        assert any(power == 1 for _, _, power in pr.kappa_terms)
+        p = params(*SPECIAL_CELLS[1])
+        assert qb.solve_roots(p).degenerate
+        assert kappa_poles(p)[1][0, :, 1].any()
 
     @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 5.0)])
     def test_peak_memory(self, lam, arrays):
@@ -397,6 +403,41 @@ class TestPoleEvaluator:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak <= arrays * tau.size * 16 + 4096
+
+
+NORM_CELLS = [(float(g), float(lam)) for g, lam in zip(
+    *np.exp(np.random.default_rng(8).uniform(
+        np.log([[1e-3] * 320, [1e-9] * 320]),
+        np.log([[1e3] * 320, [1e15] * 320]))))] + [
+    (g, math.inf) for g in np.logspace(-3, 3, 20)]
+
+
+class TestWholeDomain:
+    def test_norm_bounded_by_one(self):
+        """|c1|^2 + |c2|^2 <= 1 up to 1e-12 over a seeded sample of
+        gamma/Omega in [1e-3, 1e3] and lambda/Omega in [1e-9, 1e15] plus
+        memoryless cells, for three initial states: roots cluster only
+        when close relative to their own size, so the two slow roots of a
+        large width are never merged."""
+        inits = [qb.empty_battery_state(), excited_battery_state(),
+                 qb.make_initial_state(0.6, 0.8j)]
+        tau = np.linspace(0.0, 50.0, 501)
+        for gamma, lam in NORM_CELLS:
+            for init in inits:
+                c1, c2 = amplitude_grid(params(gamma, lam), init, tau)
+                excess = np.max(np.abs(c1) ** 2 + np.abs(c2) ** 2) - 1.0
+                assert excess <= 1e-12, (gamma, lam, init)
+
+    @pytest.mark.parametrize("lam", [1e8, 1e9, 1e12])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_large_width_matches_memoryless(self, gamma, lam):
+        tau = np.linspace(0.0, 50.0, 2001)
+        for init in (qb.empty_battery_state(), excited_battery_state(),
+                     qb.make_initial_state(0.6, 0.8j)):
+            got = amplitude_grid(params(gamma, lam), init, tau)
+            want = amplitude_grid(params(gamma, math.inf), init, tau)
+            for x, y in zip(got, want):
+                assert np.max(np.abs(x - y)) <= 1e-8
 
 
 class TestOracleEquivalence:
@@ -442,3 +483,11 @@ class TestTrajectory:
             qb.trajectory(params(0.1, 0.1), tmax=0.0)
         with pytest.raises(ValueError):
             qb.trajectory(params(0.1, 0.1), tmax=1.0, steps=1)
+
+    @pytest.mark.parametrize("gamma,lam", [(0.1, 0.1), (0.7, 2.0),
+                                           (4.0, math.inf)])
+    def test_empty_battery_population_is_kappa_squared(self, gamma, lam):
+        """c2 of the empty battery is kappa, bytes included, also at
+        tau = 0 where both are roundoff."""
+        tr = qb.trajectory(params(gamma, lam), tmax=25.0, steps=501)
+        assert tr.population.tobytes() == (np.abs(tr.kappa) ** 2).tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery import cli, sweep
+from qbattery import cli, propagator, sweep
 from qbattery.sweep import (SweepSpec, run_sweep, sweep_from_json,
                             sweep_to_csv, sweep_to_json)
 
@@ -232,9 +232,8 @@ class TestMaximaCommand:
     def test_memoryless_large_gamma_matches_oracle(self, capsys):
         """gamma = 100 Omega: the peak sits at Omega tau ~ 0.157, found here
         as the zero of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)) on the
-        oracle's amplitudes.  The golden section compares values, and one
-        ulp of the peak population (5.4e-20 at 4e-4, curvature -8e-4)
-        spans 1.2e-8 in tau, so tau gets a few of those."""
+        oracle's amplitudes; the command finds it on the same slope of the
+        propagator's amplitudes, to within the documented 1e-8/Omega."""
         code, out = run_cli(["maxima", "--gamma", "100", "--lambda", "inf"],
                             capsys)
         assert code == 0
@@ -253,8 +252,52 @@ class TestMaximaCommand:
             mid = 0.5 * (a + b)
             a, b = (mid, b) if oracle(np.array([mid]))[1][0] > 0 else (a, mid)
         c2 = oracle(np.array([a]))[0][0]
-        assert abs(report["tau_at_e_max"] - a) <= 5e-8
+        assert abs(report["tau_at_e_max"] - a) <= 1e-8
         assert abs(report["delta_e_max"] - abs(c2) ** 2) <= 1e-8
+
+    @pytest.mark.parametrize("lam", ["1e8", "1e9", "1e12"])
+    def test_large_width_matches_memoryless(self, lam, capsys):
+        """Large widths approach the memoryless optimum 0.9256; merging
+        the two slow roots used to print delta_e_max 1.0."""
+        reports = []
+        for width in (lam, "inf"):
+            code, out = run_cli(["maxima", "--gamma", "0.1",
+                                 "--lambda", width], capsys)
+            assert code == 0
+            reports.append(json.loads(out))
+        for key in ("delta_e_max", "w_max", "tau_at_e_max"):
+            assert abs(reports[0][key] - reports[1][key]) <= 1e-8, key
+
+
+class TestPopulationGuard:
+    """A population above 1 is a numerical guard failure (exit 4), not a
+    clipped value; bad options stay usage errors (exit 2)."""
+
+    @pytest.fixture
+    def inflated_poles(self, monkeypatch):
+        original = propagator._amplitude_poles
+
+        def inflated(params, init):
+            roots, coefs = original(params, init)
+            return roots, 2.0 * coefs  # |c2| up to 2
+
+        monkeypatch.setattr(propagator, "_amplitude_poles", inflated)
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--gamma", "0.1", "--lambda", "0.1"],
+        ["maxima", "--gamma", "0.1", "--lambda", "0.1"],
+        ["maxima", "--gamma", "0.1", "--lambda", "inf"],
+    ])
+    def test_exit_four(self, inflated_poles, argv, capsys):
+        assert cli.main(argv) == 4
+        assert "population outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "maxima"])
+    def test_nan_tmax_still_usage_error(self, inflated_poles, command,
+                                        capsys):
+        assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
+                         "--tmax", "nan"]) == 2
+        assert "tmax" in capsys.readouterr().err
 
 
 class TestFigureCommand:
