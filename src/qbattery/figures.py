@@ -16,7 +16,7 @@ from . import __version__
 from .metrics import maximize_over_tau_many
 from .model import make_params
 from .propagator import trajectory
-from .sweep import _fmt
+from .sweep import SweepSpec, _fmt, run_sweep, sweep_table
 
 FIGURE_NAMES = ("fig2", "fig3a", "fig3b", "fig4a", "fig4b", "fig5a", "fig5b",
                 "fig6a", "fig6b", "fig7a", "fig7b")
@@ -53,12 +53,8 @@ def _traj_columns(lam_ratio: float, gammas, tmax: float = 25.0,
 
 def _grid_table(quantity: str, tmax: float | None = None,
                 grid: int | None = None) -> tuple[list[str], np.ndarray]:
-    from .sweep import SweepSpec, run_sweep
-    spec = SweepSpec(GRID_AXIS, GRID_AXIS, quantity, tmax=tmax, grid=grid)
-    res = run_sweep(spec)
-    cols = ["gamma_over_omega"] + ["lambda_" + _fmt(l) for l in GRID_AXIS]
-    table = np.column_stack([np.array(GRID_AXIS), res.values])
-    return cols, table
+    return sweep_table(run_sweep(SweepSpec(GRID_AXIS, GRID_AXIS, quantity,
+                                           tmax=tmax, grid=grid)))
 
 
 def _maxima_vs(axis_name: str, axis, fixed: dict) -> tuple[list[str], np.ndarray]:

@@ -25,6 +25,7 @@ from .propagator import amplitude_grid, amplitudes_of_cells
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in units of 1/Omega
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in units of 1/Omega
 MAXIMA_DEFAULT_TMAX = 50.0
+BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
 
 
 @dataclass(frozen=True)
@@ -138,29 +139,86 @@ def _slope(om: float, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(np.conj(c2) * (-1j * om * c1))
 
 
-def _survival(params: ModelParams, taus: np.ndarray):
-    """Survival amplitude mu of the battery excitation and the trace
-    distance D = |mu|^2 with its exact derivative."""
-    c1, c2 = amplitude_grid(params, excited_battery_state(), taus)
-    return np.abs(c2) ** 2, _slope(params.coupling_qb_cavity, c1, c2)
+def _horizons(params_seq, tmax: float | None, default: float) -> list[float]:
+    """Each cell's horizon, ``tmax`` or else ``default``/Omega, checked."""
+    horizons = [default / p.coupling_qb_cavity if tmax is None else tmax
+                for p in params_seq]
+    if not all(0 < t < math.inf for t in horizons):
+        raise ValueError("tmax must be positive and finite")
+    return horizons
 
 
-def _bisect_slope(slope, a: np.ndarray, b: np.ndarray,
-                  rising_at_a) -> np.ndarray:
-    """Lockstep bisection for the sign changes of ``slope`` inside the
-    brackets (a, b), 60 halvings each.
-
-    ``slope`` maps one point per bracket to one slope per bracket.  A
-    bracket whose midpoint is rising exactly when ``rising_at_a`` says its
-    left end is moves that end to the midpoint, else its right end; a
-    bracket without a sign change closes on one of its ends.
-    """
+def _refine(cells, init: InitialState, a: np.ndarray, b: np.ndarray,
+            rising_at_a) -> tuple[np.ndarray, np.ndarray]:
+    """60 lockstep halvings of the brackets (a[i], b[i]) of ``cells[i]`` on
+    the sign of d|c2|^2/dt, one stacked c1/c2 evaluation per halving: the
+    points found and c2 there.  A bracket moves its left end to a midpoint
+    whose slope has the sign ``rising_at_a`` gives that end, else its right
+    end; a zero-width bracket stays on its point."""
+    amplitudes = amplitudes_of_cells(cells, init)
+    om = np.array([p.coupling_qb_cavity for p in cells])
     for _ in range(60):
         mid = 0.5 * (a + b)
-        go_right = (slope(mid) > 0.0) == rising_at_a
+        go_right = (_slope(om, *amplitudes(mid)) > 0.0) == rising_at_a
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
-    return 0.5 * (a + b)
+    t = 0.5 * (a + b)
+    return t, amplitudes(t)[1]
+
+
+def _blp_brackets(params: ModelParams, tmax: float, grid: int):
+    """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
+    of [0, tmax], between zero-width ones at 0 and tmax."""
+    taus = np.linspace(0.0, tmax, grid)
+    c1, c2 = amplitude_grid(params, excited_battery_state(), taus)
+    sign = _slope(params.coupling_qb_cavity, c1, c2) > 0.0
+    # D'(0) = 0 exactly and D''(0) = -2*Omega^2 < 0: D falls right after
+    # t = 0, and the computed sign of D'(0) is roundoff
+    sign[0] = False
+    i = np.nonzero(sign[1:] != sign[:-1])[0]
+    return (np.concatenate(([0.0], taus[i], [tmax])),
+            np.concatenate(([0.0], taus[i + 1], [tmax])),
+            np.concatenate(([False], sign[i], [False])))
+
+
+def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
+                             grid: int | None = None) -> list[NonMarkovReport]:
+    """``blp_nonmarkovianity`` for many cells, one report per cell.
+
+    Each cell is scanned alone, and the brackets of ``BLP_REFINE_CELLS``
+    cells at a time are refined together by ``_refine``: memory does not
+    grow with the batch, nor a cell's report depend on it.  Warns once
+    when any measure is truncated, reading D(tmax) with the extrema.
+    """
+    params_seq = list(params_seq)
+    horizons = _horizons(params_seq, tmax, BLP_DEFAULT_TMAX)
+    grids = [int(round(t * p.coupling_qb_cavity / BLP_SCAN_SPACING)) + 1
+             if grid is None else grid for p, t in zip(params_seq, horizons)]
+    if any(n < 3 for n in grids):
+        raise ValueError("grid must be at least 3 points")
+    reports = [NonMarkovReport(math.inf, (), divergent=True)] * len(params_seq)
+    live = [i for i, p in enumerate(params_seq) if p.coupling_cavity_env]
+    for k in range(0, len(live), BLP_REFINE_CELLS):
+        group = live[k:k + BLP_REFINE_CELLS]
+        brackets = [_blp_brackets(params_seq[i], horizons[i], grids[i])
+                    for i in group]
+        cells = [params_seq[i] for i, b in zip(group, brackets) for _ in b[0]]
+        crit, c2 = _refine(cells, excited_battery_state(),
+                           *map(np.concatenate, zip(*brackets)))
+        ends = np.cumsum([len(a) for a, _, _ in brackets])[:-1]
+        for i, t, d in zip(group, np.split(crit, ends),
+                           np.split(np.abs(c2) ** 2, ends)):
+            om, measure, intervals = params_seq[i].coupling_qb_cavity, 0.0, []
+            for a, b, da, db in zip(t[:-1], t[1:], d[:-1], d[1:]):
+                if b - a > 0 and db - da > 0.0:
+                    measure += db - da
+                    intervals.append((om * a, om * b))
+            reports[i] = NonMarkovReport(float(measure), tuple(intervals),
+                                         truncated=bool(d[-1] > 1e-6))
+    if any(r.truncated for r in reports):
+        warnings.warn("trace distance has not decayed below 1e-6 at tmax; "
+                      "backflow measure is truncated", stacklevel=2)
+    return reports
 
 
 def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
@@ -168,72 +226,27 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     """BLP backflow measure for the optimal pure state pair.
 
     Scans D(t) = |mu(t)|^2 on a uniform grid (default spacing 1e-3/Omega),
-    locates extrema by bisection on dD/dt and sums the increase of D over
-    every rising interval.  gamma = 0 is a flagged divergent case (perpetual
-    closed-system recurrences); a ``truncated`` flag is set when D(tmax) has
-    not yet decayed below 1e-6.
+    bisects each sign change of dD/dt as charging optima are (``_refine``)
+    and sums the increase of D over every rising interval.  gamma = 0 is a
+    flagged divergent case (perpetual closed-system recurrences); a
+    ``truncated`` flag is set when D(tmax) has not decayed below 1e-6.
+    This is the one-cell case of ``blp_nonmarkovianity_many``.
     """
-    om = params.coupling_qb_cavity
-    if tmax is None:
-        tmax = BLP_DEFAULT_TMAX / om
-    if not 0 < tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
-    if grid is None:
-        grid = int(round(tmax * om / BLP_SCAN_SPACING)) + 1
-    if grid < 3:
-        raise ValueError("grid must be at least 3 points")
-    if params.coupling_cavity_env == 0.0:
-        return NonMarkovReport(math.inf, (), divergent=True)
-
-    taus = np.linspace(0.0, tmax, grid)
-    d, dp = _survival(params, taus)
-
-    truncated = bool(d[-1] > 1e-6)
-    if truncated:
-        warnings.warn("trace distance has not decayed below 1e-6 at tmax; "
-                      "backflow measure is truncated", stacklevel=2)
-
-    sign = dp > 0.0
-    # D'(0) = 0 exactly and D''(0) = -2*Omega^2 < 0: D falls right after
-    # t = 0, and the computed sign of D'(0) is roundoff
-    sign[0] = False
-    crossings = np.nonzero(sign[1:] != sign[:-1])[0]
-    extrema = _bisect_slope(lambda t: _survival(params, t)[1],
-                            taus[crossings], taus[crossings + 1],
-                            sign[crossings])
-    crit = np.concatenate(([0.0], extrema, [tmax]))
-    d_crit, _ = _survival(params, crit)
-
-    measure = 0.0
-    intervals: list[tuple[float, float]] = []
-    for a, b, da, db in zip(crit[:-1], crit[1:], d_crit[:-1], d_crit[1:]):
-        gain = db - da
-        if b - a > 0 and gain > 0.0:
-            measure += gain
-            intervals.append((om * a, om * b))
-    return NonMarkovReport(float(measure), tuple(intervals),
-                           truncated=truncated)
+    return blp_nonmarkovianity_many([params], tmax, grid)[0]
 
 
 def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                            tmax: float | None = None) -> list[MaximaReport]:
-    """``maximize_over_tau`` for many cells at once, one report per cell.
+    """``maximize_over_tau`` for many cells, one report per cell.
 
-    Each cell gets its own 2000-point coarse scan; the bisections of all
-    cells then run in lockstep, with one c1/c2 evaluation per halving for
-    the whole batch.  A cell's report does not depend on the batch it is
-    in.  Warns once when any optimum sits at the tmax boundary.
+    Each cell is scanned alone; the brackets of all cells are then refined
+    together by ``_refine``, and a cell's report does not depend on its
+    batch.  Warns once when any optimum sits at the tmax boundary.
     """
     if init is None:
         init = empty_battery_state()
-    if tmax is not None and not 0 < tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
     params_seq = list(params_seq)
-    if not params_seq:
-        return []
-    oms = [p.coupling_qb_cavity for p in params_seq]
-    tmaxes = [MAXIMA_DEFAULT_TMAX / om if tmax is None else tmax
-              for om in oms]
+    tmaxes = _horizons(params_seq, tmax, MAXIMA_DEFAULT_TMAX)
 
     n = 2000
     lo, hi = [], []
@@ -243,17 +256,15 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
         i = int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
         lo.append(taus[max(i - 1, 0)])
         hi.append(taus[min(i + 1, n - 1)])
-    amplitudes = amplitudes_of_cells(params_seq, init)
-    om_cells = np.array(oms)
-    tau_star = _bisect_slope(lambda t: _slope(om_cells, *amplitudes(t)),
-                             np.array(lo), np.array(hi), True)
-    p_star = _clipped_population(np.abs(amplitudes(tau_star)[1]) ** 2)
+    tau_star, c2 = _refine(params_seq, init, np.array(lo), np.array(hi), True)
+    p_star = _clipped_population(np.abs(c2) ** 2)
 
     omega0 = np.array([p.omega0 for p in params_seq])
     reports = []
-    for om, t_end, tau, de, w in zip(oms, tmaxes, tau_star.tolist(),
-                                     _stored(omega0, p_star).tolist(),
-                                     _ergotropy(omega0, p_star).tolist()):
+    for p, t_end, tau, de, w in zip(params_seq, tmaxes, tau_star.tolist(),
+                                    _stored(omega0, p_star).tolist(),
+                                    _ergotropy(omega0, p_star).tolist()):
+        om = p.coupling_qb_cavity
         tau_w = om * tau if w > 0.0 else math.nan
         reports.append(MaximaReport(de, w, om * tau, tau_w,
                                     tau > t_end - (t_end / (n - 1))))
@@ -269,12 +280,11 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
     [0, tmax], then 60 halvings of the bracket around the largest sample
-    on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)), as
-    ``blp_nonmarkovianity`` refines its extrema: tau is found to the
+    on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)), by the
+    ``_refine`` that also finds the BLP extrema: tau is found to the
     roundoff of that slope, well within 1e-8/Omega, and an optimum at 0 or
     tmax is reached exactly.  A population outside [0, 1] raises
     ``NumericalGuardError``.  Warns when the optimum sits at the tmax
-    boundary.  This is the one-cell case of ``maximize_over_tau_many``,
-    which sweeps and figures use to batch their cells.
+    boundary.  This is the one-cell case of ``maximize_over_tau_many``.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

@@ -310,8 +310,10 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     from . import metrics  # deferred: metrics depends on this module
 
     taus = np.linspace(0.0, tmax, steps)
-    kap = kappa_grid(params, taus)
-    _, c2 = amplitude_grid(params, init, taus)
+    # kappa (the empty battery's c2) and init's c2 share the roots of p
+    roots, empty = _amplitude_poles(params, empty_battery_state())
+    kap, c2 = _eval_poles((roots, np.stack(
+        [empty[1], _amplitude_poles(params, init)[1][1]])), taus)
     pop = metrics._clipped_population(np.abs(c2) ** 2)
     return ChargingTrajectory(params.coupling_qb_cavity * taus, kap, pop,
                               metrics.stored_energy(params, pop),

@@ -4,9 +4,9 @@ Grids are keyed by the dimensionless ratios gamma/Omega and lambda/Omega
 (the latter may be ``inf`` for the flat-spectrum limit); cell values are in
 units of omega0 for the energy quantities.  Cells are independent and may be
 evaluated by a process pool; the result is identical for any worker count.
-BLP cells are evaluated one by one.  Maxima cells are batched: the cells go
-to ``maximize_over_tau_many`` in one batch, or in one contiguous chunk per
-worker, whose bisections run in lockstep.
+Every quantity is batched the same way: the cells go to
+``blp_nonmarkovianity_many`` or ``maximize_over_tau_many`` in one batch, or
+in one contiguous chunk per worker, whose bisections run in lockstep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .metrics import blp_nonmarkovianity, maximize_over_tau_many
+from .metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from .model import make_params
 from .propagator import ChargingTrajectory
 
@@ -63,19 +63,17 @@ class SweepResult:
 
 
 def _eval_cells(args) -> list[tuple[float, str]]:
-    """(value, flag) of each cell of a contiguous run of cells; maxima
-    cells are searched as one batch."""
+    """(value, flag) of each cell of a contiguous run of cells, searched
+    as one batch."""
     cells, quantity, omega0, Omega, tmax, grid = args
     params = [make_params(omega0, Omega, g * Omega, l * Omega)
               for g, l in cells]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         if quantity == "nonmarkovianity":
-            reports = [blp_nonmarkovianity(p, tmax=tmax, grid=grid)
-                       for p in params]
             return [(math.nan, "divergent") if r.divergent else
                     (r.measure, "truncated" if r.truncated else "")
-                    for r in reports]
+                    for r in blp_nonmarkovianity_many(params, tmax, grid)]
         reports = maximize_over_tau_many(params, tmax=tmax)
     return [((r.delta_e_max if quantity == "stored_energy_max" else r.w_max)
              / omega0, "boundary" if r.at_boundary else "")
@@ -89,9 +87,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [(g, l) for g in spec.gamma_over_omega
              for l in spec.lambda_over_omega]
-    # BLP cells go one by one; maxima cells in one contiguous chunk per worker
-    n_chunks = len(cells) if spec.quantity == "nonmarkovianity" else workers
-    bounds = [len(cells) * k // n_chunks for k in range(n_chunks + 1)]
+    # one contiguous chunk of cells per worker
+    bounds = [len(cells) * k // workers for k in range(workers + 1)]
     tasks = [(cells[lo:hi], spec.quantity, spec.omega0, spec.Omega,
               spec.tmax, spec.grid)
              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
@@ -169,6 +166,14 @@ def _to_json(payload: dict, table_key: str) -> str:
     return "".join(parts)
 
 
+def sweep_table(result: SweepResult) -> tuple[list[str], np.ndarray]:
+    """Header and rows of a sweep: gamma/Omega, then each lambda/Omega."""
+    columns = ["gamma_over_omega"] + [
+        "lambda_" + _fmt(l) for l in result.spec.lambda_over_omega]
+    return columns, np.column_stack([result.spec.gamma_over_omega,
+                                     result.values])
+
+
 def sweep_to_csv(result: SweepResult) -> str:
     """CSV with '#'-prefixed metadata, a header row of lambda/Omega values
     and one row per gamma/Omega value."""
@@ -176,10 +181,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     comments += [f"flag: {i},{j},{flag}"
                  for i, row in enumerate(result.flags)
                  for j, flag in enumerate(row) if flag]
-    columns = ["gamma_over_omega"] + [
-        "lambda_" + _fmt(l) for l in result.spec.lambda_over_omega]
-    table = np.column_stack([result.spec.gamma_over_omega, result.values])
-    return table_to_csv(comments, columns, table)
+    return table_to_csv(comments, *sweep_table(result))
 
 
 def sweep_to_json(result: SweepResult) -> str:

@@ -8,7 +8,9 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 import qbattery as qb
-from qbattery.metrics import NumericalGuardError, maximize_over_tau_many
+from qbattery import metrics
+from qbattery.metrics import (NumericalGuardError, blp_nonmarkovianity_many,
+                             maximize_over_tau_many)
 from qbattery.propagator import amplitude_grid
 
 
@@ -127,14 +129,14 @@ class TestArrayPopulation:
 
     def test_nan_population_in_trajectory_raises(self, monkeypatch):
         import qbattery.propagator as prop
+        eval_poles = prop._eval_poles
 
-        def nan_amplitudes(params, init, taus):
-            c1, c2 = amplitude_grid(params, init, taus)
-            c2 = c2.copy()
-            c2[len(c2) // 2] = math.nan
-            return c1, c2
+        def nan_c2(poles, t):
+            outs = eval_poles(poles, t)  # trajectory: kappa, then c2
+            outs[-1][len(outs[-1]) // 2] = math.nan
+            return outs
 
-        monkeypatch.setattr(prop, "amplitude_grid", nan_amplitudes)
+        monkeypatch.setattr(prop, "_eval_poles", nan_c2)
         with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
             qb.trajectory(params(0.1, 0.1), tmax=5.0, steps=101)
 
@@ -193,14 +195,14 @@ class TestBlp:
         assert len(report.backflow_intervals) > 0
 
     def test_measure_equals_interval_gains(self):
-        from qbattery.metrics import _survival
         p = params(1.0, 1.0)
         report = qb.blp_nonmarkovianity(p)
         total = 0.0
         for a, b in report.backflow_intervals:
-            da, _ = _survival(p, np.array([a]))  # Omega = 1: same units
-            db, _ = _survival(p, np.array([b]))
-            gain = db[0] - da[0]
+            # Omega = 1: interval ends are times; D = |c2|^2 of |e><e|
+            _, c2 = amplitude_grid(p, qb.excited_battery_state(),
+                                   np.array([a, b]))
+            gain = abs(c2[1]) ** 2 - abs(c2[0]) ** 2
             assert gain > 0.0
             total += gain
         assert report.measure == pytest.approx(total, abs=1e-10)
@@ -387,3 +389,122 @@ class TestMaximizeBatch:
     def test_rejects_bad_tmax(self, tmax):
         with pytest.raises(ValueError, match="positive and finite"):
             maximize_over_tau_many([params(0.5, 0.5)], tmax=tmax)
+
+
+def blp_reference(params, tmax=None, grid=None):
+    """Per-cell BLP search: scan D' on the grid, 60 halvings of each
+    bracket of a sign change with one ``amplitude_grid`` call per halving
+    for that cell alone, then D read at 0, the extrema and tmax; the
+    truncation flag comes from the scan's last point.  The reference the
+    lockstep batch search must reproduce bit for bit, cell by cell."""
+    om = params.coupling_qb_cavity
+    tmax = 200.0 / om if tmax is None else tmax
+    grid = int(round(tmax * om / 1e-3)) + 1 if grid is None else grid
+    if params.coupling_cavity_env == 0.0:
+        return qb.NonMarkovReport(math.inf, (), divergent=True)
+
+    def survival(t):
+        c1, c2 = amplitude_grid(params, qb.excited_battery_state(), t)
+        return np.abs(c2) ** 2, 2.0 * np.real(np.conj(c2) * (-1j * om * c1))
+
+    taus = np.linspace(0.0, tmax, grid)
+    d, dp = survival(taus)
+    sign = dp > 0.0
+    sign[0] = False  # D'(0) = 0, D''(0) < 0
+    i = np.nonzero(sign[1:] != sign[:-1])[0]
+    a, b, rising = taus[i], taus[i + 1], sign[i]
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        go_right = (survival(mid)[1] > 0.0) == rising
+        a = np.where(go_right, mid, a)
+        b = np.where(go_right, b, mid)
+    crit = np.concatenate(([0.0], 0.5 * (a + b), [tmax]))
+    d_crit = survival(crit)[0]
+    measure, intervals = 0.0, []
+    for ta, tb, da, db in zip(crit[:-1], crit[1:], d_crit[:-1], d_crit[1:]):
+        if tb - ta > 0 and db - da > 0.0:
+            measure += db - da
+            intervals.append((om * ta, om * tb))
+    return qb.NonMarkovReport(float(measure), tuple(intervals),
+                              truncated=bool(d[-1] > 1e-6))
+
+
+def blp_bytes(report):
+    """Every float of a BLP report as ``float.hex``, with both flags."""
+    return (report.measure.hex(),
+            [(float(a).hex(), float(b).hex())
+             for a, b in report.backflow_intervals],
+            report.truncated, report.divergent)
+
+
+# memoryless on both sides of gamma = 4 Omega, gamma = 0 (divergent) among
+# live cells, the triple root, a double root, Omega != 1, lambda/Omega = 1e7
+# and a cell truncated at the default horizon
+BLP_CELLS = (
+    [params(2.0, math.inf), params(0.0, 1.0), params(5.0, math.inf),
+     TRIPLE_ROOT_CELL, params(3.2406446189062073, 6.0), params(0.1, 1e7),
+     params(0.0, math.inf), params(1.0, 1.0), params(0.1, 0.1)]
+    + [qb.make_params(2.0, 2.5, 2.5 * g, 2.5 * lam)
+       for g, lam in ((0.1, 0.1), (0.7, math.inf), (1.0, 0.3))])
+
+
+class TestBlpBatch:
+    """The lockstep batch search against a per-cell BLP search."""
+
+    @pytest.mark.parametrize("grid", [None, 2001], ids=["default", "coarse"])
+    def test_bytes_match_per_cell_reference(self, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            batch = blp_nonmarkovianity_many(BLP_CELLS, grid=grid)
+            assert len(batch) == len(BLP_CELLS)
+            for p, got in zip(BLP_CELLS, batch):
+                assert blp_bytes(got) == blp_bytes(blp_reference(p, None,
+                                                                 grid)), p
+                assert blp_bytes(qb.blp_nonmarkovianity(p, grid=grid)) \
+                    == blp_bytes(got), p
+        assert sum(r.divergent for r in batch) == 2
+        assert any(r.truncated for r in batch)
+        assert any(r.backflow_intervals for r in batch)
+
+    def test_roundoff_at_zero_cell(self):
+        p = params(3.1622776601683795, 5.011872336272722)
+        got = blp_nonmarkovianity_many([params(1.0, 1.0), p], grid=4405)[1]
+        assert blp_bytes(got) == blp_bytes(blp_reference(p, grid=4405))
+        assert got.backflow_intervals == ()
+
+    def test_independent_of_batch_order_and_grouping(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            forward = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
+            backward = blp_nonmarkovianity_many(BLP_CELLS[::-1],
+                                                grid=2001)[::-1]
+            monkeypatch.setattr(metrics, "BLP_REFINE_CELLS", 2)
+            pairs = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
+        for f, b, g in zip(forward, backward, pairs):
+            assert blp_bytes(f) == blp_bytes(b) == blp_bytes(g)
+
+    def test_empty_batch(self):
+        assert blp_nonmarkovianity_many([]) == []
+
+    def test_one_truncation_warning_per_batch(self):
+        with pytest.warns(UserWarning, match="truncated") as record:
+            reports = blp_nonmarkovianity_many(
+                [params(0.1, 0.1), params(0.0, 1.0), params(0.1, 0.2)],
+                tmax=20.0, grid=2001)
+        assert len(record) == 1
+        assert [r.truncated for r in reports] == [True, False, True]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"grid": 2}, {"tmax": 0.0}, {"tmax": -1.0}, {"tmax": math.nan},
+        {"tmax": math.inf}, {"tmax": 1e-4}])
+    def test_bad_options_raise_before_any_scan(self, kwargs, monkeypatch):
+        """tmax = 1e-4 makes the default grid 1 point; a divergent cell
+        first in the batch, and alone, is checked as well."""
+        def no_scan(*args):
+            raise AssertionError("scanned before the options were checked")
+
+        monkeypatch.setattr(metrics, "amplitude_grid", no_scan)
+        for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
+                      [params(0.0, math.inf)]):
+            with pytest.raises(ValueError, match="grid|tmax"):
+                blp_nonmarkovianity_many(batch, **kwargs)

@@ -119,13 +119,14 @@ class TestSweep:
             cli._parse_axis("1:2:3:badscale")
 
     def test_worker_count_equivalence(self):
-        """Maxima cells go in one batch per worker chunk; 12 cells in 5
+        """Every quantity goes in one batch per worker chunk; 12 cells in 5
         chunks have unequal lengths (2, 2, 3, 2, 3)."""
-        for quantity in ("stored_energy_max", "ergotropy_max"):
+        for quantity in ("stored_energy_max", "ergotropy_max",
+                         "nonmarkovianity"):
             spec = SweepSpec((0.5, 2.0, 6.0), (0.3, 1.0, 4.0, math.inf),
-                             quantity, tmax=1.5)
+                             quantity, tmax=1.5, grid=301)
             serial = run_sweep(spec, workers=1)
-            assert any(any(row) for row in serial.flags)  # boundary cells
+            assert any(any(row) for row in serial.flags)  # boundary/truncated
             for workers in (2, 3, 5):
                 parallel = run_sweep(spec, workers=workers)
                 np.testing.assert_array_equal(serial.values, parallel.values)
@@ -254,6 +255,15 @@ class TestMaximaCommand:
         c2 = oracle(np.array([a]))[0][0]
         assert abs(report["tau_at_e_max"] - a) <= 1e-8
         assert abs(report["delta_e_max"] - abs(c2) ** 2) <= 1e-8
+
+    @pytest.mark.parametrize("command", ["maxima", "nonmarkov"])
+    def test_overflowing_default_horizon_is_usage_error(self, command,
+                                                        capsys):
+        """50/Omega and 200/Omega overflow to inf at Omega = 1e-308: the
+        resolved horizon is checked, where maxima used to divide by zero."""
+        assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
+                         "--Omega", "1e-308"]) == 2
+        assert "tmax must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lam", ["1e8", "1e9", "1e12"])
     def test_large_width_matches_memoryless(self, lam, capsys):
