@@ -62,15 +62,12 @@ def _parse_axis(text: str) -> tuple[float, ...]:
     return tuple(_parse_lambda(tok) for tok in text.split(","))
 
 
-_CONFIG_TYPES = {
-    "omega0": float, "Omega": float, "gamma": float, "lam": _parse_lambda,
-    "tmax": float, "steps": int, "grid": int, "workers": int,
-    "format": str, "out": str, "quantity": str,
-    "gamma_axis": str, "lambda_axis": str, "outdir": str,
-}
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, subparsers: dict) -> dict:
+    """Values of a key=value file.  A key is an option's destination
+    ('-' may stand for '_'), and its value is converted and checked as
+    that option's flag value is."""
+    options = {a.dest: a for sub in subparsers.values() for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
     cfg = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -80,9 +77,17 @@ def _load_config(path: str) -> dict:
             raise ValueError(f"bad config line: {line!r}")
         key, val = (tok.strip() for tok in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        action = options.get(key)
+        if action is None:
             raise ValueError(f"unknown config key: {key!r}")
-        cfg[key] = _CONFIG_TYPES[key](val)
+        try:
+            value = action.type(val) if action.type else val
+        except ValueError:
+            raise ValueError(f"bad config value {key} = {val!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"bad config value {key} = {val!r}; choose "
+                             f"from {', '.join(action.choices)}")
+        cfg[key] = value
     return cfg
 
 
@@ -114,12 +119,12 @@ def _add_params(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="qbattery",
         description="Cavity-mediated quantum battery charging toolkit")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    created = {}
 
     p = subs.add_parser("evolve", help="charging trajectory table")
     _add_common(p)
@@ -127,7 +132,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--tmax", type=float, default=25.0,
                    help="horizon in Omega*tau")
     p.add_argument("--steps", type=int, default=1001)
-    created["evolve"] = p
 
     p = subs.add_parser("sweep", help="quantity over a parameter grid")
     _add_common(p)
@@ -140,28 +144,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="horizon in Omega*tau (quantity default otherwise)")
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
-    created["sweep"] = p
 
     p = subs.add_parser("maxima", help="optimal charging values")
     _add_common(p)
     _add_params(p)
     p.add_argument("--tmax", type=float, default=None)
-    created["maxima"] = p
 
     p = subs.add_parser("nonmarkov", help="BLP backflow measure")
     _add_common(p)
     _add_params(p)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--grid", type=int, default=None)
-    created["nonmarkov"] = p
 
     p = subs.add_parser("figure", help="data bundle for one figure panel")
     p.add_argument("name", help="one of: " + ", ".join(FIGURE_NAMES))
     p.add_argument("--config", default=None)
     p.add_argument("--outdir", default=".")
-    created["figure"] = p
 
-    return parser, created
+    return parser, subs.choices
 
 
 def _require(args, parser, *names) -> None:
@@ -172,8 +172,14 @@ def _require(args, parser, *names) -> None:
 
 def _make_params(args):
     return make_params(args.omega0, args.Omega, args.gamma * args.Omega,
-                       args.lam * args.Omega if math.isfinite(args.lam)
-                       else math.inf)
+                       args.lam * args.Omega)
+
+
+def _header(args) -> dict:
+    """The keys that evolve, maxima and nonmarkov output begin with."""
+    return {"command": args.command, "tool_version": __version__,
+            "omega0": args.omega0, "Omega": args.Omega,
+            "gamma": args.gamma, "lambda": args.lam}
 
 
 def _tmax(args) -> float | None:
@@ -186,10 +192,8 @@ def _cmd_evolve(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
     params = _make_params(args)
     traj = trajectory(params, tmax=args.tmax / args.Omega, steps=args.steps)
-    metadata = {"command": "evolve", "tool_version": __version__,
-                "omega0": args.omega0, "Omega": args.Omega,
-                "gamma": args.gamma, "lambda": args.lam,
-                "tmax_Omega_tau": args.tmax, "steps": args.steps}
+    metadata = {**_header(args), "tmax_Omega_tau": args.tmax,
+                "steps": args.steps}
     writer = trajectory_to_csv if args.format == "csv" else trajectory_to_json
     _write_output(args.out, writer(traj, metadata))
     return 0
@@ -217,9 +221,7 @@ def _cmd_maxima(args, parser) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = maximize_over_tau(params, tmax=_tmax(args))
-    payload = {"command": "maxima", "tool_version": __version__,
-               "omega0": args.omega0, "Omega": args.Omega,
-               "gamma": args.gamma, "lambda": args.lam,
+    payload = {**_header(args),
                "delta_e_max": report.delta_e_max, "w_max": report.w_max,
                "tau_at_e_max": report.tau_at_e_max,
                "tau_at_w_max": report.tau_at_w_max,
@@ -235,9 +237,7 @@ def _cmd_nonmarkov(args, parser) -> int:
         warnings.simplefilter("ignore")
         report = blp_nonmarkovianity(params, tmax=_tmax(args),
                                      grid=args.grid)
-    payload = {"command": "nonmarkov", "tool_version": __version__,
-               "omega0": args.omega0, "Omega": args.Omega,
-               "gamma": args.gamma, "lambda": args.lam,
+    payload = {**_header(args),
                "measure": report.measure if math.isfinite(report.measure)
                else "divergent",
                "backflow_intervals": [list(iv)
@@ -283,14 +283,14 @@ def main(argv=None) -> int:
         except IndexError:
             parser.error("--config requires a path")
         try:
-            cfg = _load_config(cfg_path)
+            cfg = _load_config(cfg_path, subparsers)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
         except ValueError as exc:
             parser.error(str(exc))
         for sub in subparsers.values():
-            sub.set_defaults(**{k: v for k, v in cfg.items()})
+            sub.set_defaults(**cfg)
 
     args = parser.parse_args(argv)
     try:

@@ -192,8 +192,12 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     """
     params_seq = list(params_seq)
     horizons = _horizons(params_seq, tmax, BLP_DEFAULT_TMAX)
-    grids = [int(round(t * p.coupling_qb_cavity / BLP_SCAN_SPACING)) + 1
-             if grid is None else grid for p, t in zip(params_seq, horizons)]
+    spans = [t * p.coupling_qb_cavity / BLP_SCAN_SPACING
+             for p, t in zip(params_seq, horizons)]
+    if grid is None and not all(map(math.isfinite, spans)):
+        raise ValueError("the default scan grid at this tmax is not "
+                         "finite; give --grid")
+    grids = [int(round(n)) + 1 if grid is None else grid for n in spans]
     if any(n < 3 for n in grids):
         raise ValueError("grid must be at least 3 points")
     reports = [NonMarkovReport(math.inf, (), divergent=True)] * len(params_seq)

@@ -200,22 +200,6 @@ def sweep_to_json(result: SweepResult) -> str:
     return _to_json(payload, "values")
 
 
-def sweep_from_json(text: str) -> SweepResult:
-    """Re-parse a JSON sweep; reproduces the in-memory grid exactly."""
-    payload = json.loads(text)
-    spec = SweepSpec(
-        gamma_over_omega=tuple(payload["gamma_over_omega"]),
-        lambda_over_omega=tuple(payload["lambda_over_omega"]),
-        quantity=payload["quantity"],
-        tmax=payload["tmax"],
-        grid=payload["grid"],
-        omega0=payload["omega0"],
-        Omega=payload["Omega"],
-    )
-    values = np.array(payload["values"], dtype=np.float64)
-    return SweepResult(spec, values, payload["flags"], payload["metadata"])
-
-
 TRAJECTORY_COLUMNS = ("Omega_tau", "re_kappa", "im_kappa", "population",
                       "stored_energy", "ergotropy")
 

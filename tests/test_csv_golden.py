@@ -1,11 +1,15 @@
 """Golden bytes of the three CSV layouts the command line writes: a sweep
 with '# flag:' lines, an evolve trajectory and a figure table.  The text
 pins the layout and the 17-digit values together, so a deliberate change
-to either must update it here."""
+to either must update it here.  Every figure bundle is pinned by the
+sha256 of each file it writes."""
+
+import hashlib
 
 import pytest
 
 from qbattery import cli
+from qbattery.figures import FIGURE_NAMES
 
 EVOLVE_CSV = """\
 # command=evolve
@@ -84,3 +88,89 @@ def test_figure_csv_bytes(tmp_path):
     assert cli.main(["figure", "fig7a", "--outdir", str(tmp_path)]) == 0
     table = tmp_path / "fig7a" / "maxima_vs_lambda.csv"
     assert table.read_bytes() == FIG7A_CSV.encode()
+
+
+PANEL_SHA256 = {
+    "fig2": {
+        "manifest.json":
+            "9f7970e71d12f7c56aca2c577eab09bb8b1294398a23381c1e4ca34885777f05",
+        "nonmarkovianity_grid.csv":
+            "93abdf02094c6435c54062e56e56c4d4f11784b3b017beda8edb714795f05691",
+    },
+    "fig3a": {
+        "manifest.json":
+            "7f811b6120791aa07d41f04cb400b9e8573ddbd2dc11ca318acb958bba551c1f",
+        "stored_energy_vs_time.csv":
+            "725fe06af77670c280abfff11ba84124d856c0842d98b45402903aa60b340342",
+    },
+    "fig3b": {
+        "ergotropy_vs_time.csv":
+            "629978b5db707f90212de36eeabd42cd7369b81d0c4746f1180c4f360a78046e",
+        "manifest.json":
+            "598959f90e319599526b9a69627cf59149570a6afa947571ec3050c045bb5178",
+    },
+    "fig4a": {
+        "manifest.json":
+            "4d5097325136afd4c42ab67ef70064e21799b4caccbcb2bd3765f687c29d1eec",
+        "stored_energy_max_grid.csv":
+            "b68fcfabfacc3efa49355aa23c182ef2227e08243bcf7d8fbc768fdd58fd180b",
+    },
+    "fig4b": {
+        "ergotropy_max_grid.csv":
+            "902fdc338b32dc92795ffa3078fc5d6d4f87be57b55e02aa1a735919bd8deef4",
+        "manifest.json":
+            "50a34eac8fdd804ef9f83b4907cd313a25b5b714aa7dd09de40ab0cf7b467823",
+    },
+    "fig5a": {
+        "manifest.json":
+            "aa1e99e3d8e821d4b0e87b3a5ba5f22cd7ed82cd96480451500b1a673b6453f2",
+        "stored_energy_vs_time.csv":
+            "ba834a72a6d7a9027ef8da78aa2581e4d55544679cc553eac8ce54c94f3fedc5",
+    },
+    "fig5b": {
+        "ergotropy_vs_time.csv":
+            "42158169a504c24427f2117388a4915b0451964f174721e9c0328ae311069b14",
+        "manifest.json":
+            "acfe651818a45e599ed4aa35554c2678072ab03741cf8a5f5071c3d19cc0d47e",
+    },
+    "fig6a": {
+        "manifest.json":
+            "0690abfb97c20715f0f757d5bb03a9af59fabad5843c41afa012758355133116",
+        "stored_energy_comparison.csv":
+            "b7586484cdbcd572ea5634f35bd3b21998890fc34bf6a663212754f5839b480a",
+    },
+    "fig6b": {
+        "ergotropy_comparison.csv":
+            "189ad56a94dc904994a635801bac1a01ea3b375b73d5105cf2f0c58e31a82aef",
+        "manifest.json":
+            "fed0bc6369dfdd7a13430cc20b7d5da508de94f53f10fd347af354ed4d14d9f3",
+    },
+    "fig7a": {
+        "manifest.json":
+            "09cd6914f13f2130849d01789152ebd22342d1f23e439123ee4f596e999ab241",
+        "maxima_vs_lambda.csv":
+            "016881bc8f58ca72c03bdc6c3d0b9d1740db1281e2d3965ab37f65869f69a962",
+    },
+    "fig7b": {
+        "manifest.json":
+            "5096f319923dfb98d77a2a26e8ff7589fe05437211ce245c279678337895d787",
+        "maxima_memoryless.csv":
+            "f38bc7ca80f4413a1d764b4dadd78cc48eba53dada0d67c4bdd77dff8ea9c985",
+        "maxima_with_memory.csv":
+            "36c64bde85a2de3cc27f5519c621b4ec84a764fec00cc67b1ac1be31cc2b4397",
+    },
+}
+
+
+def test_figure_names_order():
+    assert FIGURE_NAMES == ("fig2", "fig3a", "fig3b", "fig4a", "fig4b",
+                            "fig5a", "fig5b", "fig6a", "fig6b", "fig7a",
+                            "fig7b")
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_figure_bundle_sha256(tmp_path, name):
+    assert cli.main(["figure", name, "--outdir", str(tmp_path)]) == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / name).iterdir()}
+    assert written == PANEL_SHA256[name]

@@ -8,8 +8,7 @@ import pytest
 
 import qbattery as qb
 from qbattery import cli, propagator, sweep
-from qbattery.sweep import (SweepSpec, run_sweep, sweep_from_json,
-                            sweep_to_csv, sweep_to_json)
+from qbattery.sweep import SweepSpec, run_sweep, sweep_to_csv, sweep_to_json
 
 
 def run_cli(args, capsys):
@@ -174,10 +173,15 @@ class TestSweep:
     def test_json_round_trip_exact(self):
         spec = SweepSpec((0.5, 5.0), (0.5, math.inf), "ergotropy_max")
         result = run_sweep(spec)
-        loaded = sweep_from_json(sweep_to_json(result))
-        np.testing.assert_array_equal(result.values, loaded.values)
-        assert loaded.spec == result.spec
-        assert loaded.flags == result.flags
+        payload = json.loads(sweep_to_json(result))
+        np.testing.assert_array_equal(result.values,
+                                      np.array(payload["values"]))
+        assert SweepSpec(tuple(payload["gamma_over_omega"]),
+                         tuple(payload["lambda_over_omega"]),
+                         payload["quantity"], payload["tmax"],
+                         payload["grid"], payload["omega0"],
+                         payload["Omega"]) == result.spec
+        assert payload["flags"] == result.flags
 
     def test_csv_shape_and_metadata(self):
         spec = SweepSpec((0.5, 1.0, 2.0), (1.0, math.inf),
@@ -353,6 +357,38 @@ class TestConfigPrecedence:
                       "--lambda", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("format = xml", "format"),
+        ("steps = x", "steps"),
+        ("workers = two", "workers"),
+        ("lambda = 1", "unknown config key: 'lambda'"),
+    ])
+    def test_config_values_checked_as_flags(self, tmp_path, capsys, line,
+                                            message):
+        """A config value is converted and checked as its flag's is:
+        format = xml used to write JSON and exit 0."""
+        cfg = tmp_path / "qb.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", "--config", str(cfg), "--gamma", "0.1",
+                      "--lambda", "1", "--tmax", "1", "--steps", "3"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_accepts_inf_width_and_axis_lists(self, tmp_path,
+                                                    capsys):
+        cfg = tmp_path / "qb.cfg"
+        cfg.write_text("lam = inf\ngamma-axis = 0.5,2\nformat = json\n")
+        code, out = run_cli(["evolve", "--config", str(cfg), "--gamma",
+                             "0.1", "--tmax", "1", "--steps", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["metadata"]["lambda"] == math.inf
+        code, out = run_cli(["sweep", "--config", str(cfg), "--lambda-axis",
+                             "1", "--quantity", "stored_energy_max",
+                             "--tmax", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["gamma_over_omega"] == [0.5, 2.0]
+
 
 TMAX_COMMANDS = [
     ["sweep", "--gamma-axis", "0.5", "--lambda-axis", "0.5",
@@ -386,6 +422,26 @@ def test_divergent_cell_validates_options_first(option, message, capsys):
     assert cli.main(["nonmarkov", "--gamma", "0", "--lambda", "1"]
                     + option) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonmarkov", "--gamma", "1", "--lambda", "1"],
+    ["sweep", "--gamma-axis", "1", "--lambda-axis", "1",
+     "--quantity", "nonmarkovianity"],
+])
+def test_non_finite_default_grid_is_usage_error(argv, capsys):
+    """tmax = 1e306 asks for 1e309 scan points at the default spacing,
+    which used to end in an OverflowError traceback."""
+    assert cli.main(argv + ["--tmax", "1e306"]) == 2
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam", ["nan", "-inf"])
+@pytest.mark.parametrize("command", ["evolve", "maxima", "nonmarkov"])
+def test_nan_or_negative_inf_lambda_is_usage_error(command, lam, capsys):
+    """Only +inf selects the memoryless engine; nan and -inf used to."""
+    assert cli.main([command, "--gamma", "0.1", f"--lambda={lam}"]) == 2
+    assert "lambda must be positive or inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", TMAX_COMMANDS)
