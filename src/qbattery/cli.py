@@ -273,17 +273,12 @@ _COMMANDS = {"evolve": _cmd_evolve, "sweep": _cmd_sweep,
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-
-    # config layer: located before parsing so flags keep precedence
-    if "--config" in argv:
+    args = parser.parse_args(argv)
+    # config layer: its values become defaults, so flags keep precedence
+    if args.config is not None:
         try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config requires a path")
-        try:
-            cfg = _load_config(cfg_path, subparsers)
+            cfg = _load_config(args.config, subparsers)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_IO
@@ -291,8 +286,7 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         for sub in subparsers.values():
             sub.set_defaults(**cfg)
-
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, parser)
     except NumericalGuardError as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery.oracle import system_matrix
+from qbattery.oracle import _A, _B, _E, _W, _rk45_linear, system_matrix
 from qbattery.propagator import cubic_coefficients
 
 
@@ -169,3 +169,89 @@ def test_non_finite_times_rejected(lam, times):
     with pytest.raises(ValueError):
         qb.integrate(params(0.1, lam), qb.empty_battery_state(), tmax,
                      **kwargs)
+
+
+def test_step_weights_are_the_dopri5_polynomials():
+    """The new state is the DOPRI5 stability polynomial, exact to order 5
+    with the 1/600 sixth-order term; the error estimate starts at H^5."""
+    phi, psi = _W
+    for p in range(6):
+        assert phi[p] * math.factorial(p) == pytest.approx(1.0, rel=1e-14)
+    assert phi[6] == pytest.approx(1.0 / 600.0, rel=1e-14)
+    assert phi[7] == 0.0
+    assert np.all(np.abs(psi[:5]) < 1e-15)
+    # one stage-by-stage step of y' = z y from y = 1 with h = 1
+    for z in (-0.3, 0.5j, -1.2 + 0.7j, 2.0):
+        k = np.zeros(7, np.complex128)
+        k[0] = z
+        for i in range(1, 6):
+            k[i] = z * (1.0 + _A[i, :i] @ k[:i])
+        ynew = 1.0 + _B @ k[:6]
+        k[6] = z * ynew
+        powers = z ** np.arange(8)
+        assert phi @ powers == pytest.approx(ynew, rel=1e-14)
+        assert psi @ powers == pytest.approx(_E @ k, rel=1e-10)
+
+
+def _rk45_stages(m, y0, t_eval, rtol, atol):
+    """The Dormand-Prince 5(4) step evaluated stage by stage, with FSAL:
+    the reference the polynomial step of ``_rk45_linear`` is checked
+    against.  Step control and landing on ``t_eval`` are the same."""
+    out = np.empty((t_eval.size, y0.size), np.complex128)
+    k = np.empty((7, y0.size), np.complex128)
+    t = 0.0
+    y = y0.copy()
+    k[0] = m @ y
+    mnorm = np.abs(m).sum(axis=1).max()
+    h = 0.01 / mnorm if mnorm > 0.0 else 0.1
+    for idx, tt in enumerate(t_eval):
+        while t < tt - 1e-14 * (1.0 + tt):
+            hs = tt - t if t + h > tt else h
+            for i in range(1, 6):
+                k[i] = m @ (y + hs * (_A[i, :i] @ k[:i]))
+            ynew = y + hs * (_B @ k[:6])
+            k[6] = m @ ynew
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(ynew))
+            errnorm = np.sqrt(np.mean((np.abs(hs * (_E @ k)) / scale) ** 2))
+            if errnorm <= 1.0:
+                t += hs
+                y = ynew
+                k[0] = k[6]
+            factor = (5.0 if errnorm == 0.0
+                      else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
+            h = hs * factor
+        out[idx] = y
+    return out
+
+
+def _reference_cells():
+    rng = np.random.default_rng(11)
+    ratios = 10.0 ** rng.uniform(-1.3, 1.7, (6, 2))
+    cells = [(float(f"{g:.3g}"), float(f"{lam:.3g}")) for g, lam in ratios]
+    return cells + [(0.1, 1e3), (0.0, 1.0), (0.0, math.inf),
+                    (0.1, math.inf), (4.0, math.inf)]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("gamma,lam", _reference_cells())
+def test_polynomial_step_matches_stage_by_stage(gamma, lam, tol):
+    """Same method, cheaper evaluation: every field agrees with the stage
+    loop to a small multiple of the tolerance (not bytewise, since roundoff
+    can flip an accept/reject decision on stiff cells)."""
+    m = system_matrix(params(gamma, lam))
+    # the stiff cell takes ~lam/3 steps per unit time: a shorter horizon
+    taus = np.linspace(0.0, 2.0 if lam == 1e3 else 10.0, 21)
+    for init in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
+        y0 = np.zeros(len(m), np.complex128)
+        y0[:2] = init
+        got = _rk45_linear(m, y0, taus, tol, tol)
+        want = _rk45_stages(m, y0, taus, tol, tol)
+        assert np.max(np.abs(got - want)) <= 20 * tol
+
+
+def test_overflowing_generator_raises():
+    """gamma*lam/2 overflows to inf: the step would be 0 and never
+    advance, so the oracle refuses the matrix at once."""
+    p = qb.make_params(1.0, 1.0, 1e200, 1e200)
+    with pytest.raises(ValueError, match="system matrix is not finite"):
+        qb.integrate(p, qb.empty_battery_state(), 1.0)

@@ -389,6 +389,36 @@ class TestConfigPrecedence:
         assert code == 0
         assert json.loads(out)["gamma_over_omega"] == [0.5, 2.0]
 
+    @pytest.mark.parametrize("spelling", [
+        ["--config={}"], ["--conf", "{}"], ["--conf={}"]],
+        ids=["equals", "abbreviated", "abbreviated-equals"])
+    def test_every_config_spelling_is_read(self, tmp_path, capsys, spelling):
+        """argparse accepts these spellings of --config PATH; each one
+        used to be ignored silently, writing CSV and exiting 0."""
+        cfg = tmp_path / "qb.cfg"
+        cfg.write_text("lam = inf\nsteps = 3\nformat = json\n")
+        flags = [arg.format(cfg) for arg in spelling]
+        code, out = run_cli(["evolve", *flags, "--gamma", "0.1", "--tmax",
+                             "1"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["metadata"]["lambda"] == math.inf
+        assert payload["metadata"]["steps"] == 3
+
+    @pytest.mark.parametrize("spelling", [["--config={}"], ["--conf", "{}"]],
+                             ids=["equals", "abbreviated"])
+    def test_bad_config_exits_2_in_every_spelling(self, tmp_path, capsys,
+                                                  spelling):
+        """The separate spelling is covered by
+        test_config_values_checked_as_flags."""
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("format = xml\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["evolve", *(arg.format(cfg) for arg in spelling),
+                      "--gamma", "0.1", "--lambda", "1"])
+        assert exc.value.code == 2
+        assert "format" in capsys.readouterr().err
+
 
 TMAX_COMMANDS = [
     ["sweep", "--gamma-axis", "0.5", "--lambda-axis", "0.5",
