@@ -182,16 +182,10 @@ def _header(args) -> dict:
             "gamma": args.gamma, "lambda": args.lam}
 
 
-def _tmax(args) -> float | None:
-    """--tmax converted from Omega*tau to time units; None selects the
-    quantity's default horizon."""
-    return args.tmax / args.Omega if args.tmax is not None else None
-
-
 def _cmd_evolve(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
     params = _make_params(args)
-    traj = trajectory(params, tmax=args.tmax / args.Omega, steps=args.steps)
+    traj = trajectory(params, tmax=args.tmax, steps=args.steps)
     metadata = {**_header(args), "tmax_Omega_tau": args.tmax,
                 "steps": args.steps}
     writer = trajectory_to_csv if args.format == "csv" else trajectory_to_json
@@ -201,12 +195,10 @@ def _cmd_evolve(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     _require(args, parser, "gamma_axis", "lambda_axis", "quantity")
-    # _tmax divides by Omega: validate it as the cells would, first
-    make_params(args.omega0, args.Omega, 0.0, math.inf)
     spec = SweepSpec(_parse_axis(args.gamma_axis),
                      _parse_axis(args.lambda_axis),
                      args.quantity,
-                     tmax=_tmax(args),
+                     tmax=args.tmax,
                      grid=args.grid, omega0=args.omega0, Omega=args.Omega)
     result = run_sweep(spec, workers=args.workers)
     text = (sweep_to_csv(result) if args.format == "csv"
@@ -220,7 +212,7 @@ def _cmd_maxima(args, parser) -> int:
     params = _make_params(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = maximize_over_tau(params, tmax=_tmax(args))
+        report = maximize_over_tau(params, tmax=args.tmax)
     payload = {**_header(args),
                "delta_e_max": report.delta_e_max, "w_max": report.w_max,
                "tau_at_e_max": report.tau_at_e_max,
@@ -235,8 +227,7 @@ def _cmd_nonmarkov(args, parser) -> int:
     params = _make_params(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = blp_nonmarkovianity(params, tmax=_tmax(args),
-                                     grid=args.grid)
+        report = blp_nonmarkovianity(params, tmax=args.tmax, grid=args.grid)
     payload = {**_header(args),
                "measure": report.measure if math.isfinite(report.measure)
                else "divergent",

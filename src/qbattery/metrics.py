@@ -20,11 +20,11 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import amplitude_grid, amplitudes_of_cells
+from .propagator import amplitudes_of_cells
 
-BLP_SCAN_SPACING = 1e-3   # default scan spacing, in units of 1/Omega
-BLP_DEFAULT_TMAX = 200.0  # default horizon, in units of 1/Omega
-MAXIMA_DEFAULT_TMAX = 50.0
+BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
+BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
+MAXIMA_DEFAULT_TMAX = 50.0  # default horizon, in Omega*tau
 BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
 
 
@@ -134,32 +134,22 @@ def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
     return max(work, 0.0)
 
 
-def _slope(om: float, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """d|c2|^2/dt = 2 Re(conj(c2) c2'), exact via c2' = -i*Omega*c1."""
-    return 2.0 * np.real(np.conj(c2) * (-1j * om * c1))
-
-
-def _horizons(params_seq, tmax: float | None, default: float) -> list[float]:
-    """Each cell's horizon, ``tmax`` or else ``default``/Omega, checked."""
-    horizons = [default / p.coupling_qb_cavity if tmax is None else tmax
-                for p in params_seq]
-    if not all(0 < t < math.inf for t in horizons):
-        raise ValueError("tmax must be positive and finite")
-    return horizons
+def _slope(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """d|c2|^2/dt in Omega*tau: 2 Re(conj(c2) c2'), exact via c2' = -i*c1."""
+    return 2.0 * np.real(np.conj(c2) * (-1j * c1))
 
 
 def _refine(cells, init: InitialState, a: np.ndarray, b: np.ndarray,
             rising_at_a) -> tuple[np.ndarray, np.ndarray]:
-    """60 lockstep halvings of the brackets (a[i], b[i]) of ``cells[i]`` on
-    the sign of d|c2|^2/dt, one stacked c1/c2 evaluation per halving: the
-    points found and c2 there.  A bracket moves its left end to a midpoint
-    whose slope has the sign ``rising_at_a`` gives that end, else its right
-    end; a zero-width bracket stays on its point."""
+    """60 lockstep halvings of the brackets (a[i], b[i]) of ``cells[i]``, in
+    Omega*tau, on the sign of d|c2|^2/dt, one stacked c1/c2 evaluation per
+    halving: the points found and c2 there.  A bracket moves its left end
+    to a midpoint whose slope has the sign ``rising_at_a`` gives that end,
+    else its right end; a zero-width bracket stays on its point."""
     amplitudes = amplitudes_of_cells(cells, init)
-    om = np.array([p.coupling_qb_cavity for p in cells])
     for _ in range(60):
         mid = 0.5 * (a + b)
-        go_right = (_slope(om, *amplitudes(mid)) > 0.0) == rising_at_a
+        go_right = (_slope(*amplitudes(mid)) > 0.0) == rising_at_a
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     t = 0.5 * (a + b)
@@ -168,11 +158,11 @@ def _refine(cells, init: InitialState, a: np.ndarray, b: np.ndarray,
 
 def _blp_brackets(params: ModelParams, tmax: float, grid: int):
     """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
-    of [0, tmax], between zero-width ones at 0 and tmax."""
+    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax."""
     taus = np.linspace(0.0, tmax, grid)
-    c1, c2 = amplitude_grid(params, excited_battery_state(), taus)
-    sign = _slope(params.coupling_qb_cavity, c1, c2) > 0.0
-    # D'(0) = 0 exactly and D''(0) = -2*Omega^2 < 0: D falls right after
+    c1, c2 = amplitudes_of_cells([params], excited_battery_state())(taus)
+    sign = _slope(c1, c2) > 0.0
+    # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls right after
     # t = 0, and the computed sign of D'(0) is roundoff
     sign[0] = False
     i = np.nonzero(sign[1:] != sign[:-1])[0]
@@ -191,32 +181,33 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     when any measure is truncated, reading D(tmax) with the extrema.
     """
     params_seq = list(params_seq)
-    horizons = _horizons(params_seq, tmax, BLP_DEFAULT_TMAX)
-    spans = [t * p.coupling_qb_cavity / BLP_SCAN_SPACING
-             for p, t in zip(params_seq, horizons)]
-    if grid is None and not all(map(math.isfinite, spans)):
-        raise ValueError("the default scan grid at this tmax is not "
-                         "finite; give --grid")
-    grids = [int(round(n)) + 1 if grid is None else grid for n in spans]
-    if any(n < 3 for n in grids):
+    tmax = BLP_DEFAULT_TMAX if tmax is None else tmax
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
+    if grid is None:
+        span = tmax / BLP_SCAN_SPACING
+        if not math.isfinite(span):
+            raise ValueError("the default scan grid at this tmax is not "
+                             "finite; give --grid")
+        grid = int(round(span)) + 1
+    if grid < 3:
         raise ValueError("grid must be at least 3 points")
     reports = [NonMarkovReport(math.inf, (), divergent=True)] * len(params_seq)
     live = [i for i, p in enumerate(params_seq) if p.coupling_cavity_env]
     for k in range(0, len(live), BLP_REFINE_CELLS):
         group = live[k:k + BLP_REFINE_CELLS]
-        brackets = [_blp_brackets(params_seq[i], horizons[i], grids[i])
-                    for i in group]
+        brackets = [_blp_brackets(params_seq[i], tmax, grid) for i in group]
         cells = [params_seq[i] for i, b in zip(group, brackets) for _ in b[0]]
         crit, c2 = _refine(cells, excited_battery_state(),
                            *map(np.concatenate, zip(*brackets)))
         ends = np.cumsum([len(a) for a, _, _ in brackets])[:-1]
         for i, t, d in zip(group, np.split(crit, ends),
                            np.split(np.abs(c2) ** 2, ends)):
-            om, measure, intervals = params_seq[i].coupling_qb_cavity, 0.0, []
+            measure, intervals = 0.0, []
             for a, b, da, db in zip(t[:-1], t[1:], d[:-1], d[1:]):
                 if b - a > 0 and db - da > 0.0:
                     measure += db - da
-                    intervals.append((om * a, om * b))
+                    intervals.append((a, b))
             reports[i] = NonMarkovReport(float(measure), tuple(intervals),
                                          truncated=bool(d[-1] > 1e-6))
     if any(r.truncated for r in reports):
@@ -229,11 +220,12 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                         grid: int | None = None) -> NonMarkovReport:
     """BLP backflow measure for the optimal pure state pair.
 
-    Scans D(t) = |mu(t)|^2 on a uniform grid (default spacing 1e-3/Omega),
-    bisects each sign change of dD/dt as charging optima are (``_refine``)
-    and sums the increase of D over every rising interval.  gamma = 0 is a
-    flagged divergent case (perpetual closed-system recurrences); a
-    ``truncated`` flag is set when D(tmax) has not decayed below 1e-6.
+    Scans D(t) = |mu(t)|^2 on a uniform grid over [0, tmax] in Omega*tau
+    (default spacing 1e-3), bisects each sign change of dD/dt as charging
+    optima are (``_refine``) and sums the increase of D over every rising
+    interval.  gamma = 0 is a flagged divergent case (perpetual
+    closed-system recurrences); a ``truncated`` flag is set when D(tmax)
+    has not decayed below 1e-6.
     This is the one-cell case of ``blp_nonmarkovianity_many``.
     """
     return blp_nonmarkovianity_many([params], tmax, grid)[0]
@@ -250,13 +242,15 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     if init is None:
         init = empty_battery_state()
     params_seq = list(params_seq)
-    tmaxes = _horizons(params_seq, tmax, MAXIMA_DEFAULT_TMAX)
+    tmax = MAXIMA_DEFAULT_TMAX if tmax is None else tmax
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
 
     n = 2000
+    taus = np.linspace(0.0, tmax, n)
     lo, hi = [], []
-    for params, t_end in zip(params_seq, tmaxes):
-        taus = np.linspace(0.0, t_end, n)
-        c2 = amplitude_grid(params, init, taus)[1]
+    for params in params_seq:
+        c2 = amplitudes_of_cells([params], init)(taus)[1]
         i = int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
         lo.append(taus[max(i - 1, 0)])
         hi.append(taus[min(i + 1, n - 1)])
@@ -265,13 +259,10 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
 
     omega0 = np.array([p.omega0 for p in params_seq])
     reports = []
-    for p, t_end, tau, de, w in zip(params_seq, tmaxes, tau_star.tolist(),
-                                    _stored(omega0, p_star).tolist(),
-                                    _ergotropy(omega0, p_star).tolist()):
-        om = p.coupling_qb_cavity
-        tau_w = om * tau if w > 0.0 else math.nan
-        reports.append(MaximaReport(de, w, om * tau, tau_w,
-                                    tau > t_end - (t_end / (n - 1))))
+    for tau, de, w in zip(tau_star.tolist(), _stored(omega0, p_star).tolist(),
+                          _ergotropy(omega0, p_star).tolist()):
+        reports.append(MaximaReport(de, w, tau, tau if w > 0.0 else math.nan,
+                                    tau > tmax - (tmax / (n - 1))))
     if any(r.at_boundary for r in reports):
         warnings.warn("population optimum lies at the tmax boundary; "
                       "increase tmax", stacklevel=2)
@@ -283,10 +274,10 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
     """Optimal stored energy and ergotropy over the charging time.
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
-    [0, tmax], then 60 halvings of the bracket around the largest sample
-    on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i Omega c1)), by the
-    ``_refine`` that also finds the BLP extrema: tau is found to the
-    roundoff of that slope, well within 1e-8/Omega, and an optimum at 0 or
+    [0, tmax] in Omega*tau, then 60 halvings of the bracket around the
+    largest sample on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i c1)), by
+    the ``_refine`` that also finds the BLP extrema: Omega*tau is found to
+    the roundoff of that slope, well within 1e-8, and an optimum at 0 or
     tmax is reached exactly.  A population outside [0, 1] raises
     ``NumericalGuardError``.  Warns when the optimum sits at the tmax
     boundary.  This is the one-cell case of ``maximize_over_tau_many``.

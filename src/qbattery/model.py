@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 MEMORYLESS = math.inf
@@ -66,14 +67,24 @@ def make_params(omega0: float, Omega: float, gamma: float,
 
     ``lam`` may be ``math.inf`` (or :data:`MEMORYLESS`) to select the
     memoryless engine.  Raises ``ValueError`` on non-positive ``omega0`` or
-    ``Omega``, negative ``gamma``, or non-positive finite ``lam``.
+    ``Omega``, negative ``gamma``, or non-positive finite ``lam``.  The
+    propagator works on gamma/Omega and lam/Omega, so a subnormal ``Omega``
+    (which would round those ratios) and an overflowing gamma/Omega are
+    refused too; a lam/Omega that overflows is the memoryless limit to
+    double precision and is accepted.
     """
     if not (math.isfinite(omega0) and omega0 > 0):
         raise ValueError(f"omega0 must be finite and positive, got {omega0}")
     if not (math.isfinite(Omega) and Omega > 0):
         raise ValueError(f"Omega must be finite and positive, got {Omega}")
+    if Omega < sys.float_info.min:
+        raise ValueError(f"Omega must be a normal float (at least "
+                         f"{sys.float_info.min}), got {Omega}")
     if not (math.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    if not math.isfinite(gamma / Omega):
+        raise ValueError(f"gamma/Omega overflows: gamma = {gamma}, "
+                         f"Omega = {Omega}")
     if math.isnan(lam) or lam <= 0:
         raise ValueError(f"lambda must be positive or inf, got {lam}")
     return ModelParams(float(omega0), float(Omega), float(gamma), float(lam))

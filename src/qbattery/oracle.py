@@ -36,6 +36,11 @@ import numpy as np
 from .model import InitialState, ModelParams
 
 DEFAULT_TOL = 1e-10
+# Largest rho*T integrated, rho the spectral radius of the generator and T
+# the horizon: explicit DOPRI5 takes at least rho*T/3.3 steps (its stability
+# interval), about 4 us of work per unit of rho*T on one core of a 2-vCPU
+# x86 box, so about 4 s at this bound.
+STIFFNESS_BUDGET = 1e6
 
 # Dormand-Prince 5(4) tableau: stage coefficients, 5th-order weights, and
 # 5th-order minus embedded 4th-order weights over all seven stages.
@@ -120,11 +125,17 @@ def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
     overflows, and scaled by (h ||m||_inf)^p each step.  ``t_eval`` must be
     sorted ascending, starting at >= 0; steps land exactly on each requested
     output time, so no interpolation error is introduced.  Returns an array
-    of shape (len(t_eval), dim).
+    of shape (len(t_eval), dim).  A run whose rho*T exceeds
+    ``STIFFNESS_BUDGET`` raises ValueError before the first step.
     """
     mnorm = np.abs(m).sum(axis=1).max()
     if not math.isfinite(mnorm):
         raise ValueError("system matrix is not finite")
+    stiffness = np.abs(np.linalg.eigvals(m)).max() * t_eval[-1]
+    if stiffness > STIFFNESS_BUDGET:
+        raise ValueError(f"too stiff to integrate: spectral radius times "
+                         f"horizon is {stiffness:.3g}, above "
+                         f"{STIFFNESS_BUDGET:g}")
     mpow = np.stack([np.linalg.matrix_power(m / mnorm, p) for p in _POWERS])
     out = np.empty((t_eval.size, y0.size), np.complex128)
     t = 0.0

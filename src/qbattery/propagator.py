@@ -1,9 +1,13 @@
 """Exact amplitudes and the charging propagator kappa(t).
 
-The Laplace-domain solution of the amplitude equations has, after clearing
-fractions, the common cubic denominator at finite width lam
+The engine is dimensionless: it runs at Omega = 1 on the ratios
+g = gamma/Omega and l = lam/Omega, with time the Omega*tau of every figure
+axis.  Omega enters only where a physical time tau comes in (``kappa_grid``,
+``amplitude_grid``) and where physical roots go out (``solve_roots``).  The
+Laplace-domain solution of the amplitude equations has, after clearing
+fractions, the common cubic denominator at finite width
 
-    p(s) = s^3 + lam*s^2 + (Omega^2 + lam*gamma/2)*s + lam*Omega^2,
+    p(s) = s^3 + l*s^2 + (1 + l*g/2)*s + l,
 
 so every amplitude is a sum of (at most) three exponentials, obtained by
 partial fractions.  Roots are computed as eigenvalues of the companion
@@ -24,9 +28,9 @@ evaluator then advances every cell at one time point each, as the
 lockstep searches of ``metrics`` need.
 
 In the flat-spectrum limit (infinite width) the same engine runs on the
-quadratic denominator p(s) = s^2 + gamma*s/2 + Omega^2, whose roots have
-a closed form; its exceptional point gamma = 4*Omega is an exact double
-root and takes the confluent expansion like any clustered root.
+quadratic denominator p(s) = s^2 + g*s/2 + 1, whose roots have a closed
+form; its exceptional point g = 4 is an exact double root and takes the
+confluent expansion like any clustered root.
 """
 
 from __future__ import annotations
@@ -46,29 +50,32 @@ Poles = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PropagatorRoots:
-    """Roots of the denominator p(s), and whether any of them cluster."""
+    """Physical roots of the denominator, and whether any cluster."""
 
     roots: tuple[complex, ...]
     degenerate: bool
 
 
-def cubic_coefficients(params: ModelParams) -> np.ndarray:
+def _ratios(params: ModelParams) -> tuple[float, float]:
+    """(gamma/Omega, lam/Omega): all the engine reads of params."""
     om = params.coupling_qb_cavity
-    gamma = params.coupling_cavity_env
-    lam = params.spectral_width
-    return np.array([1.0, lam, om ** 2 + 0.5 * lam * gamma, lam * om ** 2],
-                    dtype=np.complex128)
+    return params.coupling_cavity_env / om, params.spectral_width / om
 
 
-def _polynomials(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Denominator p(s) and memory factor m(s), kappa(s) = -i*Omega*m(s)/p(s):
-    the cubic and s + lam at finite width, the quadratic and 1 when
-    memoryless."""
-    if params.memoryless:
-        om = params.coupling_qb_cavity
-        return (np.array([1.0, 0.5 * params.coupling_cavity_env, om ** 2],
-                         dtype=np.complex128), np.array([1.0]))
-    return cubic_coefficients(params), np.array([1.0, params.spectral_width])
+def _polynomials(g: float, l: float) -> tuple[np.ndarray, np.ndarray]:
+    """Denominator p(s) and memory factor m(s) at Omega = 1, kappa(s) =
+    -i*m(s)/p(s): the cubic and s + l at finite width, the quadratic and 1
+    when memoryless (l = inf)."""
+    if math.isinf(l):
+        return (np.array([1.0, 0.5 * g, 1.0], dtype=np.complex128),
+                np.array([1.0]))
+    return (np.array([1.0, l, 1.0 + 0.5 * l * g, l], dtype=np.complex128),
+            np.array([1.0, l]))
+
+
+def cubic_coefficients(params: ModelParams) -> np.ndarray:
+    """The cubic p(s) of finite-width params, at Omega = 1."""
+    return _polynomials(*_ratios(params))[0]
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
@@ -165,12 +172,11 @@ def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
 def _roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of the monic p(s) in (real, imag) order.
 
-    The quadratic s^2 + b*s + c (b = gamma/2, c = Omega^2) has the larger
-    root -(b + sqrt(b^2 - 4c))/2 = -(gamma + R)/4, R = sqrt(gamma^2 -
-    16*Omega^2), and the other c/larger; at gamma = 4*Omega both are the
-    larger one, as c/larger can miss it by an ulp (Omega = 0.1).  The
-    cubic's are the companion-matrix eigenvalues, polished with two Newton
-    steps.
+    The quadratic s^2 + b*s + c (b = g/2, c = 1) has the larger root
+    -(b + sqrt(b^2 - 4c))/2 = -(g + R)/4, R = sqrt(g^2 - 16), and the other
+    c/larger; at g = 4 both are the larger one, as c/larger flips the sign
+    of its zero imaginary part.  The cubic's are the companion-matrix
+    eigenvalues, polished with two Newton steps.
     """
     if len(coeffs) == 3:
         _, b, c = coeffs
@@ -189,20 +195,22 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
-@functools.lru_cache(maxsize=256)
 def solve_roots(params: ModelParams) -> PropagatorRoots:
-    """Roots of the denominator p(s); ``degenerate`` is set when some of
-    them cluster and take confluent terms t**k * exp(s*t)."""
-    roots = _roots(_polynomials(params)[0])
-    return PropagatorRoots(tuple(complex(s) for s in roots),
-                           any(m > 1 for _, m in _cluster_roots(roots)))
+    """Physical roots of the denominator, Omega times those of p(s);
+    ``degenerate`` is set when some of them cluster and take confluent
+    terms t**k * exp(s*t)."""
+    roots = _roots(_polynomials(*_ratios(params))[0])
+    return PropagatorRoots(
+        tuple(params.coupling_qb_cavity * complex(s) for s in roots),
+        any(m > 1 for _, m in _cluster_roots(roots)))
 
 
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
-    """Charging propagator kappa on an array of times: c2 of the empty
-    battery."""
+    """Charging propagator kappa on an array of physical times: c2 of the
+    empty battery."""
     roots, coefs = _amplitude_poles(params, empty_battery_state())
-    return _eval_poles((roots, coefs[1:]), tau)[0]
+    om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
+    return _eval_poles((roots, coefs[1:]), om_tau)[0]
 
 
 def _check_tau(tau: float) -> None:
@@ -225,37 +233,38 @@ def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
 
 @functools.lru_cache(maxsize=512)
 def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
-    """Poles of c1 (output 0) and c2 (output 1) for arbitrary initial
-    amplitudes:
+    """Poles of c1 (output 0) and c2 (output 1), in Omega*tau, for
+    arbitrary initial amplitudes:
 
-    c1(s) = n1(s) / p(s),  n1(s) = (c1_0*s - i*Omega*c2_0) m(s)
-    c2(s) = (c2_0*p(s) - i*Omega*n1(s)) / (s*p(s))
+    c1(s) = n1(s) / p(s),  n1(s) = (c1_0*s - i*c2_0) m(s)
+    c2(s) = (c2_0*p(s) - i*n1(s)) / (s*p(s))
 
-    The numerator of c2 vanishes at s = 0 (c2_0*lam*Omega^2 on both sides
-    at finite width, c2_0*Omega^2 when memoryless), so dropping its
-    constant term divides it by s exactly and c2 has the poles of p alone.
+    The numerator of c2 vanishes at s = 0 (c2_0*l on both sides at finite
+    width, c2_0 when memoryless), so dropping its constant term divides it
+    by s exactly and c2 has the poles of p alone.
     """
-    om = params.coupling_qb_cavity
-    coeffs, memory = _polynomials(params)
-    lin = np.array([init.c1_0, -1j * om * init.c2_0])  # c1_0*s - i*Om*c2_0
+    coeffs, memory = _polynomials(*_ratios(params))
+    lin = np.array([init.c1_0, -1j * init.c2_0])  # c1_0*s - i*c2_0
     n1 = np.polymul(lin, memory)
-    n2 = np.polyadd(init.c2_0 * coeffs, -1j * om * n1)[:-1]
-    return _partial_fractions((n1, n2), np.array(solve_roots(params).roots))
+    n2 = np.polyadd(init.c2_0 * coeffs, -1j * n1)[:-1]
+    return _partial_fractions((n1, n2), _roots(coeffs))
 
 
 def amplitude_grid(params: ModelParams, init: InitialState,
                    tau) -> tuple[np.ndarray, np.ndarray]:
-    """(c1, c2) amplitudes on an array of times."""
-    c1, c2 = _eval_poles(_amplitude_poles(params, init), tau)
+    """(c1, c2) amplitudes on an array of physical times."""
+    om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
+    c1, c2 = _eval_poles(_amplitude_poles(params, init), om_tau)
     return c1, c2
 
 
 def amplitudes_of_cells(params_seq, init: InitialState):
     """The amplitudes c1 and c2 of many cells, one time per cell.
 
-    Returns ``f(t) -> (c1, c2)`` for ``t`` of shape ``(len(params_seq),)``.
-    The cells share one stack of poles; each cell's values have the bytes
-    of ``amplitude_grid(params, init, t[i:i+1])``.
+    Returns ``f(t) -> (c1, c2)`` for ``t`` in Omega*tau of shape
+    ``(len(params_seq),)``, or of any shape for a single cell.  The cells
+    share one stack of poles, and each cell's values have the bytes of its
+    own poles evaluated alone.
     """
     cells = [_amplitude_poles(p, init) for p in params_seq]
     n_roots = max((r.size for r, _ in cells), default=0)
@@ -298,8 +307,8 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
                tmax: float = 25.0, steps: int = 1001) -> ChargingTrajectory:
     """Evaluate amplitudes and figures of merit on a uniform time grid.
 
-    ``tmax`` is a physical time; the stored grid is Omega*tau.  A
-    population |c2|^2 outside [0, 1] raises ``metrics.NumericalGuardError``.
+    ``tmax`` and the stored grid are in Omega*tau.  A population |c2|^2
+    outside [0, 1] raises ``metrics.NumericalGuardError``.
     """
     if not 0 < tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
@@ -315,6 +324,6 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     kap, c2 = _eval_poles((roots, np.stack(
         [empty[1], _amplitude_poles(params, init)[1][1]])), taus)
     pop = metrics._clipped_population(np.abs(c2) ** 2)
-    return ChargingTrajectory(params.coupling_qb_cavity * taus, kap, pop,
+    return ChargingTrajectory(taus, kap, pop,
                               metrics.stored_energy(params, pop),
                               metrics.ergotropy_qubit(params, pop))

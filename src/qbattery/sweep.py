@@ -29,7 +29,8 @@ QUANTITIES = ("stored_energy_max", "ergotropy_max", "nonmarkovianity")
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Axes and quantity of one parameter sweep."""
+    """Axes and quantity of one parameter sweep; ``tmax`` is the horizon
+    in Omega*tau (None selects the quantity's default)."""
 
     gamma_over_omega: tuple[float, ...]
     lambda_over_omega: tuple[float, ...]

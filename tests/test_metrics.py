@@ -11,7 +11,7 @@ import qbattery as qb
 from qbattery import metrics
 from qbattery.metrics import (NumericalGuardError, blp_nonmarkovianity_many,
                              maximize_over_tau_many)
-from qbattery.propagator import amplitude_grid
+from qbattery.propagator import amplitude_grid, kappa_grid
 
 
 def params(gamma, lam):
@@ -311,6 +311,15 @@ def maximize_reference(params, init=None, tmax=None):
                            tau_star > tmax - (tmax / (n - 1)))
 
 
+def unit_cell(p):
+    """The Omega = 1 cell of the ratios of ``p``: the engine runs on
+    gamma/Omega and lambda/Omega, so its reports at Omega*tau horizons are
+    those of this cell, byte for byte."""
+    om = p.coupling_qb_cavity
+    return qb.make_params(p.omega0, 1.0, p.coupling_cavity_env / om,
+                          p.spectral_width / om)
+
+
 def same_report(got, want):
     """All five fields equal as bytes; NaN equals NaN."""
     def same(x, y):
@@ -359,7 +368,8 @@ class TestMaximizeBatch:
                 cells = [p for p in cells if p != TRIPLE_ROOT_CELL]
             batch = maximize_over_tau_many(cells, init, tmax)
             for p, got in zip(cells, batch):
-                assert same_report(got, maximize_reference(p, init, tmax)), p
+                assert same_report(
+                    got, maximize_reference(unit_cell(p), init, tmax)), p
                 alone = maximize_over_tau_many([p], init, tmax)[0]
                 assert same_report(alone, got), p
         if tmax is not None and init is None:  # Rabi-like peaks after 1.0
@@ -458,8 +468,8 @@ class TestBlpBatch:
             batch = blp_nonmarkovianity_many(BLP_CELLS, grid=grid)
             assert len(batch) == len(BLP_CELLS)
             for p, got in zip(BLP_CELLS, batch):
-                assert blp_bytes(got) == blp_bytes(blp_reference(p, None,
-                                                                 grid)), p
+                assert blp_bytes(got) == blp_bytes(
+                    blp_reference(unit_cell(p), None, grid)), p
                 assert blp_bytes(qb.blp_nonmarkovianity(p, grid=grid)) \
                     == blp_bytes(got), p
         assert sum(r.divergent for r in batch) == 2
@@ -503,8 +513,97 @@ class TestBlpBatch:
         def no_scan(*args):
             raise AssertionError("scanned before the options were checked")
 
-        monkeypatch.setattr(metrics, "amplitude_grid", no_scan)
+        monkeypatch.setattr(metrics, "amplitudes_of_cells", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
                 blp_nonmarkovianity_many(batch, **kwargs)
+
+
+def at_omega(p, om):
+    """The cell of the ratios of ``p`` at Omega = om."""
+    return qb.make_params(p.omega0, om, om * p.coupling_cavity_env,
+                          om * p.spectral_width)
+
+
+def trajectory_bytes(traj):
+    return [getattr(traj, f).tobytes() for f in
+            ("times", "kappa", "population", "stored_energy", "ergotropy")]
+
+
+# gamma/Omega log-uniform in [1e-2, 50], lambda/Omega log-uniform in
+# [1e-2, 1e3] or inf, omega0 in [0.5, 2]; each cell at Omega = 2^k for
+# k = -990, 990 and one seeded k with |k| <= 990, where the products and
+# quotients by Omega are exact
+_OMEGA_RNG = np.random.default_rng(20261018)
+OMEGA_CELLS = [
+    (qb.make_params(float(w), 1.0, float(g), float(lam) if i < 12
+                    else math.inf), (-990, 990, int(k)))
+    for i, (w, g, lam, k) in enumerate(zip(
+        _OMEGA_RNG.uniform(0.5, 2.0, 16),
+        np.exp(_OMEGA_RNG.uniform(math.log(1e-2), math.log(50.0), 16)),
+        np.exp(_OMEGA_RNG.uniform(math.log(1e-2), math.log(1e3), 16)),
+        _OMEGA_RNG.integers(-990, 991, 16)))]
+
+
+class TestOmegaScaling:
+    """The engine runs on gamma/Omega and lambda/Omega with horizons in
+    Omega*tau: a cell at any Omega reports what the Omega = 1 cell of the
+    same ratios reports, over the whole range make_params accepts."""
+
+    @pytest.mark.parametrize("unit,exponents", OMEGA_CELLS)
+    def test_powers_of_two_are_byte_identical(self, unit, exponents):
+        x = np.linspace(0.0, 25.0, 501)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_max = [qb.maximize_over_tau(unit, init)
+                        for init in BATCH_INITS.values()]
+            want_blp = qb.blp_nonmarkovianity(unit, tmax=30.0, grid=3001)
+            for k in exponents:
+                p = at_omega(unit, 2.0 ** k)
+                for init, want in zip(BATCH_INITS.values(), want_max):
+                    assert same_report(qb.maximize_over_tau(p, init),
+                                       want), (k, init)
+                assert blp_bytes(qb.blp_nonmarkovianity(
+                    p, tmax=30.0, grid=3001)) == blp_bytes(want_blp), k
+                assert trajectory_bytes(qb.trajectory(p, tmax=25.0,
+                                                      steps=201)) \
+                    == trajectory_bytes(qb.trajectory(unit, tmax=25.0,
+                                                      steps=201)), k
+                assert kappa_grid(p, x / p.coupling_qb_cavity).tobytes() \
+                    == kappa_grid(unit, x).tobytes(), k
+
+    @pytest.mark.parametrize("gamma,lam", [(0.3, 0.7), (2.0, 5.0),
+                                           (0.5, math.inf), (5.0, math.inf)])
+    def test_powers_of_ten_agree(self, gamma, lam):
+        """At Omega = 10^k the ratios round by an ulp, no more."""
+        unit = params(gamma, lam)
+        want = qb.maximize_over_tau(unit)
+        x = np.linspace(0.0, 25.0, 501)
+        kappa = kappa_grid(unit, x)
+        for k in range(-300, 301, 10):
+            p = at_omega(unit, 10.0 ** k)
+            got = qb.maximize_over_tau(p)
+            for f in ("delta_e_max", "w_max", "tau_at_e_max"):
+                assert abs(getattr(got, f) - getattr(want, f)) <= 1e-13, k
+            assert got.at_boundary is want.at_boundary
+            assert np.max(np.abs(kappa_grid(p, x / p.coupling_qb_cavity)
+                                 - kappa)) <= 1e-13, k
+
+    def test_one_horizon_serves_a_mixed_batch(self):
+        """One explicit tmax in Omega*tau is every cell's horizon, whatever
+        its Omega: a batch mixing Omega values reports what the Omega = 1
+        cells do."""
+        units = [params(0.3, 0.7), params(2.0, 5.0), params(0.5, math.inf),
+                 params(0.1, 0.1)]
+        cells = [at_omega(u, 2.0 ** k) for u, k in
+                 zip(units, (-700, 0, 3, 512))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for got, want in zip(maximize_over_tau_many(cells, tmax=10.0),
+                                 maximize_over_tau_many(units, tmax=10.0)):
+                assert same_report(got, want)
+            for got, want in zip(
+                    blp_nonmarkovianity_many(cells, tmax=30.0, grid=3001),
+                    blp_nonmarkovianity_many(units, tmax=30.0, grid=3001)):
+                assert blp_bytes(got) == blp_bytes(want)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -104,3 +105,26 @@ def test_dynamics_independent_of_omega0():
     pb = qb.maximize_over_tau(b)
     assert pb.delta_e_max == pytest.approx(2.5 * pa.delta_e_max, rel=1e-9)
     assert pb.w_max == pytest.approx(2.5 * pa.w_max, rel=1e-9)
+
+
+def test_make_params_rejects_ratios_a_float_cannot_carry():
+    """The propagator runs on gamma/Omega and lambda/Omega: a subnormal
+    Omega would round them (gamma = 0.123 Omega read as 0.1230237 at
+    Omega = 1e-320) and an overflowing gamma/Omega would reach the roots
+    as inf."""
+    for omega in (1e-308, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match="Omega must be a normal"):
+            qb.make_params(1.0, omega, 0.123 * omega, 0.377 * omega)
+    with pytest.raises(ValueError, match="gamma/Omega overflows"):
+        qb.make_params(1.0, 1e-10, 1e300, 1.0)
+    smallest = qb.make_params(1.0, sys.float_info.min, 0.0, 1.0)
+    assert smallest.coupling_qb_cavity == sys.float_info.min
+
+
+def test_overflowing_width_ratio_is_memoryless():
+    """lambda/Omega = inf in double precision: the engine gives the
+    memoryless amplitudes, as a width of 1e12 Omega already does."""
+    p = qb.make_params(1.0, 1e-10, 0.5e-10, 1e300)
+    taus = np.linspace(0.0, 20.0, 201)
+    want = kappa_grid(qb.make_params(1.0, 1.0, 0.5, math.inf), taus)
+    assert np.max(np.abs(kappa_grid(p, taus / 1e-10) - want)) <= 1e-12

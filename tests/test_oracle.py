@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery.oracle import _A, _B, _E, _W, _rk45_linear, system_matrix
+from qbattery.oracle import (_A, _B, _E, _W, STIFFNESS_BUDGET, _rk45_linear,
+                             system_matrix)
 from qbattery.propagator import cubic_coefficients
 
 
@@ -255,3 +257,16 @@ def test_overflowing_generator_raises():
     p = qb.make_params(1.0, 1.0, 1e200, 1e200)
     with pytest.raises(ValueError, match="system matrix is not finite"):
         qb.integrate(p, qb.empty_battery_state(), 1.0)
+
+
+def test_stiffness_budget_refuses_at_once():
+    """lambda/Omega = 1e9 over Omega*tau = 25 is a spectral radius times
+    horizon of 2.5e10: explicit DOPRI5 would need ~1e10 steps, so the
+    oracle refuses the run before the first step."""
+    p = params(0.1, 1e9)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too stiff"):
+        qb.integrate(p, qb.empty_battery_state(), 25.0)
+    assert time.perf_counter() - start < 1.0
+    assert np.max(np.abs(np.linalg.eigvals(system_matrix(p)))) * 25.0 \
+        > STIFFNESS_BUDGET

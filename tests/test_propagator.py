@@ -368,13 +368,14 @@ class TestPoleEvaluator:
             for init in (qb.empty_battery_state(), excited_battery_state()):
                 poles = _amplitude_poles(p, init)
                 assert np.all(poles[0] != 0)
-                roots = np.array(qb.solve_roots(p).roots)
+                om = p.coupling_qb_cavity
+                roots = np.array(qb.solve_roots(p).roots) / om
                 assert all(np.min(np.abs(roots - s)) < 1e-7 * abs(s)
                            for s in poles[0])  # roots of p, or clusters
-                got = amplitude_grid(p, init, tau / p.coupling_qb_cavity)
+                got = amplitude_grid(p, init, tau / om)
                 for k, amp in enumerate(got):
-                    want = eval_terms_reference(
-                        poles, tau / p.coupling_qb_cavity, k)
+                    # poles are in Omega*tau: the times amplitude_grid uses
+                    want = eval_terms_reference(poles, om * (tau / om), k)
                     assert amp.tobytes() == want.tobytes()
 
     def test_double_root_cell_is_confluent(self):

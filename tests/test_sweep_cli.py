@@ -263,11 +263,29 @@ class TestMaximaCommand:
     @pytest.mark.parametrize("command", ["maxima", "nonmarkov"])
     def test_overflowing_default_horizon_is_usage_error(self, command,
                                                         capsys):
-        """50/Omega and 200/Omega overflow to inf at Omega = 1e-308: the
-        resolved horizon is checked, where maxima used to divide by zero."""
+        """Omega = 1e-308 is subnormal: make_params refuses an Omega too
+        small to carry gamma/Omega and lambda/Omega.  The default horizons
+        are in Omega*tau, so no 50/Omega or 200/Omega is formed."""
         assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
                          "--Omega", "1e-308"]) == 2
-        assert "tmax must be positive and finite" in capsys.readouterr().err
+        assert "Omega must be a normal float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("omega", ["1e-300", "1e300"])
+    @pytest.mark.parametrize("command", ["maxima", "nonmarkov"])
+    def test_extreme_Omega_prints_the_unit_payload(self, command, omega,
+                                                   capsys):
+        """The engine sees only gamma/Omega and lambda/Omega (exactly 2 and
+        5 here) and Omega*tau: the payload is that of --Omega 1 apart from
+        the Omega key."""
+        runs = []
+        for om in ("1", omega):
+            code, out = run_cli([command, "--gamma", "2", "--lambda", "5",
+                                 "--Omega", om], capsys)
+            payload = json.loads(out)
+            assert payload.pop("Omega") == float(om)
+            runs.append((code, payload))
+        assert runs[0][0] in (0, 4)
+        assert runs[1] == runs[0]
 
     @pytest.mark.parametrize("lam", ["1e8", "1e9", "1e12"])
     def test_large_width_matches_memoryless(self, lam, capsys):
