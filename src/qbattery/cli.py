@@ -3,8 +3,9 @@
 Exit codes: 0 ok, 2 usage error, 3 I/O error, 4 numerical guard triggered
 (divergent or truncated backflow measure, or a computed population outside
 [0, 1]).  Times on the command line are the dimensionless Omega*tau used on
-every figure axis.  Environment variables are never consulted; precedence
-is flags > config file > defaults.
+every figure axis, and --gamma and --lambda are ratios to Omega, so no
+command takes Omega itself.  Environment variables are never consulted;
+precedence is flags > config file > defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,8 +105,6 @@ def _write_output(out: str, text: str) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None,
                      help="optional key=value config file (defaults layer)")
-    sub.add_argument("--omega0", type=float, default=1.0)
-    sub.add_argument("--Omega", type=float, default=1.0)
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -129,6 +127,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = subs.add_parser("evolve", help="charging trajectory table")
     _add_common(p)
     _add_params(p)
+    p.add_argument("--omega0", type=float, default=1.0,
+                   help="energy unit of the energy columns")
     p.add_argument("--tmax", type=float, default=25.0,
                    help="horizon in Omega*tau")
     p.add_argument("--steps", type=int, default=1001)
@@ -148,6 +148,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = subs.add_parser("maxima", help="optimal charging values")
     _add_common(p)
     _add_params(p)
+    p.add_argument("--omega0", type=float, default=1.0,
+                   help="energy unit of delta_e_max and w_max")
     p.add_argument("--tmax", type=float, default=None)
 
     p = subs.add_parser("nonmarkov", help="BLP backflow measure")
@@ -170,24 +172,25 @@ def _require(args, parser, *names) -> None:
             parser.error(f"missing required option --{name.replace('_', '-')}")
 
 
-def _make_params(args):
-    return make_params(args.omega0, args.Omega, args.gamma * args.Omega,
-                       args.lam * args.Omega)
+def _make_params(args, omega0: float):
+    """The cell of the ratio flags, built at Omega = 1 so that the engine
+    reads them exactly."""
+    return make_params(omega0, 1.0, args.gamma, args.lam)
 
 
-def _header(args) -> dict:
-    """The keys that evolve, maxima and nonmarkov output begin with."""
+def _header(args, **options) -> dict:
+    """The keys that evolve, maxima and nonmarkov output begin with: the
+    command, the version, the command's own ``options`` and the ratios."""
     return {"command": args.command, "tool_version": __version__,
-            "omega0": args.omega0, "Omega": args.Omega,
-            "gamma": args.gamma, "lambda": args.lam}
+            **options, "gamma": args.gamma, "lambda": args.lam}
 
 
 def _cmd_evolve(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
-    params = _make_params(args)
+    params = _make_params(args, args.omega0)
     traj = trajectory(params, tmax=args.tmax, steps=args.steps)
-    metadata = {**_header(args), "tmax_Omega_tau": args.tmax,
-                "steps": args.steps}
+    metadata = {**_header(args, omega0=args.omega0),
+                "tmax_Omega_tau": args.tmax, "steps": args.steps}
     writer = trajectory_to_csv if args.format == "csv" else trajectory_to_json
     _write_output(args.out, writer(traj, metadata))
     return 0
@@ -196,10 +199,8 @@ def _cmd_evolve(args, parser) -> int:
 def _cmd_sweep(args, parser) -> int:
     _require(args, parser, "gamma_axis", "lambda_axis", "quantity")
     spec = SweepSpec(_parse_axis(args.gamma_axis),
-                     _parse_axis(args.lambda_axis),
-                     args.quantity,
-                     tmax=args.tmax,
-                     grid=args.grid, omega0=args.omega0, Omega=args.Omega)
+                     _parse_axis(args.lambda_axis), args.quantity,
+                     tmax=args.tmax, grid=args.grid)
     result = run_sweep(spec, workers=args.workers)
     text = (sweep_to_csv(result) if args.format == "csv"
             else sweep_to_json(result))
@@ -209,11 +210,9 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_maxima(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
-    params = _make_params(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = maximize_over_tau(params, tmax=args.tmax)
-    payload = {**_header(args),
+    report = maximize_over_tau(_make_params(args, args.omega0),
+                               tmax=args.tmax)
+    payload = {**_header(args, omega0=args.omega0),
                "delta_e_max": report.delta_e_max, "w_max": report.w_max,
                "tau_at_e_max": report.tau_at_e_max,
                "tau_at_w_max": report.tau_at_w_max,
@@ -224,10 +223,8 @@ def _cmd_maxima(args, parser) -> int:
 
 def _cmd_nonmarkov(args, parser) -> int:
     _require(args, parser, "gamma", "lam")
-    params = _make_params(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = blp_nonmarkovianity(params, tmax=args.tmax, grid=args.grid)
+    report = blp_nonmarkovianity(_make_params(args, 1.0), tmax=args.tmax,
+                                 grid=args.grid)
     payload = {**_header(args),
                "measure": report.measure if math.isfinite(report.measure)
                else "divergent",

@@ -13,7 +13,6 @@ for non-Markovian behaviour.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,8 +176,8 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
 
     Each cell is scanned alone, and the brackets of ``BLP_REFINE_CELLS``
     cells at a time are refined together by ``_refine``: memory does not
-    grow with the batch, nor a cell's report depend on it.  Warns once
-    when any measure is truncated, reading D(tmax) with the extrema.
+    grow with the batch, nor a cell's report depend on it.  D(tmax), read
+    with the extrema, sets each report's ``truncated`` flag.
     """
     params_seq = list(params_seq)
     tmax = BLP_DEFAULT_TMAX if tmax is None else tmax
@@ -210,9 +209,6 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
                     intervals.append((a, b))
             reports[i] = NonMarkovReport(float(measure), tuple(intervals),
                                          truncated=bool(d[-1] > 1e-6))
-    if any(r.truncated for r in reports):
-        warnings.warn("trace distance has not decayed below 1e-6 at tmax; "
-                      "backflow measure is truncated", stacklevel=2)
     return reports
 
 
@@ -237,7 +233,7 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
 
     Each cell is scanned alone; the brackets of all cells are then refined
     together by ``_refine``, and a cell's report does not depend on its
-    batch.  Warns once when any optimum sits at the tmax boundary.
+    batch.
     """
     if init is None:
         init = empty_battery_state()
@@ -263,9 +259,6 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                           _ergotropy(omega0, p_star).tolist()):
         reports.append(MaximaReport(de, w, tau, tau if w > 0.0 else math.nan,
                                     tau > tmax - (tmax / (n - 1))))
-    if any(r.at_boundary for r in reports):
-        warnings.warn("population optimum lies at the tmax boundary; "
-                      "increase tmax", stacklevel=2)
     return reports
 
 
@@ -279,7 +272,8 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
     the ``_refine`` that also finds the BLP extrema: Omega*tau is found to
     the roundoff of that slope, well within 1e-8, and an optimum at 0 or
     tmax is reached exactly.  A population outside [0, 1] raises
-    ``NumericalGuardError``.  Warns when the optimum sits at the tmax
-    boundary.  This is the one-cell case of ``maximize_over_tau_many``.
+    ``NumericalGuardError``.  An optimum within one scan step of tmax
+    sets ``at_boundary``.  This is the one-cell case of
+    ``maximize_over_tau_many``.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

@@ -73,11 +73,6 @@ def _polynomials(g: float, l: float) -> tuple[np.ndarray, np.ndarray]:
             np.array([1.0, l]))
 
 
-def cubic_coefficients(params: ModelParams) -> np.ndarray:
-    """The cubic p(s) of finite-width params, at Omega = 1."""
-    return _polynomials(*_ratios(params))[0]
-
-
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
     """Union-find clustering of roots closer than 1e-7 relative to the
     larger of each pair -> (center, multiplicity), in (real, imag) order."""

@@ -6,7 +6,8 @@ units of omega0 for the energy quantities.  Cells are independent and may be
 evaluated by a process pool; the result is identical for any worker count.
 Every quantity is batched the same way: the cells go to
 ``blp_nonmarkovianity_many`` or ``maximize_over_tau_many`` in one batch, or
-in one contiguous chunk per worker, whose bisections run in lockstep.
+in one contiguous chunk per worker, whose bisections run in lockstep (BLP
+cells ``BLP_REFINE_CELLS`` at a time, so no chunk holds all its reports).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .metrics import blp_nonmarkovianity_many, maximize_over_tau_many
+from .metrics import (BLP_REFINE_CELLS, blp_nonmarkovianity_many,
+                      maximize_over_tau_many)
 from .model import make_params
 from .propagator import ChargingTrajectory
 
@@ -37,8 +38,6 @@ class SweepSpec:
     quantity: str
     tmax: float | None = None
     grid: int | None = None
-    omega0: float = 1.0
-    Omega: float = 1.0
 
     def __post_init__(self):
         if not self.gamma_over_omega or not self.lambda_over_omega:
@@ -65,20 +64,19 @@ class SweepResult:
 
 def _eval_cells(args) -> list[tuple[float, str]]:
     """(value, flag) of each cell of a contiguous run of cells, searched
-    as one batch."""
-    cells, quantity, omega0, Omega, tmax, grid = args
-    params = [make_params(omega0, Omega, g * Omega, l * Omega)
-              for g, l in cells]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if quantity == "nonmarkovianity":
-            return [(math.nan, "divergent") if r.divergent else
-                    (r.measure, "truncated" if r.truncated else "")
-                    for r in blp_nonmarkovianity_many(params, tmax, grid)]
-        reports = maximize_over_tau_many(params, tmax=tmax)
-    return [((r.delta_e_max if quantity == "stored_energy_max" else r.w_max)
-             / omega0, "boundary" if r.at_boundary else "")
-            for r in reports]
+    as one batch; BLP cells go ``BLP_REFINE_CELLS`` at a time, the groups
+    the search refines together, and each report is reduced at once."""
+    cells, quantity, tmax, grid = args
+    params = [make_params(1.0, 1.0, g, l) for g, l in cells]
+    if quantity == "nonmarkovianity":
+        return [(math.nan, "divergent") if r.divergent else
+                (r.measure, "truncated" if r.truncated else "")
+                for k in range(0, len(params), BLP_REFINE_CELLS)
+                for r in blp_nonmarkovianity_many(
+                    params[k:k + BLP_REFINE_CELLS], tmax, grid)]
+    return [(r.delta_e_max if quantity == "stored_energy_max" else r.w_max,
+             "boundary" if r.at_boundary else "")
+            for r in maximize_over_tau_many(params, tmax=tmax)]
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -90,8 +88,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
              for l in spec.lambda_over_omega]
     # one contiguous chunk of cells per worker
     bounds = [len(cells) * k // workers for k in range(workers + 1)]
-    tasks = [(cells[lo:hi], spec.quantity, spec.omega0, spec.Omega,
-              spec.tmax, spec.grid)
+    tasks = [(cells[lo:hi], spec.quantity, spec.tmax, spec.grid)
              for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     processes = min(workers, len(tasks))
     if processes > 1:
@@ -109,8 +106,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         "quantity": spec.quantity,
         "units": "omega0",
         "tool_version": __version__,
-        "omega0": spec.omega0,
-        "Omega": spec.Omega,
         "tmax": spec.tmax,
         "grid": spec.grid,
     }
@@ -192,8 +187,6 @@ def sweep_to_json(result: SweepResult) -> str:
         "quantity": result.spec.quantity,
         "tmax": result.spec.tmax,
         "grid": result.spec.grid,
-        "omega0": result.spec.omega0,
-        "Omega": result.spec.Omega,
         "values": result.values,
         "flags": result.flags,
         "metadata": result.metadata,

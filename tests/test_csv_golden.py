@@ -15,7 +15,6 @@ EVOLVE_CSV = """\
 # command=evolve
 # tool_version=0.1.0
 # omega0=1.0
-# Omega=1.0
 # gamma=0.1
 # lambda=0.1
 # tmax_Omega_tau=5.0
@@ -33,8 +32,6 @@ SWEEP_CSV = """\
 # quantity=stored_energy_max
 # units=omega0
 # tool_version=0.1.0
-# omega0=1.0
-# Omega=1.0
 # tmax=1.0
 # grid=None
 # flag: 0,0,boundary

@@ -24,7 +24,6 @@ EVOLVE_JSON = """\
     "command": "evolve",
     "tool_version": "0.1.0",
     "omega0": 1.0,
-    "Omega": 1.0,
     "gamma": 0.1,
     "lambda": 0.1,
     "tmax_Omega_tau": 5.0,
@@ -72,7 +71,6 @@ EVOLVE_MEMORYLESS_JSON = """\
     "command": "evolve",
     "tool_version": "0.1.0",
     "omega0": 1.0,
-    "Omega": 1.0,
     "gamma": 4.0,
     "lambda": Infinity,
     "tmax_Omega_tau": 2.0,
@@ -127,8 +125,6 @@ SWEEP_JSON = """\
   "quantity": "stored_energy_max",
   "tmax": 1.0,
   "grid": null,
-  "omega0": 1.0,
-  "Omega": 1.0,
   "values": [
     [
       0.6141200971094255,
@@ -153,8 +149,6 @@ SWEEP_JSON = """\
     "quantity": "stored_energy_max",
     "units": "omega0",
     "tool_version": "0.1.0",
-    "omega0": 1.0,
-    "Omega": 1.0,
     "tmax": 1.0,
     "grid": null
   }
@@ -190,8 +184,6 @@ def sweep_to_json_reference(result):
         "quantity": result.spec.quantity,
         "tmax": result.spec.tmax,
         "grid": result.spec.grid,
-        "omega0": result.spec.omega0,
-        "Omega": result.spec.Omega,
         "values": [list(row) for row in result.values],
         "flags": result.flags,
         "metadata": result.metadata,

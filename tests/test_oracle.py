@@ -7,7 +7,6 @@ import pytest
 import qbattery as qb
 from qbattery.oracle import (_A, _B, _E, _W, STIFFNESS_BUDGET, _rk45_linear,
                              system_matrix)
-from qbattery.propagator import cubic_coefficients
 
 
 def params(gamma, lam):

@@ -8,8 +8,8 @@ import pytest
 import qbattery as qb
 from qbattery.model import excited_battery_state
 from qbattery.propagator import (_amplitude_poles, _eval_poles,
-                                 _partial_fractions, amplitude_grid,
-                                 cubic_coefficients, kappa_grid)
+                                 _partial_fractions, _polynomials, _ratios,
+                                 amplitude_grid, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -106,7 +106,7 @@ class TestSolveRoots:
     def test_residual_vieta_stability(self, gamma, lam):
         p = params(gamma, lam)
         pr = qb.solve_roots(p)
-        coeffs = cubic_coefficients(p)
+        coeffs = _polynomials(*_ratios(p))[0]
         for s in pr.roots:
             assert abs(np.polyval(coeffs, s)) < 1e-10
         roots = np.array(pr.roots)

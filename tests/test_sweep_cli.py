@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 
 import qbattery as qb
 from qbattery import cli, propagator, sweep
-from qbattery.sweep import SweepSpec, run_sweep, sweep_to_csv, sweep_to_json
+from qbattery.figures import GRID_AXIS
+from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
+from qbattery.sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
+                            sweep_to_json)
 
 
 def run_cli(args, capsys):
@@ -99,6 +103,52 @@ class TestSweep:
         assert grid["values"][0][0] == pytest.approx(report.delta_e_max,
                                                      abs=1e-12)
 
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_values_are_the_reports_of_the_exact_ratios(self, quantity,
+                                                        tmp_path):
+        """Each CSV value is read from the ``_many`` report of the cell
+        make_params(1.0, 1.0, g, l) of the axis values, exactly."""
+        gammas, lambdas = (0.123, 0.377, 2.5), (0.123, 0.377, math.inf)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--gamma-axis", ",".join(map(str, gammas)),
+                         "--lambda-axis", ",".join(map(str, lambdas)),
+                         "--quantity", quantity, "--tmax", "20",
+                         "--grid", "2001", "--out", str(out)]) == 0
+        rows = [line for line in out.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        written = [float(v) for row in rows for v in row.split(",")[1:]]
+        cells = [qb.make_params(1.0, 1.0, g, lam)
+                 for g in gammas for lam in lambdas]
+        if quantity == "nonmarkovianity":
+            want = [r.measure
+                    for r in blp_nonmarkovianity_many(cells, 20.0, 2001)]
+        else:
+            want = [r.delta_e_max if quantity == "stored_energy_max"
+                    else r.w_max
+                    for r in maximize_over_tau_many(cells, tmax=20.0)]
+        assert written == want
+
+    def test_blp_memory_does_not_grow_with_the_cells(self):
+        """A BLP sweep reduces each report to its (value, flag) as its
+        group of ``BLP_REFINE_CELLS`` cells is done.  Holding every report
+        of the chunk, about 8 KB of intervals per cell, grew the traced
+        peak by 1.0 MB from 16 to 144 cells, against about 0.2 MB now."""
+        peaks = []
+        for axis in (GRID_AXIS[:4], GRID_AXIS[:12]):
+            spec = SweepSpec(axis, axis, "nonmarkovianity", grid=2001)
+            was_tracing = tracemalloc.is_tracing()
+            if not was_tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                run_sweep(spec)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                if not was_tracing:
+                    tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.5e6
+
     def test_memoryless_threshold_cells(self, capsys):
         code, out = run_cli(["sweep", "--gamma-axis", "3.9,4.1",
                              "--lambda-axis", "inf",
@@ -179,8 +229,7 @@ class TestSweep:
         assert SweepSpec(tuple(payload["gamma_over_omega"]),
                          tuple(payload["lambda_over_omega"]),
                          payload["quantity"], payload["tmax"],
-                         payload["grid"], payload["omega0"],
-                         payload["Omega"]) == result.spec
+                         payload["grid"]) == result.spec
         assert payload["flags"] == result.flags
 
     def test_csv_shape_and_metadata(self):
@@ -260,32 +309,25 @@ class TestMaximaCommand:
         assert abs(report["tau_at_e_max"] - a) <= 1e-8
         assert abs(report["delta_e_max"] - abs(c2) ** 2) <= 1e-8
 
-    @pytest.mark.parametrize("command", ["maxima", "nonmarkov"])
-    def test_overflowing_default_horizon_is_usage_error(self, command,
-                                                        capsys):
-        """Omega = 1e-308 is subnormal: make_params refuses an Omega too
-        small to carry gamma/Omega and lambda/Omega.  The default horizons
-        are in Omega*tau, so no 50/Omega or 200/Omega is formed."""
-        assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
-                         "--Omega", "1e-308"]) == 2
-        assert "Omega must be a normal float" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("omega", ["1e-300", "1e300"])
-    @pytest.mark.parametrize("command", ["maxima", "nonmarkov"])
-    def test_extreme_Omega_prints_the_unit_payload(self, command, omega,
-                                                   capsys):
-        """The engine sees only gamma/Omega and lambda/Omega (exactly 2 and
-        5 here) and Omega*tau: the payload is that of --Omega 1 apart from
-        the Omega key."""
-        runs = []
-        for om in ("1", omega):
-            code, out = run_cli([command, "--gamma", "2", "--lambda", "5",
-                                 "--Omega", om], capsys)
+    def test_payload_is_the_report_of_the_exact_ratios(self, rng, capsys):
+        """The flags are the ratios the engine reads: with 0.377 and 0.123,
+        which (v * Omega) / Omega rounds at some Omega, and seeded ratios,
+        the --omega0 1.5 payload is the report of make_params(1.5, 1.0, g,
+        l) field by field."""
+        cells = [(0.377, 0.123), (0.123, 0.377), (0.377, math.inf)]
+        cells += [(10 ** rng.uniform(-1.5, 1.3), lam) for lam in
+                  (10 ** rng.uniform(-1.5, 2.0), 10 ** rng.uniform(-1.5, 2.0),
+                   math.inf)]
+        for g, lam in cells:
+            code, out = run_cli(["maxima", "--gamma", repr(g), "--lambda",
+                                 repr(lam), "--omega0", "1.5"], capsys)
+            assert code == 0
             payload = json.loads(out)
-            assert payload.pop("Omega") == float(om)
-            runs.append((code, payload))
-        assert runs[0][0] in (0, 4)
-        assert runs[1] == runs[0]
+            report = qb.maximize_over_tau(qb.make_params(1.5, 1.0, g, lam))
+            assert (payload["omega0"], payload["gamma"],
+                    payload["lambda"]) == (1.5, g, lam)
+            for key, value in vars(report).items():
+                assert repr(payload[key]) == repr(value), (g, lam, key)
 
     @pytest.mark.parametrize("lam", ["1e8", "1e9", "1e12"])
     def test_large_width_matches_memoryless(self, lam, capsys):
@@ -494,9 +536,41 @@ def test_nan_or_negative_inf_lambda_is_usage_error(command, lam, capsys):
 
 @pytest.mark.parametrize("argv", TMAX_COMMANDS)
 def test_zero_Omega_with_tmax_is_usage_error(argv, capsys):
-    """--tmax is converted with Omega; a bad Omega is still a usage error."""
-    assert cli.main(argv + ["--Omega", "0", "--tmax", "5"]) == 2
-    assert "Omega must be finite and positive" in capsys.readouterr().err
+    """No command takes --Omega: --gamma, --lambda and --tmax are already
+    in units of Omega, so the parser refuses it (exit 2) at any value."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--Omega", "0", "--tmax", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --Omega 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [TMAX_COMMANDS[0], TMAX_COMMANDS[2]])
+def test_omega0_is_refused_where_it_scales_nothing(argv, capsys):
+    """sweep values are in units of omega0 and the BLP measure has none:
+    --omega0 is an option of evolve and maxima only."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--omega0", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --omega0 2" in capsys.readouterr().err
+
+
+def test_no_parser_takes_Omega():
+    _, subparsers = cli.build_parser()
+    options = {name: {o for a in sub._actions for o in a.option_strings}
+               for name, sub in subparsers.items()}
+    assert not any("--Omega" in opts for opts in options.values())
+    assert {name for name, opts in options.items()
+            if "--omega0" in opts} == {"evolve", "maxima"}
+
+
+def test_Omega_config_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "qb.cfg"
+    cfg.write_text("Omega = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["maxima", "--config", str(cfg), "--gamma", "2",
+                  "--lambda", "5"])
+    assert exc.value.code == 2
+    assert "unknown config key: 'Omega'" in capsys.readouterr().err
 
 
 def test_no_module_reads_the_environment():
