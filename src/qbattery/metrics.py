@@ -8,6 +8,13 @@ so D(t) = |mu(t)|^2 with D(0) = 1.  Information backflow is any interval of
 increasing D; summing the increase over those intervals gives the measure.
 In the flat-spectrum limit this yields exactly the gamma/Omega < 4 threshold
 for non-Markovian behaviour.
+
+The scan for the intervals needs only the sign of D' = 2*v*k, where v = c2
+and k = -i*c1 of the excited battery are both real: it reads their real
+parts from one exponential per real root or conjugate pair, blocked on the
+uniform grid (``propagator._real_parts_on_grid``).  The extrema it
+brackets, and every value a report holds, come from the complex amplitudes
+(``_refine``).
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import amplitudes_of_cells
+from .propagator import (_amplitude_poles, _real_parts_on_grid,
+                         amplitudes_of_cells)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -157,13 +165,19 @@ def _refine(cells, init: InitialState, a: np.ndarray, b: np.ndarray,
 
 def _blp_brackets(params: ModelParams, tmax: float, grid: int):
     """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
-    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax."""
-    taus = np.linspace(0.0, tmax, grid)
-    c1, c2 = amplitudes_of_cells([params], excited_battery_state())(taus)
-    sign = _slope(c1, c2) > 0.0
+    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax.
+
+    For the excited battery v = c2 and k = -i*c1 are real and D' = 2*v*k,
+    so the scan reads only the real parts of k and v on the grid."""
+    roots, coefs = _amplitude_poles(params, excited_battery_state())
+    k, v = _real_parts_on_grid(
+        (roots, coefs * np.array([-1j, 1.0])[:, None, None]), tmax, grid)
+    sign = v * k > 0.0
+    del k, v  # free the real parts before the grid's times are made
     # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls right after
     # t = 0, and the computed sign of D'(0) is roundoff
     sign[0] = False
+    taus = np.linspace(0.0, tmax, grid)
     i = np.nonzero(sign[1:] != sign[:-1])[0]
     return (np.concatenate(([0.0], taus[i], [tmax])),
             np.concatenate(([0.0], taus[i + 1], [tmax])),
@@ -216,10 +230,12 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                         grid: int | None = None) -> NonMarkovReport:
     """BLP backflow measure for the optimal pure state pair.
 
-    Scans D(t) = |mu(t)|^2 on a uniform grid over [0, tmax] in Omega*tau
-    (default spacing 1e-3), bisects each sign change of dD/dt as charging
-    optima are (``_refine``) and sums the increase of D over every rising
-    interval.  gamma = 0 is a flagged divergent case (perpetual
+    Scans the sign of dD/dt = 2*v*k (v = c2 and k = -i*c1 of the excited
+    battery, both real) on a uniform grid over [0, tmax] in Omega*tau
+    (default spacing 1e-3), with one exponential per real root or
+    conjugate pair, blocked on the grid; bisects each sign change as
+    charging optima are (``_refine``) and sums the increase of D over
+    every rising interval.  gamma = 0 is a flagged divergent case (perpetual
     closed-system recurrences); a ``truncated`` flag is set when D(tmax)
     has not decayed below 1e-6.
     This is the one-cell case of ``blp_nonmarkovianity_many``.

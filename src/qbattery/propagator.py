@@ -25,7 +25,9 @@ exponential exp(s*t) once per call, whatever the number of terms and
 outputs that share it.  The poles of many cells stack along a trailing
 cell axis, padded with zero coefficients at the zero root; the same
 evaluator then advances every cell at one time point each, as the
-lockstep searches of ``metrics`` need.
+lockstep searches of ``metrics`` need.  The BLP scan, which needs only
+real parts on a uniform grid, has its own evaluator: one term per real
+root or conjugate pair, its exponentials blocked on the grid.
 
 In the flat-spectrum limit (infinite width) the same engine runs on the
 quadratic denominator p(s) = s^2 + g*s/2 + 1, whose roots have a closed
@@ -162,6 +164,82 @@ def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
                 del term  # keep at most one product alive beside e
         del e  # free this root's exponential before the next one
     return outs
+
+
+def _real_terms(poles: Poles) -> list[tuple[complex, np.ndarray]]:
+    """(root, coefs[output, power]) whose real parts sum to the real part
+    of each output of ``poles``, one per real root or conjugate pair.
+
+    A root with |Im s| > 1e-9*|s| whose conjugate is another root within
+    1e-9*|s| takes the pair as a + conj(a') on s, since Re(a' exp(s' t)) =
+    Re(conj(a') exp(s t)) at s' = conj(s).  Every other root, real or a
+    cluster centre, keeps its complex s and its own coefficients.
+    """
+    roots, coefs = poles
+    terms, mates = [], set()
+    for j, s in enumerate(roots):
+        if j in mates:
+            continue
+        tol = 1e-9 * abs(s)
+        mate = next((k for k in range(j + 1, len(roots))
+                     if abs(s.imag) > tol and k not in mates
+                     and abs(roots[k] - s.conjugate()) <= tol), None)
+        rows = coefs[:, j]
+        if mate is not None:
+            mates.add(mate)
+            rows = rows + coefs[:, mate].conj()
+        if rows.any():
+            terms.append((complex(s), rows))
+    return terms
+
+
+_GRID_BLOCK_ROWS = 32  # grid rows filled at a time by _real_parts_on_grid
+
+
+def _real_parts_on_grid(poles: Poles, tmax: float, n: int) -> np.ndarray:
+    """Re of each output of ``poles`` on np.linspace(0, tmax, n), as an
+    array indexed [output, point].
+
+    Point m = i*b + k of b = isqrt(n) columns sits at t = m*h, h =
+    tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
+    per row and per column for each real root or conjugate pair
+    (``_real_terms``), and the real part of a*exp(s*t) from real products.
+    ``_GRID_BLOCK_ROWS`` rows are filled at a time, so that the
+    temporaries stay in cache.
+    """
+    h = tmax / (n - 1)
+    cols = math.isqrt(n)
+    rows = -(-n // cols)
+    terms = _real_terms(poles)
+    col_t = np.arange(cols) * h
+    row_t = np.arange(0, rows * cols, cols) * h
+    exps = []
+    for s, _ in terms:
+        ec = np.exp(s * col_t)
+        exps.append((np.exp(s * row_t), ec.real.copy(), ec.imag.copy()))
+    confluent = poles[1].shape[2] > 1
+    out = np.zeros((len(poles[1]), rows, cols))
+    part, im_part = np.empty((2, _GRID_BLOCK_ROWS, cols))
+    for r0 in range(0, rows, _GRID_BLOCK_ROWS):
+        r1 = min(r0 + _GRID_BLOCK_ROWS, rows)
+        if confluent:
+            t = np.arange(r0 * cols, r1 * cols).reshape(r1 - r0, cols) * h
+        part_k, im_k = part[:r1 - r0], im_part[:r1 - r0]
+        for (s, term_coefs), (er, ec_re, ec_im) in zip(terms, exps):
+            er = er[r0:r1, None]
+            for block, by_power in zip(out[:, r0:r1], term_coefs):
+                for power in reversed(range(len(by_power))):
+                    if not by_power[power]:
+                        continue
+                    # Re(a e_r e_c) = Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
+                    ar = by_power[power] * er
+                    np.multiply(ar.real, ec_re, out=part_k)
+                    if s.imag:
+                        part_k -= np.multiply(ar.imag, ec_im, out=im_k)
+                    if power:
+                        part_k *= t ** power
+                    block += part_k
+    return out.reshape(len(out), -1)[:, :n]
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:

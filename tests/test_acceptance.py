@@ -3,7 +3,6 @@ enforcing its stated tolerance and runtime budget."""
 
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -84,9 +83,7 @@ def test_criterion_6_rabi_limit():
     with Timer() as t:
         p = params(0.0, 1.0)
         traj = qb.trajectory(p, tmax=math.pi, steps=1000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rep = qb.maximize_over_tau(p, tmax=math.pi)
+        rep = qb.maximize_over_tau(p, tmax=math.pi)
     np.testing.assert_allclose(traj.population, np.sin(traj.times) ** 2,
                                rtol=0, atol=1e-12)
     assert rep.delta_e_max == pytest.approx(1.0, abs=1e-9)
@@ -127,17 +124,15 @@ def test_criterion_8_ergotropy_consistency(rng):
 def test_criterion_9_trend_properties():
     grid = (0.1, 0.5, 1.0, 5.0, 10.0)
     with Timer() as t:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for lam in (0.1, 1.0):
-                de = [qb.maximize_over_tau(params(g, lam)).delta_e_max
-                      for g in grid]
-                assert all(a >= b - 1e-9 for a, b in zip(de, de[1:]))
-                ns = [qb.blp_nonmarkovianity(params(g, lam)).measure
-                      for g in grid]
-                assert all(a >= b - 1e-9 for a, b in zip(ns, ns[1:]))
-            for g in (0.1, 1.0):
-                de = [qb.maximize_over_tau(params(g, lam)).delta_e_max
-                      for lam in grid]
-                assert all(a >= b - 1e-9 for a, b in zip(de, de[1:]))
+        for lam in (0.1, 1.0):
+            de = [qb.maximize_over_tau(params(g, lam)).delta_e_max
+                  for g in grid]
+            assert all(a >= b - 1e-9 for a, b in zip(de, de[1:]))
+            ns = [qb.blp_nonmarkovianity(params(g, lam)).measure
+                  for g in grid]
+            assert all(a >= b - 1e-9 for a, b in zip(ns, ns[1:]))
+        for g in (0.1, 1.0):
+            de = [qb.maximize_over_tau(params(g, lam)).delta_e_max
+                  for lam in grid]
+            assert all(a >= b - 1e-9 for a, b in zip(de, de[1:]))
     report(9, "monotone trends in gamma/Omega and lambda/Omega", t, 30.0)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,10 @@ import qbattery as qb
 from qbattery import metrics
 from qbattery.metrics import (NumericalGuardError, blp_nonmarkovianity_many,
                              maximize_over_tau_many)
-from qbattery.propagator import amplitude_grid, kappa_grid
+from qbattery.figures import GRID_AXIS
+from qbattery.propagator import (amplitude_grid, amplitudes_of_cells,
+                                 kappa_grid)
+from test_propagator import TRIPLE_ROOT, double_root_cell
 
 
 def params(gamma, lam):
@@ -278,11 +282,8 @@ class TestTrends:
 
     @pytest.mark.parametrize("lam", [0.1, 1.0])
     def test_backflow_non_increasing_in_gamma(self, lam):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # slow decay may flag truncation
-            vals = [qb.blp_nonmarkovianity(params(g, lam)).measure
-                    for g in self.GRID]
+        vals = [qb.blp_nonmarkovianity(params(g, lam)).measure
+                for g in self.GRID]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
@@ -358,24 +359,22 @@ class TestMaximizeBatch:
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
     def test_bytes_match_per_cell_reference(self, init, tmax):
         cells = BATCH_CELLS
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if init is BATCH_INITS["excited"]:
-                # at the triple root the partial fractions cancel terms of
-                # 1e10, and |c2|^2 reads 1 + 4.8e-7 near tau = 0 (ROADMAP
-                # item 1): the population guard rejects the cell, alone and
-                # in a batch, where a clamp used to report 1.0
-                for batch in (cells, [TRIPLE_ROOT_CELL]):
-                    with pytest.raises(NumericalGuardError,
-                                       match="outside"):
-                        maximize_over_tau_many(batch, init, tmax)
-                cells = [p for p in cells if p != TRIPLE_ROOT_CELL]
-            batch = maximize_over_tau_many(cells, init, tmax)
-            for p, got in zip(cells, batch):
-                assert same_report(
-                    got, maximize_reference(unit_cell(p), init, tmax)), p
-                alone = maximize_over_tau_many([p], init, tmax)[0]
-                assert same_report(alone, got), p
+        if init is BATCH_INITS["excited"]:
+            # at the triple root the partial fractions cancel terms of
+            # 1e10, and |c2|^2 reads 1 + 4.8e-7 near tau = 0 (ROADMAP
+            # item 1): the population guard rejects the cell, alone and
+            # in a batch, where a clamp used to report 1.0
+            for batch in (cells, [TRIPLE_ROOT_CELL]):
+                with pytest.raises(NumericalGuardError,
+                                   match="outside"):
+                    maximize_over_tau_many(batch, init, tmax)
+            cells = [p for p in cells if p != TRIPLE_ROOT_CELL]
+        batch = maximize_over_tau_many(cells, init, tmax)
+        for p, got in zip(cells, batch):
+            assert same_report(
+                got, maximize_reference(unit_cell(p), init, tmax)), p
+            alone = maximize_over_tau_many([p], init, tmax)[0]
+            assert same_report(alone, got), p
         if tmax is not None and init is None:  # Rabi-like peaks after 1.0
             assert any(r.at_boundary for r in batch)
         assert len(batch) == len(cells)
@@ -469,15 +468,13 @@ class TestBlpBatch:
 
     @pytest.mark.parametrize("grid", [None, 2001], ids=["default", "coarse"])
     def test_bytes_match_per_cell_reference(self, grid):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            batch = blp_nonmarkovianity_many(BLP_CELLS, grid=grid)
-            assert len(batch) == len(BLP_CELLS)
-            for p, got in zip(BLP_CELLS, batch):
-                assert blp_bytes(got) == blp_bytes(
-                    blp_reference(unit_cell(p), None, grid)), p
-                assert blp_bytes(qb.blp_nonmarkovianity(p, grid=grid)) \
-                    == blp_bytes(got), p
+        batch = blp_nonmarkovianity_many(BLP_CELLS, grid=grid)
+        assert len(batch) == len(BLP_CELLS)
+        for p, got in zip(BLP_CELLS, batch):
+            assert blp_bytes(got) == blp_bytes(
+                blp_reference(unit_cell(p), None, grid)), p
+            assert blp_bytes(qb.blp_nonmarkovianity(p, grid=grid)) \
+                == blp_bytes(got), p
         assert sum(r.divergent for r in batch) == 2
         assert any(r.truncated for r in batch)
         assert any(r.backflow_intervals for r in batch)
@@ -489,13 +486,11 @@ class TestBlpBatch:
         assert got.backflow_intervals == ()
 
     def test_independent_of_batch_order_and_grouping(self, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            forward = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
-            backward = blp_nonmarkovianity_many(BLP_CELLS[::-1],
-                                                grid=2001)[::-1]
-            monkeypatch.setattr(metrics, "BLP_REFINE_CELLS", 2)
-            pairs = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
+        forward = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
+        backward = blp_nonmarkovianity_many(BLP_CELLS[::-1],
+                                            grid=2001)[::-1]
+        monkeypatch.setattr(metrics, "BLP_REFINE_CELLS", 2)
+        pairs = blp_nonmarkovianity_many(BLP_CELLS, grid=2001)
         for f, b, g in zip(forward, backward, pairs):
             assert blp_bytes(f) == blp_bytes(b) == blp_bytes(g)
 
@@ -521,10 +516,84 @@ class TestBlpBatch:
             raise AssertionError("scanned before the options were checked")
 
         monkeypatch.setattr(metrics, "amplitudes_of_cells", no_scan)
+        monkeypatch.setattr(metrics, "_real_parts_on_grid", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
                 blp_nonmarkovianity_many(batch, **kwargs)
+
+
+def blp_brackets_reference(params, tmax, grid):
+    """The complex scan: c1 and c2 of the excited battery on the grid and
+    the sign of D' = 2 Re(conj(c2) (-i c1)), as ``_blp_brackets`` scanned
+    before it read real parts; the brackets it must find exactly."""
+    taus = np.linspace(0.0, tmax, grid)
+    c1, c2 = amplitudes_of_cells([params], qb.excited_battery_state())(taus)
+    sign = 2.0 * np.real(np.conj(c2) * (-1j * c1)) > 0.0
+    sign[0] = False
+    i = np.nonzero(sign[1:] != sign[:-1])[0]
+    return (np.concatenate(([0.0], taus[i], [tmax])),
+            np.concatenate(([0.0], taus[i + 1], [tmax])),
+            np.concatenate(([False], sign[i], [False])))
+
+
+# the double-root curve, the triple point and points near it, and the
+# memoryless double root gamma = 4 with points near it
+EXCEPTIONAL_SCAN_CELLS = (
+    [double_root_cell(r) for r in np.linspace(-6.0, -1.001, 12)]
+    + [(TRIPLE_ROOT[0] * (1 + d), TRIPLE_ROOT[1])
+       for d in (0.0, 1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3)]
+    + [(4.0 * (1 + d), math.inf) for d in (0.0, 1e-9, -1e-9, 1e-6, -1e-6)])
+
+
+class TestBlpScan:
+    """The scan reads the real parts of k = -i*c1 and v = c2 and finds the
+    brackets of the complex scan, so every report keeps its bytes."""
+
+    @staticmethod
+    def mismatches(cells, grid):
+        return [(g, lam) for g, lam in cells if not all(
+            np.array_equal(x, y) for x, y in zip(
+                metrics._blp_brackets(params(g, lam), 200.0, grid),
+                blp_brackets_reference(params(g, lam), 200.0, grid)))]
+
+    def test_brackets_match_complex_scan_on_figure_axes(self):
+        cells = [(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        assert self.mismatches(cells, 2001) == []
+
+    def test_brackets_match_complex_scan_at_default_grid(self):
+        cells = ([(g, lam) for g in GRID_AXIS[::5]
+                  for lam in GRID_AXIS[::5] + (math.inf,)]
+                 + EXCEPTIONAL_SCAN_CELLS)
+        assert self.mismatches(cells, 200001) == []
+
+    def test_report_where_partial_fractions_cancel(self):
+        """Just below the triple point coefficients of about 1e7 cancel,
+        so a bracket may differ near Omega*tau = 0.1; the report must
+        not."""
+        p = params(TRIPLE_ROOT[0] * (1 - 1e-12), TRIPLE_ROOT[1])
+        assert blp_bytes(qb.blp_nonmarkovianity(p)) \
+            == blp_bytes(blp_reference(p))
+
+    def test_peak_memory(self):
+        """One default 200001-point scan holds k and v as floats, their
+        product and the sign: a traced peak under 8 MB, where the complex
+        scan peaked at 13.7 MB."""
+        p = params(0.1, 0.1)
+        metrics._blp_brackets(p, 200.0, 200001)  # fill the pole cache
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            metrics._blp_brackets(p, 200.0, 200001)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak <= 8e6
 
 
 def at_omega(p, om):
@@ -561,24 +630,22 @@ class TestOmegaScaling:
     @pytest.mark.parametrize("unit,exponents", OMEGA_CELLS)
     def test_powers_of_two_are_byte_identical(self, unit, exponents):
         x = np.linspace(0.0, 25.0, 501)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want_max = [qb.maximize_over_tau(unit, init)
-                        for init in BATCH_INITS.values()]
-            want_blp = qb.blp_nonmarkovianity(unit, tmax=30.0, grid=3001)
-            for k in exponents:
-                p = at_omega(unit, 2.0 ** k)
-                for init, want in zip(BATCH_INITS.values(), want_max):
-                    assert same_report(qb.maximize_over_tau(p, init),
-                                       want), (k, init)
-                assert blp_bytes(qb.blp_nonmarkovianity(
-                    p, tmax=30.0, grid=3001)) == blp_bytes(want_blp), k
-                assert trajectory_bytes(qb.trajectory(p, tmax=25.0,
-                                                      steps=201)) \
-                    == trajectory_bytes(qb.trajectory(unit, tmax=25.0,
-                                                      steps=201)), k
-                assert kappa_grid(p, x / p.coupling_qb_cavity).tobytes() \
-                    == kappa_grid(unit, x).tobytes(), k
+        want_max = [qb.maximize_over_tau(unit, init)
+                    for init in BATCH_INITS.values()]
+        want_blp = qb.blp_nonmarkovianity(unit, tmax=30.0, grid=3001)
+        for k in exponents:
+            p = at_omega(unit, 2.0 ** k)
+            for init, want in zip(BATCH_INITS.values(), want_max):
+                assert same_report(qb.maximize_over_tau(p, init),
+                                   want), (k, init)
+            assert blp_bytes(qb.blp_nonmarkovianity(
+                p, tmax=30.0, grid=3001)) == blp_bytes(want_blp), k
+            assert trajectory_bytes(qb.trajectory(p, tmax=25.0,
+                                                  steps=201)) \
+                == trajectory_bytes(qb.trajectory(unit, tmax=25.0,
+                                                  steps=201)), k
+            assert kappa_grid(p, x / p.coupling_qb_cavity).tobytes() \
+                == kappa_grid(unit, x).tobytes(), k
 
     @pytest.mark.parametrize("gamma,lam", [(0.3, 0.7), (2.0, 5.0),
                                            (0.5, math.inf), (5.0, math.inf)])
@@ -605,12 +672,10 @@ class TestOmegaScaling:
                  params(0.1, 0.1)]
         cells = [at_omega(u, 2.0 ** k) for u, k in
                  zip(units, (-700, 0, 3, 512))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for got, want in zip(maximize_over_tau_many(cells, tmax=10.0),
-                                 maximize_over_tau_many(units, tmax=10.0)):
-                assert same_report(got, want)
-            for got, want in zip(
-                    blp_nonmarkovianity_many(cells, tmax=30.0, grid=3001),
-                    blp_nonmarkovianity_many(units, tmax=30.0, grid=3001)):
-                assert blp_bytes(got) == blp_bytes(want)
+        for got, want in zip(maximize_over_tau_many(cells, tmax=10.0),
+                             maximize_over_tau_many(units, tmax=10.0)):
+            assert same_report(got, want)
+        for got, want in zip(
+                blp_nonmarkovianity_many(cells, tmax=30.0, grid=3001),
+                blp_nonmarkovianity_many(units, tmax=30.0, grid=3001)):
+            assert blp_bytes(got) == blp_bytes(want)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import qbattery as qb
+from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
 from qbattery.propagator import (_amplitude_poles, _eval_poles,
                                  _partial_fractions, _polynomials, _ratios,
+                                 _real_parts_on_grid, _real_terms,
                                  amplitude_grid, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
@@ -411,6 +413,84 @@ NORM_CELLS = [(float(g), float(lam)) for g, lam in zip(
         np.log([[1e-3] * 320, [1e-9] * 320]),
         np.log([[1e3] * 320, [1e15] * 320]))))] + [
     (g, math.inf) for g in np.logspace(-3, 3, 20)]
+
+
+class TestRealParts:
+    """The real evaluator the BLP scan reads: one term per real root or
+    conjugate pair, exponentials blocked on the uniform grid."""
+
+    @staticmethod
+    def excited_terms(gamma, lam):
+        return _real_terms(_amplitude_poles(params(gamma, lam),
+                                            excited_battery_state()))
+
+    def test_matches_real_part_of_pole_evaluator(self):
+        """Within 1e-12 of Re of ``_eval_poles`` on the same np.linspace
+        grid, over the norm cells and the figure axes with an inf column,
+        for the excited battery the scan reads and a general state with
+        complex outputs; 2001 points make two row blocks, the last with a
+        partial row, and 3 points three rows of one."""
+        inits = [excited_battery_state(), qb.make_initial_state(0.6, 0.8j)]
+        cells = NORM_CELLS + [(g, lam) for g in GRID_AXIS
+                              for lam in GRID_AXIS + (math.inf,)]
+        worst = 0.0
+        for gamma, lam in cells:
+            for init in inits:
+                poles = _amplitude_poles(params(gamma, lam), init)
+                for n in (2001, 3):
+                    got = _real_parts_on_grid(poles, 200.0, n)
+                    assert got.shape == (2, n)
+                    want = np.real(_eval_poles(poles,
+                                               np.linspace(0.0, 200.0, n)))
+                    worst = max(worst, np.max(np.abs(got - want)))
+        assert worst <= 1e-12
+
+    def test_confluent_terms_keep_their_power(self):
+        for poles in (kappa_poles(params(4.0, math.inf)),
+                      kappa_poles(params(*double_root_cell(-1.01)))):
+            assert poles[1][0, :, 1].any()
+            got = _real_parts_on_grid(poles, 30.0, 3001)[0]
+            want = np.real(_eval_poles(poles, np.linspace(0.0, 30.0, 3001)))
+            assert np.max(np.abs(got - want[0])) <= 1e-12
+
+    def test_cubic_pair_is_one_term(self):
+        p = params(0.1, 0.1)
+        roots, coefs = _amplitude_poles(p, excited_battery_state())
+        terms = self.excited_terms(0.1, 0.1)
+        assert len(roots) == 3 and len(terms) == 2
+        (real, _), (pair, rows) = terms
+        assert real == roots[0] and pair == roots[1]
+        assert abs(roots[2] - pair.conjugate()) <= 1e-9 * abs(pair)
+        np.testing.assert_array_equal(rows,
+                                      coefs[:, 1] + coefs[:, 2].conj())
+
+    def test_three_real_roots_are_three_terms(self):
+        terms = self.excited_terms(7.5, 100.0)
+        assert len(terms) == 3
+        assert all(s.imag == 0.0 for s, _ in terms)
+
+    def test_double_root_cluster_centre_is_unpaired(self):
+        """The centre keeps its imaginary part, above 1e-9 of its size,
+        and its confluent power: nothing pairs it with a conjugate."""
+        roots, coefs = _amplitude_poles(params(*double_root_cell(-1.01)),
+                                        excited_battery_state())
+        terms = self.excited_terms(*double_root_cell(-1.01))
+        assert len(roots) == len(terms) == 2
+        centre, rows = terms[1]
+        assert abs(centre.imag) > 1e-9 * abs(centre)
+        assert centre == roots[1]
+        np.testing.assert_array_equal(rows, coefs[:, 1])
+        assert rows[:, 1].any()
+
+    @pytest.mark.parametrize("gamma,count,power", [(2.0, 1, 1), (7.5, 2, 1),
+                                                   (4.0, 1, 2)])
+    def test_memoryless_terms(self, gamma, count, power):
+        """gamma < 4 is one pair, gamma > 4 two real roots and gamma = 4
+        one cluster with its t*exp(s*t) term."""
+        terms = self.excited_terms(gamma, math.inf)
+        assert len(terms) == count
+        assert all(rows.shape[1] == power for _, rows in terms)
+        assert all(s.imag == 0.0 for s, _ in terms) == (gamma >= 4.0)
 
 
 class TestWholeDomain:
