@@ -9,12 +9,11 @@ increasing D; summing the increase over those intervals gives the measure.
 In the flat-spectrum limit this yields exactly the gamma/Omega < 4 threshold
 for non-Markovian behaviour.
 
-The scan for the intervals needs only the sign of D' = 2*v*k, where v = c2
-and k = -i*c1 of the excited battery are both real: it reads their real
-parts from one exponential per real root or conjugate pair, blocked on the
-uniform grid (``propagator._real_parts_on_grid``).  The extrema it
-brackets, and every value a report holds, come from the complex amplitudes
-(``_refine``).
+The excited battery has c1 = -i*w and c2 = v, with the real entries w and
+v of the transfer matrix U, so D = v^2 and D' = 2*v*v' = -2*v*w.  The scan
+for the intervals reads the sign of -v*w on the uniform grid
+(``propagator._real_parts_on_grid``), and the extrema it brackets are
+refined on the same terms (``_refine``).
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (_amplitude_poles, _real_parts_on_grid,
-                         amplitudes_of_cells)
+from .propagator import (_apply, _ratios, _real_parts_on_grid, _transfer,
+                         _weights, amplitudes_of_cells)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -167,13 +166,11 @@ def _blp_brackets(params: ModelParams, tmax: float, grid: int):
     """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
     of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax.
 
-    For the excited battery v = c2 and k = -i*c1 are real and D' = 2*v*k,
-    so the scan reads only the real parts of k and v on the grid."""
-    roots, coefs = _amplitude_poles(params, excited_battery_state())
-    k, v = _real_parts_on_grid(
-        (roots, coefs * np.array([-1j, 1.0])[:, None, None]), tmax, grid)
-    sign = v * k > 0.0
-    del k, v  # free the real parts before the grid's times are made
+    D' = -2*v*w: the scan reads only the entries w and v of U."""
+    roots, coefs = _transfer(*_ratios(params))
+    w, v = _real_parts_on_grid((roots, coefs[1:]), tmax, grid)
+    sign = v * w < 0.0
+    del w, v  # free the entries before the grid's times are made
     # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls right after
     # t = 0, and the computed sign of D'(0) is roundoff
     sign[0] = False
@@ -230,8 +227,8 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                         grid: int | None = None) -> NonMarkovReport:
     """BLP backflow measure for the optimal pure state pair.
 
-    Scans the sign of dD/dt = 2*v*k (v = c2 and k = -i*c1 of the excited
-    battery, both real) on a uniform grid over [0, tmax] in Omega*tau
+    Scans the sign of dD/dt = -2*v*w (c2 = v and c1 = -i*w of the excited
+    battery, w and v real) on a uniform grid over [0, tmax] in Omega*tau
     (default spacing 1e-3), with one exponential per real root or
     conjugate pair, blocked on the grid; bisects each sign change as
     charging optima are (``_refine``) and sums the increase of D over
@@ -262,7 +259,8 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     taus = np.linspace(0.0, tmax, n)
     lo, hi = [], []
     for params in params_seq:
-        c2 = amplitudes_of_cells([params], init)(taus)[1]
+        c2 = _apply(_transfer(*_ratios(params)), _weights(init)[1:],
+                    taus)[0]
         i = int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
         lo.append(taus[max(i - 1, 0)])
         hi.append(taus[min(i + 1, n - 1)])

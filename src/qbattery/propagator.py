@@ -3,36 +3,29 @@
 The engine is dimensionless: it runs at Omega = 1 on the ratios
 g = gamma/Omega and l = lam/Omega, with time the Omega*tau of every figure
 axis.  Omega enters only where a physical time tau comes in (``kappa_grid``,
-``amplitude_grid``) and where physical roots go out (``solve_roots``).  The
-Laplace-domain solution of the amplitude equations has, after clearing
-fractions, the common cubic denominator at finite width
+``amplitude_grid``) and where physical roots go out (``solve_roots``).
 
-    p(s) = s^3 + l*s^2 + (1 + l*g/2)*s + l,
+Every amplitude is c(t) = U(t) c(0), with the transfer matrix
+U = [[u, -i*w], [-i*w, v]] whose entries are real functions of t; the
+charging propagator is kappa = -i*w.  In the Laplace domain u = s*m/p,
+w = m/p and v = ((p - m)/s)/p, with the cubic denominator at finite width
+p(s) = s^3 + l*s^2 + (1 + l*g/2)*s + l and the memory factor m(s) = s + l,
+or, in the flat-spectrum limit (infinite width), the quadratic
+p(s) = s^2 + g*s/2 + 1 and m(s) = 1.  The roots of p are the eigenvalues
+of its companion matrix (the quadratic's have a closed form), polished
+with two Newton steps and made exact conjugate pairs; roots closer than
+1e-7 relative to the larger of the pair form a cluster and take confluent
+partial fractions with t^k * exp(s*t) terms, as does the quadratic's
+double root at g = 4.
 
-so every amplitude is a sum of (at most) three exponentials, obtained by
-partial fractions.  Roots are computed as eigenvalues of the companion
-matrix (better conditioned near degeneracies than a closed-form cubic) and
-polished with two Newton steps; roots closer than 1e-7 relative to the
-larger of the pair form a cluster and take the confluent partial-fraction
-expansion with t^k * exp(s*t) terms.
-
-One partial-fraction expansion per (params, initial state) gives c1 and c2
-together as poles: a pair of arrays (roots, coefs), the distinct roots in
-(real, imag) order and coefs[output, root, power] the coefficient of
-t**power * exp(root*t).  The charging propagator kappa is c2 of the empty
-battery.  One evaluator walks the roots in order and computes each root's
-exponential exp(s*t) once per call, whatever the number of terms and
-outputs that share it.  The poles of many cells stack along a trailing
-cell axis, padded with zero coefficients at the zero root; the same
-evaluator then advances every cell at one time point each, as the
-lockstep searches of ``metrics`` need.  The BLP scan, which needs only
-real parts on a uniform grid, has its own evaluator: one term per real
-root or conjugate pair, its exponentials blocked on the grid.
-
-In the flat-spectrum limit (infinite width) the same engine runs on the
-quadratic denominator p(s) = s^2 + g*s/2 + 1, whose roots have a closed
-form; its exceptional point g = 4 is an exact double root and takes the
-confluent expansion like any clustered root.
+One partial-fraction expansion per ratio pair (``_transfer``, cached, so
+cells that differ only in Omega or in the initial state share it) gives
+u, w and v as terms: one root per real root, cluster or conjugate pair,
+and each entry the sum of Re(coef * t**power * exp(root*t)).  One
+evaluator takes one exponential per root for any array of times; the
+terms of many cells stack along a trailing axis, so the lockstep searches
+of ``metrics`` advance every cell at one time point each.  The BLP scan
+reads the same terms on a uniform grid, its exponentials blocked.
 """
 
 from __future__ import annotations
@@ -45,9 +38,10 @@ import numpy as np
 
 from .model import InitialState, ModelParams, empty_battery_state
 
-# (roots, coefs): distinct roots in (real, imag) order and coefs indexed
-# [output, root, power]; stacked cells add a trailing axis to both
-Poles = tuple[np.ndarray, np.ndarray]
+# (roots, coefs): roots in (real, imag) order and coefs[entry, root, power];
+# each entry is the sum of Re(coef * t**power * exp(root*t)), and stacked
+# cells add a trailing axis to both
+Terms = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -76,32 +70,22 @@ def _polynomials(g: float, l: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Union-find clustering of roots closer than 1e-7 relative to the
-    larger of each pair -> (center, multiplicity), in (real, imag) order."""
-    n = len(roots)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (abs(roots[i] - roots[j])
-                    < 1e-7 * max(abs(roots[i]), abs(roots[j]))):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[complex]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(complex(roots[i]))
-    clusters = [(sum(g) / len(g), len(g)) for g in groups.values()]
-    clusters.sort(key=lambda c: (c[0].real, c[0].imag))
-    return clusters
+    """Clusters of roots linked by pairs closer than 1e-7 relative to the
+    larger of the two -> (center, multiplicity), in (real, imag) order."""
+    size = np.abs(roots)
+    close = (np.abs(roots[:, None] - roots) < 1e-7 * np.maximum.outer(
+        size, size)) | np.eye(len(roots), dtype=bool)
+    linked = np.linalg.matrix_power(close.astype(int), len(roots)) > 0
+    groups = {tuple(np.flatnonzero(row)) for row in linked}
+    clusters = [(sum(complex(roots[i]) for i in g) / len(g), len(g))
+                for g in groups]
+    return sorted(clusters, key=lambda c: (c[0].real, c[0].imag))
 
 
-def _partial_fractions(nums, roots: np.ndarray) -> Poles:
-    """Poles of the inverse Laplace transforms of N_k(s) / prod_j (s - s_j),
-    one output per numerator N_k in ``nums``.
+def _partial_fractions(nums, roots: np.ndarray) -> Terms:
+    """Terms of the inverse Laplace transforms of N_k(s) / prod_j (s - s_j),
+    one entry per numerator N_k in ``nums``, one root per cluster: the
+    entries are the real parts of the transforms.
 
     A cluster of roots takes the confluent terms t**k * exp(s*t), from
     derivatives of the reduced numerator q(s) = N(s) / prod_other(s - s_k).
@@ -136,28 +120,29 @@ def _partial_fractions(nums, roots: np.ndarray) -> Poles:
             coefs)
 
 
-def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
-    """The outputs sum coefs[k, j, p] * t**p * exp(roots[j]*t) of poles,
-    with one exponential per root.
+def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
+    """Each entry of ``terms`` at the times ``t``, one exponential per root.
 
-    Each output adds its products root by root, highest power first, as a
-    per-term loop over the partial fractions would, and skips all-zero
-    coefficients, so the result does not depend on how many outputs share
-    a root.  For stacked poles ``t`` holds one time per cell: a cell's zero
-    padding adds exact zeros, so it gets the bytes of its own poles.
+    Each entry adds its products root by root, highest power first, and
+    skips all-zero coefficients, so the result does not depend on how many
+    entries share a root.  For stacked terms ``t`` holds one time per cell:
+    a cell's zero padding adds exact zeros, so it gets the bytes of its own
+    terms.
     """
-    roots, coefs = poles
+    roots, coefs = terms
     t = np.asarray(t, dtype=np.float64)
-    outs = [np.zeros(t.shape, dtype=np.complex128) for _ in coefs]
+    outs = [np.zeros(t.shape) for _ in coefs]
     for j, root in enumerate(roots):
         if not coefs[:, j].any():
             continue
         e = np.exp(root * t)  # exactly 1 at a zero root
         for out, rows in zip(outs, coefs[:, j]):
             for power in reversed(range(len(rows))):
-                if not rows[power].any():
+                a = rows[power]
+                if not a.any():
                     continue
-                term = rows[power] * e
+                term = a.real * e.real  # Re(a e) = Re a Re e - Im a Im e
+                term -= a.imag * e.imag
                 if power:
                     term *= t ** power
                 out += term
@@ -166,68 +151,39 @@ def _eval_poles(poles: Poles, t) -> list[np.ndarray]:
     return outs
 
 
-def _real_terms(poles: Poles) -> list[tuple[complex, np.ndarray]]:
-    """(root, coefs[output, power]) whose real parts sum to the real part
-    of each output of ``poles``, one per real root or conjugate pair.
-
-    A root with |Im s| > 1e-9*|s| whose conjugate is another root within
-    1e-9*|s| takes the pair as a + conj(a') on s, since Re(a' exp(s' t)) =
-    Re(conj(a') exp(s t)) at s' = conj(s).  Every other root, real or a
-    cluster centre, keeps its complex s and its own coefficients.
-    """
-    roots, coefs = poles
-    terms, mates = [], set()
-    for j, s in enumerate(roots):
-        if j in mates:
-            continue
-        tol = 1e-9 * abs(s)
-        mate = next((k for k in range(j + 1, len(roots))
-                     if abs(s.imag) > tol and k not in mates
-                     and abs(roots[k] - s.conjugate()) <= tol), None)
-        rows = coefs[:, j]
-        if mate is not None:
-            mates.add(mate)
-            rows = rows + coefs[:, mate].conj()
-        if rows.any():
-            terms.append((complex(s), rows))
-    return terms
-
-
 _GRID_BLOCK_ROWS = 32  # grid rows filled at a time by _real_parts_on_grid
 
 
-def _real_parts_on_grid(poles: Poles, tmax: float, n: int) -> np.ndarray:
-    """Re of each output of ``poles`` on np.linspace(0, tmax, n), as an
-    array indexed [output, point].
+def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
+    """The entries of ``terms`` on np.linspace(0, tmax, n), [entry, point].
 
     Point m = i*b + k of b = isqrt(n) columns sits at t = m*h, h =
     tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
-    per row and per column for each real root or conjugate pair
-    (``_real_terms``), and the real part of a*exp(s*t) from real products.
-    ``_GRID_BLOCK_ROWS`` rows are filled at a time, so that the
+    per row and per column for each root, and Re(a*exp(s*t)) from real
+    products.  ``_GRID_BLOCK_ROWS`` rows are filled at a time, so that the
     temporaries stay in cache.
     """
+    roots, coefs = terms
     h = tmax / (n - 1)
     cols = math.isqrt(n)
     rows = -(-n // cols)
-    terms = _real_terms(poles)
     col_t = np.arange(cols) * h
     row_t = np.arange(0, rows * cols, cols) * h
     exps = []
-    for s, _ in terms:
+    for s in roots:
         ec = np.exp(s * col_t)
         exps.append((np.exp(s * row_t), ec.real.copy(), ec.imag.copy()))
-    confluent = poles[1].shape[2] > 1
-    out = np.zeros((len(poles[1]), rows, cols))
+    confluent = coefs.shape[2] > 1
+    out = np.zeros((len(coefs), rows, cols))
     part, im_part = np.empty((2, _GRID_BLOCK_ROWS, cols))
     for r0 in range(0, rows, _GRID_BLOCK_ROWS):
         r1 = min(r0 + _GRID_BLOCK_ROWS, rows)
         if confluent:
             t = np.arange(r0 * cols, r1 * cols).reshape(r1 - r0, cols) * h
         part_k, im_k = part[:r1 - r0], im_part[:r1 - r0]
-        for (s, term_coefs), (er, ec_re, ec_im) in zip(terms, exps):
+        for j, (s, (er, ec_re, ec_im)) in enumerate(zip(roots, exps)):
             er = er[r0:r1, None]
-            for block, by_power in zip(out[:, r0:r1], term_coefs):
+            for block, by_power in zip(out[:, r0:r1], coefs[:, j]):
                 for power in reversed(range(len(by_power))):
                     if not by_power[power]:
                         continue
@@ -242,20 +198,36 @@ def _real_parts_on_grid(poles: Poles, tmax: float, n: int) -> np.ndarray:
     return out.reshape(len(out), -1)[:, :n]
 
 
+def _conjugate_pairs(roots: np.ndarray) -> np.ndarray:
+    """The roots of a real polynomial of degree 2 or 3: an exact conjugate
+    pair, if any, and real roots.
+
+    The roots of least and greatest imaginary part pair up when each is
+    nearer the other's conjugate than both are to the real axis, as
+    s = (hi + conj(lo))/2 and conj(s).  From complex coefficients a pair
+    is conjugate only to roundoff, 3.6e-6 apart at the triple root.
+    """
+    lo, *mid, hi = sorted(roots, key=lambda s: s.imag)
+    if abs(hi - lo.conjugate()) < hi.imag - lo.imag:
+        s = 0.5 * (hi + lo.conjugate())
+        return np.array([s.conjugate(), *np.real(mid), s])
+    return np.array([lo.real, *np.real(mid), hi.real], dtype=np.complex128)
+
+
 def _roots(coeffs: np.ndarray) -> np.ndarray:
     """Roots of the monic p(s) in (real, imag) order.
 
     The quadratic s^2 + b*s + c (b = g/2, c = 1) has the larger root
     -(b + sqrt(b^2 - 4c))/2 = -(g + R)/4, R = sqrt(g^2 - 16), and the other
-    c/larger; at g = 4 both are the larger one, as c/larger flips the sign
-    of its zero imaginary part.  The cubic's are the companion-matrix
-    eigenvalues, polished with two Newton steps.
+    c/larger.  The cubic's are the companion-matrix eigenvalues, polished
+    with two Newton steps.  Both are made exact conjugate pairs
+    (``_conjugate_pairs``), which also makes the double root at g = 4 real.
     """
     if len(coeffs) == 3:
         _, b, c = coeffs
         r = np.sqrt(b * b - 4.0 * c)
         big = -0.5 * (b + r)
-        roots = np.array([big, c / big if r else big])
+        roots = np.array([big, c / big])
     else:
         roots = np.roots(coeffs)
         dcoeffs = np.polyder(coeffs)
@@ -265,6 +237,7 @@ def _roots(coeffs: np.ndarray) -> np.ndarray:
             mask = np.abs(dv) > 0
             roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0),
                              roots)
+    roots = _conjugate_pairs(roots)
     return roots[np.lexsort((roots.imag, roots.real))]
 
 
@@ -278,12 +251,54 @@ def solve_roots(params: ModelParams) -> PropagatorRoots:
         any(m > 1 for _, m in _cluster_roots(roots)))
 
 
+@functools.lru_cache(maxsize=512)
+def _transfer(g: float, l: float) -> Terms:
+    """Terms of the entries u, w and v of U, in Omega*tau, at the ratios.
+
+    p - m vanishes at s = 0, so dropping its constant term divides it by s
+    exactly.  With real numerators and exact conjugate roots a pair's
+    coefficients (a, a') fold into a + conj(a') on its root of positive
+    imaginary part: Re(a' exp(conj(s) t)) = Re(conj(a') exp(s t)).
+    """
+    coeffs, memory = _polynomials(g, l)
+    roots, coefs = _partial_fractions(
+        (np.polymul([1.0, 0.0], memory), memory,
+         np.polysub(coeffs, memory)[:-1]), _roots(coeffs))
+    lower = roots.imag < 0
+    for j in np.flatnonzero(lower):
+        coefs[:, roots == roots[j].conjugate()] += coefs[:, j, None].conj()
+    return roots[~lower], coefs[:, ~lower]
+
+
+def _weights(init: InitialState) -> np.ndarray:
+    """Rows c1 and c2 of c = U c(0) over the entries (u, w, v):
+    c1 = c1_0*u - i*c2_0*w and c2 = -i*c1_0*w + c2_0*v."""
+    a, b = init.c1_0, init.c2_0
+    return np.array([[a, -1j * b, 0.0], [0.0, -1j * a, b]])
+
+
+def _apply(terms: Terms, weights: np.ndarray, t) -> list[np.ndarray]:
+    """weights @ (u, w, v) at the times ``t`` in Omega*tau, one complex array
+    per row; an entry of zero weight in every row is not evaluated."""
+    roots, coefs = terms
+    used = np.flatnonzero(weights.any(axis=0))
+    entries = _eval_terms((roots, coefs[used]), t)
+    outs = []
+    for row in weights[:, used]:
+        out = np.zeros(np.shape(t), dtype=np.complex128)
+        for weight, entry in zip(row, entries):
+            if weight:
+                out += weight * entry
+        outs.append(out)
+    return outs
+
+
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
-    """Charging propagator kappa on an array of physical times: c2 of the
-    empty battery."""
-    roots, coefs = _amplitude_poles(params, empty_battery_state())
+    """Charging propagator kappa = -i*w, c2 of the empty battery, on an
+    array of physical times; its real part is exactly +0."""
     om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
-    return _eval_poles((roots, coefs[1:]), om_tau)[0]
+    return _apply(_transfer(*_ratios(params)),
+                  _weights(empty_battery_state())[1:], om_tau)[0]
 
 
 def _check_tau(tau: float) -> None:
@@ -304,30 +319,11 @@ def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
     return kappa_at(params, tau)
 
 
-@functools.lru_cache(maxsize=512)
-def _amplitude_poles(params: ModelParams, init: InitialState) -> Poles:
-    """Poles of c1 (output 0) and c2 (output 1), in Omega*tau, for
-    arbitrary initial amplitudes:
-
-    c1(s) = n1(s) / p(s),  n1(s) = (c1_0*s - i*c2_0) m(s)
-    c2(s) = (c2_0*p(s) - i*n1(s)) / (s*p(s))
-
-    The numerator of c2 vanishes at s = 0 (c2_0*l on both sides at finite
-    width, c2_0 when memoryless), so dropping its constant term divides it
-    by s exactly and c2 has the poles of p alone.
-    """
-    coeffs, memory = _polynomials(*_ratios(params))
-    lin = np.array([init.c1_0, -1j * init.c2_0])  # c1_0*s - i*c2_0
-    n1 = np.polymul(lin, memory)
-    n2 = np.polyadd(init.c2_0 * coeffs, -1j * n1)[:-1]
-    return _partial_fractions((n1, n2), _roots(coeffs))
-
-
 def amplitude_grid(params: ModelParams, init: InitialState,
                    tau) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2) amplitudes on an array of physical times."""
     om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
-    c1, c2 = _eval_poles(_amplitude_poles(params, init), om_tau)
+    c1, c2 = _apply(_transfer(*_ratios(params)), _weights(init), om_tau)
     return c1, c2
 
 
@@ -336,18 +332,19 @@ def amplitudes_of_cells(params_seq, init: InitialState):
 
     Returns ``f(t) -> (c1, c2)`` for ``t`` in Omega*tau of shape
     ``(len(params_seq),)``, or of any shape for a single cell.  The cells
-    share one stack of poles, and each cell's values have the bytes of its
-    own poles evaluated alone.
+    share one stack of terms, and each cell's values have the bytes of its
+    own terms evaluated alone.
     """
-    cells = [_amplitude_poles(p, init) for p in params_seq]
+    cells = [_transfer(*_ratios(p)) for p in params_seq]
     n_roots = max((r.size for r, _ in cells), default=0)
     depth = max((c.shape[2] for _, c in cells), default=0)
     roots = np.zeros((n_roots, len(cells)), dtype=np.complex128)
-    coefs = np.zeros((2, n_roots, depth, len(cells)), dtype=np.complex128)
+    coefs = np.zeros((3, n_roots, depth, len(cells)), dtype=np.complex128)
     for i, (r, c) in enumerate(cells):
         roots[:r.size, i] = r
         coefs[:, :r.size, :c.shape[2], i] = c
-    return lambda t: _eval_poles((roots, coefs), t)
+    weights = _weights(init)
+    return lambda t: _apply((roots, coefs), weights, t)
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,
@@ -392,10 +389,9 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     from . import metrics  # deferred: metrics depends on this module
 
     taus = np.linspace(0.0, tmax, steps)
-    # kappa (the empty battery's c2) and init's c2 share the roots of p
-    roots, empty = _amplitude_poles(params, empty_battery_state())
-    kap, c2 = _eval_poles((roots, np.stack(
-        [empty[1], _amplitude_poles(params, init)[1][1]])), taus)
+    # kappa (the empty battery's c2) and init's c2 share the entry w
+    kap, c2 = _apply(_transfer(*_ratios(params)), np.stack(
+        [_weights(empty_battery_state())[1], _weights(init)[1]]), taus)
     pop = metrics._clipped_population(np.abs(c2) ** 2)
     return ChargingTrajectory(taus, kap, pop,
                               metrics.stored_energy(params, pop),

@@ -57,10 +57,10 @@ EVOLVE_JSON = """\
     [
       5.0,
       0.0,
-      0.9517092319690481,
-      0.9057504622151155,
-      0.9057504622151155,
-      0.8115009244302309
+      0.951709231969048,
+      0.9057504622151152,
+      0.9057504622151152,
+      0.8115009244302305
     ]
   ]
 }"""

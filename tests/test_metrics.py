@@ -10,8 +10,7 @@ from scipy.optimize import minimize
 
 import qbattery as qb
 from qbattery import metrics
-from qbattery.metrics import (NumericalGuardError, blp_nonmarkovianity_many,
-                             maximize_over_tau_many)
+from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.figures import GRID_AXIS
 from qbattery.propagator import (amplitude_grid, amplitudes_of_cells,
                                  kappa_grid)
@@ -133,14 +132,14 @@ class TestArrayPopulation:
 
     def test_nan_population_in_trajectory_raises(self, monkeypatch):
         import qbattery.propagator as prop
-        eval_poles = prop._eval_poles
+        eval_terms = prop._eval_terms
 
-        def nan_c2(poles, t):
-            outs = eval_poles(poles, t)  # trajectory: kappa, then c2
+        def nan_c2(terms, t):
+            outs = eval_terms(terms, t)  # the empty battery reads w alone
             outs[-1][len(outs[-1]) // 2] = math.nan
             return outs
 
-        monkeypatch.setattr(prop, "_eval_poles", nan_c2)
+        monkeypatch.setattr(prop, "_eval_terms", nan_c2)
         with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
             qb.trajectory(params(0.1, 0.1), tmax=5.0, steps=101)
 
@@ -359,17 +358,15 @@ class TestMaximizeBatch:
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
     def test_bytes_match_per_cell_reference(self, init, tmax):
         cells = BATCH_CELLS
+        batch = maximize_over_tau_many(cells, init, tmax)
         if init is BATCH_INITS["excited"]:
             # at the triple root the partial fractions cancel terms of
-            # 1e10, and |c2|^2 reads 1 + 4.8e-7 near tau = 0 (ROADMAP
-            # item 1): the population guard rejects the cell, alone and
-            # in a batch, where a clamp used to report 1.0
-            for batch in (cells, [TRIPLE_ROOT_CELL]):
-                with pytest.raises(NumericalGuardError,
-                                   match="outside"):
-                    maximize_over_tau_many(batch, init, tmax)
-            cells = [p for p in cells if p != TRIPLE_ROOT_CELL]
-        batch = maximize_over_tau_many(cells, init, tmax)
+            # 4e10, so near tau = 0 v moves in steps of 2^-20 = 9.5e-7
+            # (ROADMAP item 2), and the optimum, exactly |c2(0)|^2 = 1,
+            # reads 1 - 1.9e-6 at the default horizon and 1 - 3.8e-6 at 1
+            got = batch[cells.index(TRIPLE_ROOT_CELL)]
+            assert abs(got.delta_e_max - 1.0) <= 1e-5
+            assert got.tau_at_e_max < 1e-6
         for p, got in zip(cells, batch):
             assert same_report(
                 got, maximize_reference(unit_cell(p), init, tmax)), p
@@ -517,6 +514,7 @@ class TestBlpBatch:
 
         monkeypatch.setattr(metrics, "amplitudes_of_cells", no_scan)
         monkeypatch.setattr(metrics, "_real_parts_on_grid", no_scan)
+        monkeypatch.setattr(metrics, "_transfer", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
@@ -547,8 +545,9 @@ EXCEPTIONAL_SCAN_CELLS = (
 
 
 class TestBlpScan:
-    """The scan reads the real parts of k = -i*c1 and v = c2 and finds the
-    brackets of the complex scan, so every report keeps its bytes."""
+    """The scan reads the entries w and v of U on the blocked grid and finds
+    the brackets of a pointwise scan of c1 and c2, so every report keeps
+    its bytes."""
 
     @staticmethod
     def mismatches(cells, grid):
@@ -577,11 +576,11 @@ class TestBlpScan:
             == blp_bytes(blp_reference(p))
 
     def test_peak_memory(self):
-        """One default 200001-point scan holds k and v as floats, their
+        """One default 200001-point scan holds w and v as floats, their
         product and the sign: a traced peak under 8 MB, where the complex
         scan peaked at 13.7 MB."""
         p = params(0.1, 0.1)
-        metrics._blp_brackets(p, 200.0, 200001)  # fill the pole cache
+        metrics._blp_brackets(p, 200.0, 200001)  # fill the terms cache
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()

@@ -8,10 +8,10 @@ import pytest
 import qbattery as qb
 from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
-from qbattery.propagator import (_amplitude_poles, _eval_poles,
-                                 _partial_fractions, _polynomials, _ratios,
-                                 _real_parts_on_grid, _real_terms,
-                                 amplitude_grid, kappa_grid)
+from qbattery.propagator import (_eval_terms, _partial_fractions,
+                                 _polynomials, _ratios, _real_parts_on_grid,
+                                 _roots, _transfer, amplitude_grid,
+                                 kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -20,28 +20,47 @@ def params(gamma, lam, Omega=1.0, omega0=1.0):
     return qb.make_params(omega0, Omega, gamma, lam)
 
 
-def eval_terms_reference(poles, t, output=0):
-    """Per-(root, power) loop over the poles of one output, highest power
-    first and one exponential per nonzero term: the reference the pole
-    evaluator must reproduce bit for bit."""
-    roots, coefs = poles
+def eval_terms_reference(terms, t, entry=0):
+    """Per-(root, power) loop over the terms of one entry, highest power
+    first and one exponential per nonzero term, each term Re(a e) =
+    Re(a) Re(e) - Im(a) Im(e): the reference the evaluator must reproduce
+    bit for bit."""
+    roots, coefs = terms
     t = np.asarray(t, dtype=np.float64)
-    out = np.zeros(t.shape, dtype=np.complex128)
-    for root, rows in zip(roots, coefs[output]):
+    out = np.zeros(t.shape)
+    for root, rows in zip(roots, coefs[entry]):
         for power in reversed(range(len(rows))):
             if rows[power] == 0:
                 continue
-            contrib = rows[power] * np.exp(root * t)
+            e = np.exp(root * t)
+            contrib = rows[power].real * e.real
+            if root.imag:
+                contrib = contrib - rows[power].imag * e.imag
             if power:
                 contrib = contrib * t ** power
             out += contrib
     return out
 
 
-def kappa_poles(p):
-    """Poles of kappa: the c2 row of the empty battery's poles."""
-    roots, coefs = _amplitude_poles(p, qb.empty_battery_state())
-    return roots, coefs[1:]
+def amplitudes_reference(terms, init, t):
+    """(c1, c2) = (c1_0 u - i c2_0 w, -i c1_0 w + c2_0 v) from the per-term
+    loop, each product of zero weight left out."""
+    u, w, v = (eval_terms_reference(terms, t, k) for k in range(3))
+
+    def mix(*pairs):
+        out = np.zeros(np.shape(t), dtype=np.complex128)
+        for weight, entry in pairs:
+            if weight:
+                out += weight * entry
+        return out
+
+    a, b = init.c1_0, init.c2_0
+    return mix((a, u), (-1j * b, w)), mix((-1j * a, w), (b, v))
+
+
+def transfer(p):
+    """Terms of the entries u, w and v of the transfer matrix of ``p``."""
+    return _transfer(*_ratios(p))
 
 
 def _sinhc(z):
@@ -122,8 +141,8 @@ class TestSolveRoots:
     @pytest.mark.parametrize("gamma", GRID)
     @pytest.mark.parametrize("lam", GRID)
     def test_residues_sum_to_zero(self, gamma, lam):
-        _, coefs = kappa_poles(params(gamma, lam))
-        assert abs(coefs[0, :, 0].sum()) < 1e-10
+        _, coefs = transfer(params(gamma, lam))
+        assert abs(coefs[1, :, 0].real.sum()) < 1e-10  # w(0) = 0
 
     def test_memoryless_quadratic_roots(self):
         """Memoryless roots are those of s^2 + gamma s/2 + Omega^2; at
@@ -139,8 +158,8 @@ class TestSolveRoots:
                 assert (s1 == s2) == pr.degenerate == (ratio == 4.0)
                 if pr.degenerate:
                     assert s1 == -Omega
-                    _, coefs = kappa_poles(params(gamma, math.inf, Omega))
-                    assert coefs[0, :, 1].any()
+                    _, coefs = transfer(params(gamma, math.inf, Omega))
+                    assert coefs[1, :, 1].any()
 
     def test_degenerate_matches_pairwise_distance(self):
         """``degenerate`` comes from the root clusters; a pairwise check of
@@ -191,6 +210,31 @@ class TestKappa:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             qb.kappa_at(params(0.1, 0.1), -1.0)
+
+    def test_real_part_is_exactly_zero(self):
+        """kappa = -i*w with w real: its real part is +0.0, with neither
+        roundoff nor a negative zero, over the norm cells and the figure
+        axes with an inf column."""
+        taus = np.linspace(0.0, 50.0, 501)
+        for cell in NORM_CELLS + [(g, lam) for g in GRID_AXIS
+                                  for lam in GRID_AXIS + (math.inf,)]:
+            re = kappa_grid(params(*cell), taus).real
+            assert not re.any() and not np.signbit(re).any(), cell
+
+    def test_one_expansion_per_ratio_pair(self):
+        """Cells that differ only in Omega or in the initial state share
+        one ``_transfer`` entry: one cache miss for three Omega values and
+        three initial states."""
+        g, lam = 0.3141592653589793, 2.718281828459045  # no other test's
+        tau = np.linspace(0.0, 10.0, 11)
+        before = _transfer.cache_info().misses
+        for om in (0.5, 1.0, 2.0):
+            p = params(g * om, lam * om, om)
+            assert _ratios(p) == (g, lam)
+            kappa_grid(p, tau)
+            for init in INITS:
+                amplitude_grid(p, init, tau)
+        assert _transfer.cache_info().misses == before + 1
 
     @pytest.mark.parametrize("lam", [0.5, math.inf])
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
@@ -299,32 +343,42 @@ class TestAmplitudes:
         assert c2 == pytest.approx(series.c2[0], abs=1e-8)
 
 
+def re_im(terms):
+    """Terms whose entries are the real and then the imaginary parts of
+    the outputs of ``terms``: Im(f) = Re(-i f)."""
+    roots, coefs = terms
+    return roots, np.concatenate([coefs, -1j * coefs])
+
+
 class TestConfluentExpansion:
     def test_double_root_matches_perturbed_simple(self):
         num = np.array([2.0 + 1j, -0.5])
         a, b = -0.3 + 0.4j, -1.1 + 0.0j
         eps = 1e-6
-        exact = _partial_fractions((num,), np.array([a, a, b]))
-        nearby = _partial_fractions((num,), np.array([a, a + eps, b]))
+        exact = re_im(_partial_fractions((num,), np.array([a, a, b])))
+        nearby = re_im(_partial_fractions((num,), np.array([a, a + eps, b])))
         t = np.linspace(0.0, 5.0, 50)
-        np.testing.assert_allclose(_eval_poles(exact, t)[0],
-                                   _eval_poles(nearby, t)[0], atol=1e-4)
+        np.testing.assert_allclose(_eval_terms(exact, t),
+                                   _eval_terms(nearby, t), atol=1e-4)
         assert exact[1][0, :, 1].any()
-        assert (_eval_poles(exact, t)[0].tobytes()
-                == eval_terms_reference(exact, t).tobytes())
+        for k, got in enumerate(_eval_terms(exact, t)):
+            assert got.tobytes() == eval_terms_reference(exact, t,
+                                                         k).tobytes()
 
     def test_triple_root_matches_perturbed_simple(self):
         num = np.array([1.0, 0.5j])
         a = -0.2 + 0.1j
         eps = 1e-5
-        exact = _partial_fractions((num,), np.array([a, a, a]))
-        nearby = _partial_fractions((num,), np.array([a, a + eps, a - eps]))
+        exact = re_im(_partial_fractions((num,), np.array([a, a, a])))
+        nearby = re_im(_partial_fractions((num,),
+                                          np.array([a, a + eps, a - eps])))
         t = np.linspace(0.0, 4.0, 40)
-        np.testing.assert_allclose(_eval_poles(exact, t)[0],
-                                   _eval_poles(nearby, t)[0], atol=1e-4)
+        np.testing.assert_allclose(_eval_terms(exact, t),
+                                   _eval_terms(nearby, t), atol=1e-4)
         assert exact[1][0, :, 2].any()
-        assert (_eval_poles(exact, t)[0].tobytes()
-                == eval_terms_reference(exact, t).tobytes())
+        for k, got in enumerate(_eval_terms(exact, t)):
+            assert got.tobytes() == eval_terms_reference(exact, t,
+                                                         k).tobytes()
 
 
 SEEDED_CELLS = [tuple(float(v) for v in cell) for cell in np.exp(
@@ -336,30 +390,33 @@ SPECIAL_CELLS = [(16 * math.sqrt(3) / 9, 3 * math.sqrt(3)),
                  (3.2406446189062073, 6.0), (0.1, 1e7), (0.1, 1e9)]
 
 
+INITS = [qb.empty_battery_state(), excited_battery_state(),
+         qb.make_initial_state(0.6, 0.8j)]
+
+
 class TestPoleEvaluator:
     @pytest.mark.parametrize("gamma,lam", SEEDED_CELLS + SPECIAL_CELLS)
     def test_bytes_match_per_term_loop(self, gamma, lam):
         p = params(gamma, lam)
-        inits = [qb.empty_battery_state(), excited_battery_state(),
-                 qb.make_initial_state(0.6, 0.8j)]
         for tau in (np.linspace(0.0, 50.0, 2001), np.float64(3.7)):
             kap = kappa_grid(p, tau)
-            want = eval_terms_reference(kappa_poles(p), tau)
+            want = amplitudes_reference(transfer(p), qb.empty_battery_state(),
+                                        tau)[1]
             assert kap.shape == np.shape(tau)
             assert kap.tobytes() == want.tobytes()
-            for init in inits:
+            for init in INITS:
                 got = amplitude_grid(p, init, tau)
-                for k, amp in enumerate(got):
-                    want = eval_terms_reference(_amplitude_poles(p, init),
-                                                tau, k)
+                want = amplitudes_reference(transfer(p), init, tau)
+                for amp, ref in zip(got, want):
                     assert amp.shape == np.shape(tau)
-                    assert amp.tobytes() == want.tobytes()
+                    assert amp.tobytes() == ref.tobytes()
 
     def test_no_zero_root_in_c2_poles(self):
-        """c2's numerator is divided by s exactly, so its poles are those
-        of p alone: no zero root, also at a small Omega where the cancelled
-        1/s pole used to keep a roundoff coefficient, and the values still
-        match the per-(root, power) loop."""
+        """v's numerator is divided by s exactly, so the terms have the
+        roots of p alone: no zero root, also at a small Omega where a
+        cancelled 1/s pole used to keep a roundoff coefficient, one root
+        per real root or conjugate pair, and the values still match the
+        per-(root, power) loop."""
         tau = np.linspace(0.0, 50.0, 2001)
         om = 0.003265088842593968
         cells = [params(gamma, lam) for gamma, lam
@@ -367,23 +424,23 @@ class TestPoleEvaluator:
             params(0.08856090101436478 * om, 16.036066952937396 * om, om),
             params(0.5, math.inf)]
         for p in cells:
-            for init in (qb.empty_battery_state(), excited_battery_state()):
-                poles = _amplitude_poles(p, init)
-                assert np.all(poles[0] != 0)
-                om = p.coupling_qb_cavity
-                roots = np.array(qb.solve_roots(p).roots) / om
-                assert all(np.min(np.abs(roots - s)) < 1e-7 * abs(s)
-                           for s in poles[0])  # roots of p, or clusters
+            terms = transfer(p)
+            assert np.all(terms[0] != 0) and np.all(terms[0].imag >= 0)
+            om = p.coupling_qb_cavity
+            roots = np.array(qb.solve_roots(p).roots) / om
+            assert all(np.min(np.abs(roots - s)) < 1e-7 * abs(s)
+                       for s in terms[0])  # roots of p, or clusters
+            for init in INITS:
                 got = amplitude_grid(p, init, tau / om)
-                for k, amp in enumerate(got):
-                    # poles are in Omega*tau: the times amplitude_grid uses
-                    want = eval_terms_reference(poles, om * (tau / om), k)
-                    assert amp.tobytes() == want.tobytes()
+                # terms are in Omega*tau: the times amplitude_grid uses
+                want = amplitudes_reference(terms, init, om * (tau / om))
+                for amp, ref in zip(got, want):
+                    assert amp.tobytes() == ref.tobytes()
 
     def test_double_root_cell_is_confluent(self):
         p = params(*SPECIAL_CELLS[1])
         assert qb.solve_roots(p).degenerate
-        assert kappa_poles(p)[1][0, :, 1].any()
+        assert transfer(p)[1][1, :, 1].any()
 
     @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 5.0)])
     def test_peak_memory(self, lam, arrays):
@@ -415,82 +472,78 @@ NORM_CELLS = [(float(g), float(lam)) for g, lam in zip(
     (g, math.inf) for g in np.logspace(-3, 3, 20)]
 
 
-class TestRealParts:
-    """The real evaluator the BLP scan reads: one term per real root or
-    conjugate pair, exponentials blocked on the uniform grid."""
+def numerators(g, l):
+    """The numerators of u, w and v over p, as ``_transfer`` expands them."""
+    coeffs, memory = _polynomials(g, l)
+    return (np.polymul([1.0, 0.0], memory), memory,
+            np.polysub(coeffs, memory)[:-1])
 
-    @staticmethod
-    def excited_terms(gamma, lam):
-        return _real_terms(_amplitude_poles(params(gamma, lam),
-                                            excited_battery_state()))
+
+class TestRealParts:
+    """The transfer terms: one per real root or conjugate pair, on the
+    uniform grid with exponentials blocked as the BLP scan reads them."""
 
     def test_matches_real_part_of_pole_evaluator(self):
-        """Within 1e-12 of Re of ``_eval_poles`` on the same np.linspace
-        grid, over the norm cells and the figure axes with an inf column,
-        for the excited battery the scan reads and a general state with
-        complex outputs; 2001 points make two row blocks, the last with a
-        partial row, and 3 points three rows of one."""
-        inits = [excited_battery_state(), qb.make_initial_state(0.6, 0.8j)]
+        """Within 1e-12 of ``_eval_terms`` on the same np.linspace grid,
+        over the norm cells and the figure axes with an inf column; 2001
+        points make two row blocks, the last with a partial row, and 3
+        points three rows of one."""
         cells = NORM_CELLS + [(g, lam) for g in GRID_AXIS
                               for lam in GRID_AXIS + (math.inf,)]
         worst = 0.0
         for gamma, lam in cells:
-            for init in inits:
-                poles = _amplitude_poles(params(gamma, lam), init)
-                for n in (2001, 3):
-                    got = _real_parts_on_grid(poles, 200.0, n)
-                    assert got.shape == (2, n)
-                    want = np.real(_eval_poles(poles,
-                                               np.linspace(0.0, 200.0, n)))
-                    worst = max(worst, np.max(np.abs(got - want)))
+            terms = transfer(params(gamma, lam))
+            for n in (2001, 3):
+                got = _real_parts_on_grid(terms, 200.0, n)
+                assert got.shape == (3, n)
+                want = _eval_terms(terms, np.linspace(0.0, 200.0, n))
+                worst = max(worst, np.max(np.abs(got - want)))
         assert worst <= 1e-12
 
     def test_confluent_terms_keep_their_power(self):
-        for poles in (kappa_poles(params(4.0, math.inf)),
-                      kappa_poles(params(*double_root_cell(-1.01)))):
-            assert poles[1][0, :, 1].any()
-            got = _real_parts_on_grid(poles, 30.0, 3001)[0]
-            want = np.real(_eval_poles(poles, np.linspace(0.0, 30.0, 3001)))
-            assert np.max(np.abs(got - want[0])) <= 1e-12
+        for terms in (transfer(params(4.0, math.inf)),
+                      transfer(params(*double_root_cell(-1.01)))):
+            assert terms[1][:, :, 1].any()
+            got = _real_parts_on_grid(terms, 30.0, 3001)
+            want = _eval_terms(terms, np.linspace(0.0, 30.0, 3001))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_cubic_pair_is_one_term(self):
-        p = params(0.1, 0.1)
-        roots, coefs = _amplitude_poles(p, excited_battery_state())
-        terms = self.excited_terms(0.1, 0.1)
-        assert len(roots) == 3 and len(terms) == 2
-        (real, _), (pair, rows) = terms
-        assert real == roots[0] and pair == roots[1]
-        assert abs(roots[2] - pair.conjugate()) <= 1e-9 * abs(pair)
-        np.testing.assert_array_equal(rows,
-                                      coefs[:, 1] + coefs[:, 2].conj())
+        """The pair's coefficients (a, a') fold into a + conj(a') on the
+        root of positive imaginary part, its mate's exact conjugate."""
+        roots, coefs = _partial_fractions(numerators(0.1, 0.1),
+                                          _roots(_polynomials(0.1, 0.1)[0]))
+        terms = _transfer(0.1, 0.1)
+        assert len(roots) == 3 and len(terms[0]) == 2
+        lower, upper = np.argsort(roots.imag)[[0, 2]]
+        assert roots[upper] == roots[lower].conjugate() != roots[upper].real
+        j = list(terms[0]).index(roots[upper])
+        np.testing.assert_array_equal(
+            terms[1][:, j], coefs[:, upper] + coefs[:, lower].conj())
 
     def test_three_real_roots_are_three_terms(self):
-        terms = self.excited_terms(7.5, 100.0)
-        assert len(terms) == 3
-        assert all(s.imag == 0.0 for s, _ in terms)
+        roots, _ = _transfer(7.5, 100.0)
+        assert len(roots) == 3
+        assert all(s.imag == 0.0 for s in roots)
 
-    def test_double_root_cluster_centre_is_unpaired(self):
-        """The centre keeps its imaginary part, above 1e-9 of its size,
-        and its confluent power: nothing pairs it with a conjugate."""
-        roots, coefs = _amplitude_poles(params(*double_root_cell(-1.01)),
-                                        excited_battery_state())
-        terms = self.excited_terms(*double_root_cell(-1.01))
-        assert len(roots) == len(terms) == 2
-        centre, rows = terms[1]
-        assert abs(centre.imag) > 1e-9 * abs(centre)
-        assert centre == roots[1]
-        np.testing.assert_array_equal(rows, coefs[:, 1])
-        assert rows[:, 1].any()
+    def test_double_root_cluster_centre_is_real(self):
+        """Near the double-root curve the two close roots are an exact
+        conjugate pair, so their cluster centre is real, one term with its
+        confluent power."""
+        roots, coefs = _transfer(*double_root_cell(-1.01))
+        assert len(roots) == 2
+        assert roots[1].imag == 0.0 and roots[1].real == pytest.approx(-1.01)
+        assert coefs[:, 1, 1].any()
 
     @pytest.mark.parametrize("gamma,count,power", [(2.0, 1, 1), (7.5, 2, 1),
                                                    (4.0, 1, 2)])
     def test_memoryless_terms(self, gamma, count, power):
         """gamma < 4 is one pair, gamma > 4 two real roots and gamma = 4
         one cluster with its t*exp(s*t) term."""
-        terms = self.excited_terms(gamma, math.inf)
-        assert len(terms) == count
-        assert all(rows.shape[1] == power for _, rows in terms)
-        assert all(s.imag == 0.0 for s, _ in terms) == (gamma >= 4.0)
+        roots, coefs = _transfer(gamma, math.inf)
+        assert len(roots) == count
+        assert coefs.shape[2] == power
+        assert all(s.imag == 0.0 for s in roots) == (gamma >= 4.0)
 
 
 class TestWholeDomain:
@@ -519,6 +572,41 @@ class TestWholeDomain:
             want = amplitude_grid(params(gamma, math.inf), init, tau)
             for x, y in zip(got, want):
                 assert np.max(np.abs(x - y)) <= 1e-8
+
+
+# the triple point 1e-9 and 1e-6 away in gamma on both sides, and the
+# double root r = -6 of the cubic, with the bound each must meet
+NEAR_EXCEPTIONAL = ([((TRIPLE_ROOT[0] * (1 + d), TRIPLE_ROOT[1]), 1e-9)
+                     for d in (1e-9, -1e-9, 1e-6, -1e-6)]
+                    + [(double_root_cell(-6.0), 1e-10)])
+
+
+class TestNearExceptionalPoints:
+    """Where roots nearly coincide the terms of a pair fold into one only
+    if the pair is exactly conjugate."""
+
+    def test_roots_are_exact_conjugate_pairs(self):
+        for cell in ([c for c, _ in NEAR_EXCEPTIONAL] + [TRIPLE_ROOT]
+                     + NORM_CELLS):
+            roots = _roots(_polynomials(*cell)[0])
+            assert np.array_equal(np.sort_complex(roots),
+                                  np.sort_complex(roots.conj())), cell
+
+    @pytest.mark.parametrize("cell,bound", NEAR_EXCEPTIONAL)
+    def test_both_evaluators_match_oracle(self, cell, bound):
+        """c1 and c2 of the empty and the excited battery, from the
+        pointwise evaluator and from the grid one (c1 = u and c2 = -i*w
+        empty, c1 = -i*w and c2 = v excited), against the RK45 oracle
+        (tol 1e-12) on Omega*t in [0, 8]."""
+        p = params(*cell)
+        tau = np.linspace(0.0, 8.0, 801)
+        u, w, v = _real_parts_on_grid(transfer(p), 8.0, tau.size)
+        for init, on_grid in ((qb.empty_battery_state(), (u, -1j * w)),
+                              (excited_battery_state(), (-1j * w, v))):
+            series = qb.integrate(p, init, 8.0, t_eval=tau, tol=1e-12)
+            for got in (amplitude_grid(p, init, tau), on_grid):
+                for x, y in zip(got, (series.c1, series.c2)):
+                    assert np.max(np.abs(x - y)) <= bound, init
 
 
 class TestOracleEquivalence:

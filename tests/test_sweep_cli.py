@@ -348,26 +348,26 @@ class TestPopulationGuard:
     clipped value; bad options stay usage errors (exit 2)."""
 
     @pytest.fixture
-    def inflated_poles(self, monkeypatch):
-        original = propagator._amplitude_poles
+    def inflated_terms(self, monkeypatch):
+        original = propagator._transfer
 
-        def inflated(params, init):
-            roots, coefs = original(params, init)
+        def inflated(g, l):
+            roots, coefs = original(g, l)
             return roots, 2.0 * coefs  # |c2| up to 2
 
-        monkeypatch.setattr(propagator, "_amplitude_poles", inflated)
+        monkeypatch.setattr(propagator, "_transfer", inflated)
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--gamma", "0.1", "--lambda", "0.1"],
         ["maxima", "--gamma", "0.1", "--lambda", "0.1"],
         ["maxima", "--gamma", "0.1", "--lambda", "inf"],
     ])
-    def test_exit_four(self, inflated_poles, argv, capsys):
+    def test_exit_four(self, inflated_terms, argv, capsys):
         assert cli.main(argv) == 4
         assert "population outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evolve", "maxima"])
-    def test_nan_tmax_still_usage_error(self, inflated_poles, command,
+    def test_nan_tmax_still_usage_error(self, inflated_terms, command,
                                         capsys):
         assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
                          "--tmax", "nan"]) == 2
