@@ -12,8 +12,10 @@ for non-Markovian behaviour.
 The excited battery has c1 = -i*w and c2 = v, with the real entries w and
 v of the transfer matrix U, so D = v^2 and D' = 2*v*v' = -2*v*w.  The scan
 for the intervals reads the sign of -v*w on the uniform grid
-(``propagator._real_parts_on_grid``), and the extrema it brackets are
-refined on the same terms (``_refine``).
+(``propagator._real_parts_on_grid``), and the charging optima scan |c2|^2
+on the same blocked grid.  Both searches expand a batch of cells once
+(``propagator._transfer_many``) and refine the extrema they bracket on
+that one stack of terms (``_refine``).
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (_apply, _ratios, _real_parts_on_grid, _transfer,
-                         _weights, amplitudes_of_cells)
+from .propagator import (Terms, _apply, _ratios, _real_parts_on_grid,
+                         _select, _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
 MAXIMA_DEFAULT_TMAX = 50.0  # default horizon, in Omega*tau
+MAXIMA_SCAN_POINTS = 2000   # scan points of a charging optimum's bracket
 BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
 
 
@@ -145,29 +148,31 @@ def _slope(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return 2.0 * np.real(np.conj(c2) * (-1j * c1))
 
 
-def _refine(cells, init: InitialState, a: np.ndarray, b: np.ndarray,
+def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
             rising_at_a) -> tuple[np.ndarray, np.ndarray]:
-    """60 lockstep halvings of the brackets (a[i], b[i]) of ``cells[i]``, in
-    Omega*tau, on the sign of d|c2|^2/dt, one stacked c1/c2 evaluation per
-    halving: the points found and c2 there.  A bracket moves its left end
-    to a midpoint whose slope has the sign ``rising_at_a`` gives that end,
-    else its right end; a zero-width bracket stays on its point."""
-    amplitudes = amplitudes_of_cells(cells, init)
+    """60 lockstep halvings of the brackets (a[i], b[i]) of the cells
+    stacked in ``terms`` (one per bracket), in Omega*tau, on the sign of
+    d|c2|^2/dt, one stacked c1/c2 evaluation per halving: the points found
+    and c2 there.  A bracket moves its left end to a midpoint whose slope
+    has the sign ``rising_at_a`` gives that end, else its right end; a
+    zero-width bracket stays on its point."""
+    weights = _weights(init)
     for _ in range(60):
         mid = 0.5 * (a + b)
-        go_right = (_slope(*amplitudes(mid)) > 0.0) == rising_at_a
+        go_right = (_slope(*_apply(terms, weights, mid)) > 0.0) == rising_at_a
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     t = 0.5 * (a + b)
-    return t, amplitudes(t)[1]
+    return t, _apply(terms, weights, t)[1]
 
 
-def _blp_brackets(params: ModelParams, tmax: float, grid: int):
+def _blp_brackets(terms: Terms, tmax: float, grid: int):
     """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
-    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax.
+    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax, for
+    the cell of ``terms``.
 
     D' = -2*v*w: the scan reads only the entries w and v of U."""
-    roots, coefs = _transfer(*_ratios(params))
+    roots, coefs = terms
     w, v = _real_parts_on_grid((roots, coefs[1:]), tmax, grid)
     sign = v * w < 0.0
     del w, v  # free the entries before the grid's times are made
@@ -185,10 +190,10 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
                              grid: int | None = None) -> list[NonMarkovReport]:
     """``blp_nonmarkovianity`` for many cells, one report per cell.
 
-    Each cell is scanned alone, and the brackets of ``BLP_REFINE_CELLS``
-    cells at a time are refined together by ``_refine``: memory does not
-    grow with the batch, nor a cell's report depend on it.  D(tmax), read
-    with the extrema, sets each report's ``truncated`` flag.
+    ``BLP_REFINE_CELLS`` cells at a time are expanded together, each is
+    scanned alone, and their brackets are refined together by ``_refine``:
+    memory does not grow with the batch, nor a cell's report depend on it.
+    D(tmax), read with the extrema, sets each report's ``truncated`` flag.
     """
     params_seq = list(params_seq)
     tmax = BLP_DEFAULT_TMAX if tmax is None else tmax
@@ -206,11 +211,14 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     live = [i for i, p in enumerate(params_seq) if p.coupling_cavity_env]
     for k in range(0, len(live), BLP_REFINE_CELLS):
         group = live[k:k + BLP_REFINE_CELLS]
-        brackets = [_blp_brackets(params_seq[i], tmax, grid) for i in group]
-        cells = [params_seq[i] for i, b in zip(group, brackets) for _ in b[0]]
-        crit, c2 = _refine(cells, excited_battery_state(),
-                           *map(np.concatenate, zip(*brackets)))
-        ends = np.cumsum([len(a) for a, _, _ in brackets])[:-1]
+        terms = _transfer_many([_ratios(params_seq[i]) for i in group])
+        brackets = [_blp_brackets(_select(terms, j), tmax, grid)
+                    for j in range(len(group))]
+        counts = [len(a) for a, _, _ in brackets]
+        crit, c2 = _refine(
+            _select(terms, np.repeat(np.arange(len(group)), counts)),
+            excited_battery_state(), *map(np.concatenate, zip(*brackets)))
+        ends = np.cumsum(counts)[:-1]
         for i, t, d in zip(group, np.split(crit, ends),
                            np.split(np.abs(c2) ** 2, ends)):
             measure, intervals = 0.0, []
@@ -240,13 +248,21 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     return blp_nonmarkovianity_many([params], tmax, grid)[0]
 
 
+def _scan_peak(terms: Terms, init: InitialState, tmax: float) -> int:
+    """Index of the largest population |c2|^2 of the cell of ``terms`` on
+    np.linspace(0, tmax, MAXIMA_SCAN_POINTS), from the blocked grid
+    evaluator; a population outside [0, 1] raises ``NumericalGuardError``."""
+    c2 = _apply(terms, _weights(init)[1:], tmax, MAXIMA_SCAN_POINTS)[0]
+    return int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
+
+
 def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                            tmax: float | None = None) -> list[MaximaReport]:
     """``maximize_over_tau`` for many cells, one report per cell.
 
-    Each cell is scanned alone; the brackets of all cells are then refined
-    together by ``_refine``, and a cell's report does not depend on its
-    batch.
+    The cells are expanded together, each is scanned alone, and the
+    brackets of all cells are then refined together by ``_refine`` on the
+    same stack of terms; a cell's report does not depend on its batch.
     """
     if init is None:
         init = empty_battery_state()
@@ -255,16 +271,13 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     if not 0 < tmax < math.inf:
         raise ValueError("tmax must be positive and finite")
 
-    n = 2000
+    n = MAXIMA_SCAN_POINTS
+    terms = _transfer_many([_ratios(p) for p in params_seq])
+    peak = np.array([_scan_peak(_select(terms, i), init, tmax)
+                     for i in range(len(params_seq))], dtype=int)
     taus = np.linspace(0.0, tmax, n)
-    lo, hi = [], []
-    for params in params_seq:
-        c2 = _apply(_transfer(*_ratios(params)), _weights(init)[1:],
-                    taus)[0]
-        i = int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
-        lo.append(taus[max(i - 1, 0)])
-        hi.append(taus[min(i + 1, n - 1)])
-    tau_star, c2 = _refine(params_seq, init, np.array(lo), np.array(hi), True)
+    tau_star, c2 = _refine(terms, init, taus[np.maximum(peak - 1, 0)],
+                           taus[np.minimum(peak + 1, n - 1)], True)
     p_star = _clipped_population(np.abs(c2) ** 2)
 
     omega0 = np.array([p.omega0 for p in params_seq])
@@ -281,13 +294,13 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
     """Optimal stored energy and ergotropy over the charging time.
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
-    [0, tmax] in Omega*tau, then 60 halvings of the bracket around the
-    largest sample on the sign of d|c2|^2/dt = 2 Re(conj(c2) (-i c1)), by
-    the ``_refine`` that also finds the BLP extrema: Omega*tau is found to
-    the roundoff of that slope, well within 1e-8, and an optimum at 0 or
-    tmax is reached exactly.  A population outside [0, 1] raises
-    ``NumericalGuardError``.  An optimum within one scan step of tmax
-    sets ``at_boundary``.  This is the one-cell case of
-    ``maximize_over_tau_many``.
+    [0, tmax] in Omega*tau, read by the blocked grid evaluator the BLP scan
+    uses, then 60 halvings of the bracket around the largest sample on the
+    sign of d|c2|^2/dt = 2 Re(conj(c2) (-i c1)), by the ``_refine`` that
+    also finds the BLP extrema: Omega*tau is found to the roundoff of that
+    slope, well within 1e-8, and an optimum at 0 or tmax is reached
+    exactly.  A population outside [0, 1] raises ``NumericalGuardError``.
+    An optimum within one scan step of tmax sets ``at_boundary``.  This is
+    the one-cell case of ``maximize_over_tau_many``.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

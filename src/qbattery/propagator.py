@@ -18,14 +18,16 @@ with two Newton steps and made exact conjugate pairs; roots closer than
 partial fractions with t^k * exp(s*t) terms, as does the quadratic's
 double root at g = 4.
 
-One partial-fraction expansion per ratio pair (``_transfer``, cached, so
-cells that differ only in Omega or in the initial state share it) gives
-u, w and v as terms: one root per real root, cluster or conjugate pair,
-and each entry the sum of Re(coef * t**power * exp(root*t)).  One
-evaluator takes one exponential per root for any array of times; the
-terms of many cells stack along a trailing axis, so the lockstep searches
-of ``metrics`` advance every cell at one time point each.  The BLP scan
-reads the same terms on a uniform grid, its exponentials blocked.
+One batched partial-fraction expansion (``_transfer_many``) takes many
+ratio pairs at once and gives u, w and v of each as terms: one root per
+real root, cluster or conjugate pair, and each entry the sum of
+Re(coef * t**power * exp(root*t)).  The cells' terms stack along a
+trailing axis, and each cell has the bytes of its one-cell expansion
+(``_transfer``, cached, so cells that differ only in Omega or in the
+initial state share it).  One evaluator takes one exponential per root
+for any array of times, so the lockstep searches of ``metrics`` advance
+every cell of a stack at one time point each; the scans of ``metrics``
+read the same terms on a uniform grid, their exponentials blocked.
 """
 
 from __future__ import annotations
@@ -58,66 +60,206 @@ def _ratios(params: ModelParams) -> tuple[float, float]:
     return params.coupling_cavity_env / om, params.spectral_width / om
 
 
-def _polynomials(g: float, l: float) -> tuple[np.ndarray, np.ndarray]:
+def _complex(re, im) -> np.ndarray:
+    """The complex array of parts ``re`` and ``im``, signed zeros kept."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
+def _product(a, b) -> np.ndarray:
+    """a*b as Re = ar*br - ai*bi and Im = ar*bi + ai*br, every product
+    rounded alone, as Python's complex type and numpy's complex scalars
+    form it; numpy's complex array loops may fuse a multiply-add."""
+    return _complex(a.real * b.real - a.imag * b.imag,
+                    a.real * b.imag + a.imag * b.real)
+
+
+def _quotient(a, b) -> np.ndarray:
+    """a/b by Smith's method as Python's complex type forms it, dividing
+    by the scaled denominator where numpy multiplies by its reciprocal."""
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    big = np.where(by_real, b.real, b.imag)
+    small = np.where(by_real, b.imag, b.real)
+    p = np.where(by_real, a.real, a.imag)
+    q = np.where(by_real, a.imag, a.real)
+    ratio = small / big
+    den = big + small * ratio
+    return _complex((p + q * ratio) / den,
+                    np.where(by_real, q - p * ratio, p * ratio - q) / den)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomials ``coeffs[..., k]`` (highest power first) at ``x``,
+    by np.polyval's Horner steps."""
+    y = np.zeros_like(x)
+    for k in range(coeffs.shape[-1]):
+        y = y * x + coeffs[..., k]
+    return y
+
+
+def _polyder(coeffs: np.ndarray) -> np.ndarray:
+    """np.polyder along the last axis."""
+    return coeffs[..., :-1] * np.arange(coeffs.shape[-1] - 1, 0, -1)
+
+
+def _polynomials(g, l) -> tuple[np.ndarray, np.ndarray]:
     """Denominator p(s) and memory factor m(s) at Omega = 1, kappa(s) =
-    -i*m(s)/p(s): the cubic and s + l at finite width, the quadratic and 1
-    when memoryless (l = inf)."""
-    if math.isinf(l):
-        return (np.array([1.0, 0.5 * g, 1.0], dtype=np.complex128),
-                np.array([1.0]))
-    return (np.array([1.0, l, 1.0 + 0.5 * l * g, l], dtype=np.complex128),
-            np.array([1.0, l]))
+    -i*m(s)/p(s), coefficients along the last axis: the cubic and s + l at
+    finite width, the quadratic and 1 when memoryless (l = inf).  Arrays
+    ``g`` and ``l`` give one cell per entry, all of one regime."""
+    g, l = np.broadcast_arrays(np.asarray(g, dtype=np.float64),
+                               np.asarray(l, dtype=np.float64))
+    one = np.ones_like(g)
+    if np.isinf(l).any():
+        return (np.stack([one, 0.5 * g, one], -1).astype(np.complex128),
+                one[..., None])
+    return (np.stack([one, l, 1.0 + 0.5 * l * g, l],
+                     -1).astype(np.complex128),
+            np.stack([one, l], -1))
+
+
+def _conjugate_pairs(roots: np.ndarray) -> np.ndarray:
+    """The roots of real polynomials of degree 2 or 3, along the last axis:
+    an exact conjugate pair, if any, and real roots.
+
+    The roots of least and greatest imaginary part pair up when each is
+    nearer the other's conjugate than both are to the real axis, as
+    s = (hi + conj(lo))/2 and conj(s).  From complex coefficients a pair
+    is conjugate only to roundoff, 3.6e-6 apart at the triple root.
+    """
+    by_imag = np.take_along_axis(
+        roots, np.argsort(roots.imag, axis=-1, kind="stable"), -1)
+    lo, mid, hi = by_imag[..., :1], by_imag[..., 1:-1], by_imag[..., -1:]
+    s = 0.5 * (hi + lo.conj())
+    return np.where(np.abs(hi - lo.conj()) < hi.imag - lo.imag,
+                    np.concatenate([s.conj(), mid.real, s], -1),
+                    np.concatenate([lo.real, mid.real, hi.real], -1))
+
+
+def _roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the monic p(s), coefficients along the last axis, in
+    (real, imag) order.
+
+    The quadratic s^2 + b*s + c (b = g/2, c = 1) has the larger root
+    -(b + sqrt(b^2 - 4c))/2 = -(g + R)/4, R = sqrt(g^2 - 16), and the other
+    c/larger.  The cubic's are the eigenvalues of the companion matrix that
+    np.roots builds, polished with two Newton steps.  Both are made exact
+    conjugate pairs (``_conjugate_pairs``), which also makes the double
+    root at g = 4 real.
+    """
+    if coeffs.shape[-1] == 3:
+        b, c = coeffs[..., 1], coeffs[..., 2]
+        big = -0.5 * (b + np.sqrt(b * b - 4.0 * c))
+        roots = np.stack([big, c / big], -1)
+    else:
+        companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=np.complex128)
+        companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
+        companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+        roots = np.linalg.eigvals(companion)
+        coeffs = coeffs[..., None, :]
+        for _ in range(2):  # Newton polish
+            pv = _horner(coeffs, roots)
+            dv = _horner(_polyder(coeffs), roots)
+            mask = np.abs(dv) > 0
+            roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0),
+                             roots)
+    roots = _conjugate_pairs(roots)
+    return np.take_along_axis(
+        roots, np.lexsort((roots.imag, roots.real), axis=-1), -1)
+
+
+def _clusters(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clusters of roots linked by pairs closer than 1e-7 relative to the
+    larger of the two, along the last axis: (centres, multiplicities) in
+    (real, imag) order, multiplicity 0 after the last cluster.  A centre
+    is the sum of its roots in index order over their number."""
+    n = roots.shape[-1]
+    size = np.abs(roots)
+    close = (np.abs(roots[..., :, None] - roots[..., None, :])
+             < 1e-7 * np.maximum(size[..., :, None], size[..., None, :])
+             ) | np.eye(n, dtype=bool)
+    linked = np.linalg.matrix_power(close.astype(int), n) > 0
+    # a cluster sits on the row of its first root
+    mults = np.where(linked.argmax(-1) == np.arange(n), linked.sum(-1), 0)
+    re = im = 0.0
+    for k in range(n):
+        re = np.where(linked[..., k], re + roots[..., k, None].real, re)
+        im = np.where(linked[..., k], im + roots[..., k, None].imag, im)
+    centres = _quotient(_complex(re, im), np.maximum(mults, 1).astype(float))
+    order = np.lexsort((centres.imag, centres.real, mults == 0), axis=-1)
+    return (np.take_along_axis(centres, order, -1),
+            np.take_along_axis(mults, order, -1))
 
 
 def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """Clusters of roots linked by pairs closer than 1e-7 relative to the
-    larger of the two -> (center, multiplicity), in (real, imag) order."""
-    size = np.abs(roots)
-    close = (np.abs(roots[:, None] - roots) < 1e-7 * np.maximum.outer(
-        size, size)) | np.eye(len(roots), dtype=bool)
-    linked = np.linalg.matrix_power(close.astype(int), len(roots)) > 0
-    groups = {tuple(np.flatnonzero(row)) for row in linked}
-    clusters = [(sum(complex(roots[i]) for i in g) / len(g), len(g))
-                for g in groups]
-    return sorted(clusters, key=lambda c: (c[0].real, c[0].imag))
+    """The clusters of one cell's roots -> [(centre, multiplicity)]."""
+    centres, mults = _clusters(roots)
+    return [(complex(c), int(m)) for c, m in zip(centres, mults) if m]
 
 
 def _partial_fractions(nums, roots: np.ndarray) -> Terms:
     """Terms of the inverse Laplace transforms of N_k(s) / prod_j (s - s_j),
     one entry per numerator N_k in ``nums``, one root per cluster: the
-    entries are the real parts of the transforms.
+    entries are the real parts of the transforms.  Roots and numerator
+    coefficients lie along the last axis; leading axes are cells, which the
+    terms stack along trailing axes, each cell's clusters first and zeros
+    after them.
 
     A cluster of roots takes the confluent terms t**k * exp(s*t), from
     derivatives of the reduced numerator q(s) = N(s) / prod_other(s - s_k).
+    R(s0) = prod (s0 - r_k) and its log-derivative sums are evaluated from
+    the factors directly: expanded coefficients lose precision badly for
+    nearly-coincident roots.  Cells of one cluster pattern are expanded
+    together, each with the roundings of scalar complex arithmetic
+    (``_product``, ``_quotient``, np.polyval's Horner steps) that the
+    goldens pin.
     """
-    clusters = _cluster_roots(roots)
-    coefs = np.zeros((len(nums), len(clusters),
-                      max(m for _, m in clusters)), dtype=np.complex128)
-    for j, (s0, m) in enumerate(clusters):
-        others = [c for c, mc in clusters if c != s0 for _ in range(mc)]
-        # evaluate R(s0) = prod (s0 - r_k) and its log-derivative sums from
-        # the factors directly: expanded coefficients lose precision badly
-        # for nearly-coincident roots
-        r0 = complex(np.prod([s0 - r for r in others])) if others else 1.0 + 0j
-        sum1 = sum(1.0 / (s0 - r) for r in others)
-        sum2 = sum(1.0 / (s0 - r) ** 2 for r in others)
-        r1 = r0 * sum1
-        r2 = r0 * (sum1 * sum1 - sum2)
-        for k, num in enumerate(nums):
-            qd = [np.polyval(num, s0) / r0]
-            if m >= 2:
-                n1 = np.polyval(np.polyder(num), s0)
-                qd.append((n1 - qd[0] * r1) / r0)
-            if m >= 3:
-                n2 = np.polyval(np.polyder(num, 2), s0)
-                qd.append((n2 - 2.0 * qd[1] * r1 - qd[0] * r2) / r0)
-            for r in range(m):
-                # coefficient of 1/(s-s0)^(m-r) is q^(r)(s0)/r!
-                power = m - r - 1
-                coefs[k, j, power] = (qd[r] / math.factorial(r)
-                                      / math.factorial(power))
-    return (np.array([s0 for s0, _ in clusters], dtype=np.complex128),
-            coefs)
+    lead = roots.shape[:-1]
+    roots = roots.reshape(-1, roots.shape[-1])
+    nums = [np.broadcast_to(num, lead + np.shape(num)[-1:]).reshape(
+        len(roots), -1) for num in nums]
+    centres, mults = _clusters(roots)
+    out_roots = np.zeros(((mults > 0).sum(-1).max(initial=0), len(roots)),
+                         dtype=np.complex128)
+    coefs = np.zeros((len(nums), len(out_roots), mults.max(initial=0),
+                      len(roots)), dtype=np.complex128)
+    patterns, of_cell = np.unique(mults, axis=0, return_inverse=True)
+    for p, pattern in enumerate(patterns):
+        cells = np.flatnonzero(of_cell.ravel() == p)
+        ms = [int(m) for m in pattern if m]
+        c = np.ascontiguousarray(centres[cells, :len(ms)].T)
+        out_roots[:len(ms), cells] = c
+        group = [num[cells] for num in nums]
+        for j, m in enumerate(ms):
+            d = c[j] - c[[k for k, mk in enumerate(ms) if k != j
+                          for _ in range(mk)]]
+            r0 = (d[0] if len(d) == 1 else _product(*d) if len(d)
+                  else np.ones_like(c[j]))
+            if m >= 2:  # R'(s0) = r1 and R''(s0) = r2
+                zero = np.zeros_like(c[j])
+                sum1 = sum(_quotient(1.0, d), zero)
+                # sums from 0, and squares as 1 * (d * d), as Python forms them
+                sum2 = sum(_quotient(1.0, _product(1.0, _product(d, d))),
+                           zero)
+                r1 = _product(r0, sum1)
+                r2 = _product(r0, _product(sum1, sum1) - sum2)
+            for k, num in enumerate(group):
+                qd = [_horner(num, c[j]) / r0]
+                if m >= 2:
+                    n1 = _horner(_polyder(num), c[j])
+                    qd.append((n1 - _product(qd[0], r1)) / r0)
+                if m >= 3:
+                    n2 = _horner(_polyder(_polyder(num)), c[j])
+                    qd.append((n2 - _product(_product(2.0, qd[1]), r1)
+                               - _product(qd[0], r2)) / r0)
+                for r, q in enumerate(qd):
+                    # coefficient of 1/(s-s0)^(m-r) is q^(r)(s0)/r!
+                    power = m - r - 1
+                    coefs[k, j, power, cells] = (q / math.factorial(r)
+                                                 / math.factorial(power))
+    return (out_roots.reshape(out_roots.shape[:1] + lead),
+            coefs.reshape(coefs.shape[:3] + lead))
 
 
 def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
@@ -161,7 +303,8 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
     tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
     per row and per column for each root, and Re(a*exp(s*t)) from real
     products.  ``_GRID_BLOCK_ROWS`` rows are filled at a time, so that the
-    temporaries stay in cache.
+    temporaries stay in cache.  Zero coefficients, such as the padding of
+    one cell of a stack, cost no work.
     """
     roots, coefs = terms
     h = tmax / (n - 1)
@@ -173,7 +316,7 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
     for s in roots:
         ec = np.exp(s * col_t)
         exps.append((np.exp(s * row_t), ec.real.copy(), ec.imag.copy()))
-    confluent = coefs.shape[2] > 1
+    confluent = coefs[:, :, 1:].any()  # not for a stack's zero padding
     out = np.zeros((len(coefs), rows, cols))
     part, im_part = np.empty((2, _GRID_BLOCK_ROWS, cols))
     for r0 in range(0, rows, _GRID_BLOCK_ROWS):
@@ -198,49 +341,6 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
     return out.reshape(len(out), -1)[:, :n]
 
 
-def _conjugate_pairs(roots: np.ndarray) -> np.ndarray:
-    """The roots of a real polynomial of degree 2 or 3: an exact conjugate
-    pair, if any, and real roots.
-
-    The roots of least and greatest imaginary part pair up when each is
-    nearer the other's conjugate than both are to the real axis, as
-    s = (hi + conj(lo))/2 and conj(s).  From complex coefficients a pair
-    is conjugate only to roundoff, 3.6e-6 apart at the triple root.
-    """
-    lo, *mid, hi = sorted(roots, key=lambda s: s.imag)
-    if abs(hi - lo.conjugate()) < hi.imag - lo.imag:
-        s = 0.5 * (hi + lo.conjugate())
-        return np.array([s.conjugate(), *np.real(mid), s])
-    return np.array([lo.real, *np.real(mid), hi.real], dtype=np.complex128)
-
-
-def _roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the monic p(s) in (real, imag) order.
-
-    The quadratic s^2 + b*s + c (b = g/2, c = 1) has the larger root
-    -(b + sqrt(b^2 - 4c))/2 = -(g + R)/4, R = sqrt(g^2 - 16), and the other
-    c/larger.  The cubic's are the companion-matrix eigenvalues, polished
-    with two Newton steps.  Both are made exact conjugate pairs
-    (``_conjugate_pairs``), which also makes the double root at g = 4 real.
-    """
-    if len(coeffs) == 3:
-        _, b, c = coeffs
-        r = np.sqrt(b * b - 4.0 * c)
-        big = -0.5 * (b + r)
-        roots = np.array([big, c / big])
-    else:
-        roots = np.roots(coeffs)
-        dcoeffs = np.polyder(coeffs)
-        for _ in range(2):  # Newton polish
-            pv = np.polyval(coeffs, roots)
-            dv = np.polyval(dcoeffs, roots)
-            mask = np.abs(dv) > 0
-            roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0),
-                             roots)
-    roots = _conjugate_pairs(roots)
-    return roots[np.lexsort((roots.imag, roots.real))]
-
-
 def solve_roots(params: ModelParams) -> PropagatorRoots:
     """Physical roots of the denominator, Omega times those of p(s);
     ``degenerate`` is set when some of them cluster and take confluent
@@ -251,23 +351,64 @@ def solve_roots(params: ModelParams) -> PropagatorRoots:
         any(m > 1 for _, m in _cluster_roots(roots)))
 
 
-@functools.lru_cache(maxsize=512)
-def _transfer(g: float, l: float) -> Terms:
-    """Terms of the entries u, w and v of U, in Omega*tau, at the ratios.
+def _transfer_many(ratios) -> Terms:
+    """Terms of the entries u, w and v of U, in Omega*tau, for a sequence
+    of (g, l) ratio pairs: roots[j, cell] and coefs[entry, j, power, cell],
+    each cell's roots first and zeros after them.  A cell's terms have the
+    bytes of its one-cell expansion, whatever the batch.
 
     p - m vanishes at s = 0, so dropping its constant term divides it by s
     exactly.  With real numerators and exact conjugate roots a pair's
     coefficients (a, a') fold into a + conj(a') on its root of positive
     imaginary part: Re(a' exp(conj(s) t)) = Re(conj(a') exp(s t)).
     """
-    coeffs, memory = _polynomials(g, l)
-    roots, coefs = _partial_fractions(
-        (np.polymul([1.0, 0.0], memory), memory,
-         np.polysub(coeffs, memory)[:-1]), _roots(coeffs))
+    g, l = np.asarray(ratios, dtype=np.float64).reshape(-1, 2).T
+    roots = np.zeros((3, len(g)), dtype=np.complex128)
+    coefs = np.zeros((3, 3, 3, len(g)), dtype=np.complex128)
+    keep = np.zeros(roots.shape, dtype=bool)
+    depth = 0
+    for cells in (np.flatnonzero(np.isfinite(l)), np.flatnonzero(np.isinf(l))):
+        if not cells.size:
+            continue
+        p, m = _polynomials(g[cells], l[cells])
+        p_minus_m = p.copy()
+        p_minus_m[:, -m.shape[1]:] -= m
+        # the numerators s*m, m and (p - m)/s of u, w and v
+        r, c = _partial_fractions(
+            (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]), _roots(p))
+        roots[:len(r), cells] = r
+        coefs[:, :len(r), :c.shape[2], cells] = c
+        keep[:len(r), cells] = ~(r.imag < 0)
+        depth = max(depth, c.shape[2])
     lower = roots.imag < 0
-    for j in np.flatnonzero(lower):
-        coefs[:, roots == roots[j].conjugate()] += coefs[:, j, None].conj()
-    return roots[~lower], coefs[:, ~lower]
+    for j in range(3):
+        for k in range(3):
+            mate = lower[j] & (roots[k] == roots[j].conj())
+            coefs[:, k] = np.where(mate, coefs[:, k] + coefs[:, j].conj(),
+                                   coefs[:, k])
+    # the kept roots first, in order, and zeros after them
+    order = np.argsort(~keep, axis=0, kind="stable")
+    keep = np.take_along_axis(keep, order, 0)
+    n_roots = keep.sum(0).max(initial=0)
+    roots = np.where(keep, np.take_along_axis(roots, order, 0), 0)
+    coefs = np.where(keep[:, None], np.take_along_axis(
+        coefs, order[None, :, None], 1), 0)
+    return roots[:n_roots], coefs[:, :n_roots, :depth]
+
+
+@functools.lru_cache(maxsize=512)
+def _transfer(g: float, l: float) -> Terms:
+    """``_transfer_many`` of one cell, cached, so that cells that differ
+    only in Omega or in the initial state share it."""
+    roots, coefs = _transfer_many([(g, l)])
+    return roots[:, 0], coefs[..., 0]
+
+
+def _select(terms: Terms, index) -> Terms:
+    """The terms of the cells ``index`` of a stack: one cell for an integer,
+    a stack for an array of them."""
+    roots, coefs = terms
+    return roots[:, index], coefs[..., index]
 
 
 def _weights(init: InitialState) -> np.ndarray:
@@ -277,15 +418,21 @@ def _weights(init: InitialState) -> np.ndarray:
     return np.array([[a, -1j * b, 0.0], [0.0, -1j * a, b]])
 
 
-def _apply(terms: Terms, weights: np.ndarray, t) -> list[np.ndarray]:
+def _apply(terms: Terms, weights: np.ndarray, t,
+           grid: int | None = None) -> list[np.ndarray]:
     """weights @ (u, w, v) at the times ``t`` in Omega*tau, one complex array
-    per row; an entry of zero weight in every row is not evaluated."""
+    per row, or with ``grid`` on np.linspace(0, t, grid) by the blocked
+    evaluator; an entry of zero weight in every row is not evaluated."""
     roots, coefs = terms
     used = np.flatnonzero(weights.any(axis=0))
-    entries = _eval_terms((roots, coefs[used]), t)
+    if grid is None:
+        entries, shape = _eval_terms((roots, coefs[used]), t), np.shape(t)
+    else:
+        entries = _real_parts_on_grid((roots, coefs[used]), t, grid)
+        shape = (grid,)
     outs = []
     for row in weights[:, used]:
-        out = np.zeros(np.shape(t), dtype=np.complex128)
+        out = np.zeros(shape, dtype=np.complex128)
         for weight, entry in zip(row, entries):
             if weight:
                 out += weight * entry
@@ -325,26 +472,6 @@ def amplitude_grid(params: ModelParams, init: InitialState,
     om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
     c1, c2 = _apply(_transfer(*_ratios(params)), _weights(init), om_tau)
     return c1, c2
-
-
-def amplitudes_of_cells(params_seq, init: InitialState):
-    """The amplitudes c1 and c2 of many cells, one time per cell.
-
-    Returns ``f(t) -> (c1, c2)`` for ``t`` in Omega*tau of shape
-    ``(len(params_seq),)``, or of any shape for a single cell.  The cells
-    share one stack of terms, and each cell's values have the bytes of its
-    own terms evaluated alone.
-    """
-    cells = [_transfer(*_ratios(p)) for p in params_seq]
-    n_roots = max((r.size for r, _ in cells), default=0)
-    depth = max((c.shape[2] for _, c in cells), default=0)
-    roots = np.zeros((n_roots, len(cells)), dtype=np.complex128)
-    coefs = np.zeros((3, n_roots, depth, len(cells)), dtype=np.complex128)
-    for i, (r, c) in enumerate(cells):
-        roots[:r.size, i] = r
-        coefs[:, :r.size, :c.shape[2], i] = c
-    weights = _weights(init)
-    return lambda t: _apply((roots, coefs), weights, t)
 
 
 def amplitudes_at(params: ModelParams, init: InitialState,

@@ -12,9 +12,8 @@ import qbattery as qb
 from qbattery import metrics
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.figures import GRID_AXIS
-from qbattery.propagator import (amplitude_grid, amplitudes_of_cells,
-                                 kappa_grid)
-from test_propagator import TRIPLE_ROOT, double_root_cell
+from qbattery.propagator import amplitude_grid, kappa_grid
+from test_propagator import TRIPLE_ROOT, double_root_cell, transfer
 
 
 def params(gamma, lam):
@@ -403,6 +402,25 @@ class TestMaximizeBatch:
             maximize_over_tau_many([params(0.5, 0.5)], tmax=tmax)
 
 
+class TestMaximizeScan:
+    """The scan reads c2 on the blocked grid and finds the largest sample
+    of a pointwise np.linspace scan, so every report keeps its bytes."""
+
+    @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
+    def test_peak_matches_pointwise_scan_on_figure_axes(self, init):
+        init = qb.empty_battery_state() if init is None else init
+        taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        mismatches = []
+        for g in GRID_AXIS:
+            for lam in GRID_AXIS + (math.inf,):
+                p = params(g, lam)
+                _, c2 = amplitude_grid(p, init, taus)
+                want = np.argmax(metrics._clipped_population(np.abs(c2) ** 2))
+                if metrics._scan_peak(transfer(p), init, 50.0) != want:
+                    mismatches.append((g, lam))
+        assert mismatches == []
+
+
 def blp_reference(params, tmax=None, grid=None):
     """Per-cell BLP search: scan D' on the grid, 60 halvings of each
     bracket of a sign change with one ``amplitude_grid`` call per halving
@@ -512,9 +530,9 @@ class TestBlpBatch:
         def no_scan(*args):
             raise AssertionError("scanned before the options were checked")
 
-        monkeypatch.setattr(metrics, "amplitudes_of_cells", no_scan)
+        monkeypatch.setattr(metrics, "_transfer_many", no_scan)
         monkeypatch.setattr(metrics, "_real_parts_on_grid", no_scan)
-        monkeypatch.setattr(metrics, "_transfer", no_scan)
+        monkeypatch.setattr(metrics, "_apply", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
@@ -526,7 +544,7 @@ def blp_brackets_reference(params, tmax, grid):
     the sign of D' = 2 Re(conj(c2) (-i c1)), as ``_blp_brackets`` scanned
     before it read real parts; the brackets it must find exactly."""
     taus = np.linspace(0.0, tmax, grid)
-    c1, c2 = amplitudes_of_cells([params], qb.excited_battery_state())(taus)
+    c1, c2 = amplitude_grid(params, qb.excited_battery_state(), taus)
     sign = 2.0 * np.real(np.conj(c2) * (-1j * c1)) > 0.0
     sign[0] = False
     i = np.nonzero(sign[1:] != sign[:-1])[0]
@@ -553,7 +571,7 @@ class TestBlpScan:
     def mismatches(cells, grid):
         return [(g, lam) for g, lam in cells if not all(
             np.array_equal(x, y) for x, y in zip(
-                metrics._blp_brackets(params(g, lam), 200.0, grid),
+                metrics._blp_brackets(transfer(params(g, lam)), 200.0, grid),
                 blp_brackets_reference(params(g, lam), 200.0, grid)))]
 
     def test_brackets_match_complex_scan_on_figure_axes(self):
@@ -579,15 +597,14 @@ class TestBlpScan:
         """One default 200001-point scan holds w and v as floats, their
         product and the sign: a traced peak under 8 MB, where the complex
         scan peaked at 13.7 MB."""
-        p = params(0.1, 0.1)
-        metrics._blp_brackets(p, 200.0, 200001)  # fill the terms cache
+        terms = transfer(params(0.1, 0.1))
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            metrics._blp_brackets(p, 200.0, 200001)
+            metrics._blp_brackets(terms, 200.0, 200001)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:

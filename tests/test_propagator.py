@@ -10,8 +10,8 @@ from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
 from qbattery.propagator import (_eval_terms, _partial_fractions,
                                  _polynomials, _ratios, _real_parts_on_grid,
-                                 _roots, _transfer, amplitude_grid,
-                                 kappa_grid)
+                                 _roots, _transfer, _transfer_many,
+                                 amplitude_grid, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -607,6 +607,52 @@ class TestNearExceptionalPoints:
             for got in (amplitude_grid(p, init, tau), on_grid):
                 for x, y in zip(got, (series.c1, series.c2)):
                     assert np.max(np.abs(x - y)) <= bound, init
+
+
+# the figure axes with an inf column, the double-root curve, the triple
+# point and points near it, the memoryless double root and points near it,
+# and seeded cells over a wide domain
+BATCH_CELLS = (
+    [(g, lam) for g in GRID_AXIS for lam in GRID_AXIS + (math.inf,)]
+    + [double_root_cell(r) for r in np.linspace(-6.0, -1.001, 40)]
+    + [(TRIPLE_ROOT[0] * (1 + d), TRIPLE_ROOT[1])
+       for d in (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)]
+    + [(4.0 * (1 + d), math.inf) for d in (0.0, 1e-9, -1e-9)]
+    + [tuple(float(v) for v in cell) for cell in np.exp(
+        np.random.default_rng(16).uniform(np.log([1e-6, 1e-9]),
+                                          np.log([1e6, 1e15]),
+                                          size=(150, 2)))])
+
+
+class TestBatchedExpansion:
+    """Many cells are expanded in one batch, and each has the bytes of its
+    one-cell expansion, whatever the batch holds."""
+
+    def test_cells_match_their_one_cell_expansion(self):
+        cells = [BATCH_CELLS[i] for i in
+                 np.random.default_rng(3).permutation(len(BATCH_CELLS))]
+        # uneven batches, each mixing degrees and cluster patterns
+        ends = [0, 1, 8, 73, 300, len(cells)]
+        for lo, hi in zip(ends, ends[1:]):
+            roots, coefs = _transfer_many(cells[lo:hi])
+            for i, cell in enumerate(cells[lo:hi]):
+                one_roots, one_coefs = _transfer(*cell)
+                n, depth = len(one_roots), one_coefs.shape[2]
+                assert np.array_equal(roots[:n, i], one_roots), cell
+                assert np.array_equal(coefs[:, :n, :depth, i],
+                                      one_coefs), cell
+                assert not roots[n:, i].any(), cell
+                assert not coefs[:, n:, :, i].any(), cell
+                assert not coefs[:, :, depth:, i].any(), cell
+
+    def test_one_cell_shapes(self):
+        """A one-cell expansion has its own roots and powers, no padding,
+        and an empty batch has none."""
+        assert _transfer(0.1, 0.1)[1].shape == (3, 2, 1)
+        assert _transfer(4.0, math.inf)[1].shape == (3, 1, 2)
+        assert _transfer(*double_root_cell(-2.0))[1].shape == (3, 2, 2)
+        roots, coefs = _transfer_many([])
+        assert roots.shape == (0, 0) and coefs.shape == (3, 0, 0, 0)
 
 
 class TestOracleEquivalence:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery import cli, propagator, sweep
+from qbattery import cli, metrics, propagator, sweep
 from qbattery.figures import GRID_AXIS
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
@@ -148,6 +148,27 @@ class TestSweep:
                 if not was_tracing:
                     tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 0.5e6
+
+    def test_each_cell_is_expanded_once(self, monkeypatch):
+        """A 23 x 23 sweep expands its 529 cells in one batch that the
+        scans and the bisection share: no cell is expanded twice, nor
+        alone, as it was when 512 cached one-cell expansions were looked up
+        again after the scan had evicted them."""
+        expanded = []
+        expand = metrics._transfer_many
+
+        def counted(ratios):
+            expanded.extend(ratios)
+            return expand(ratios)
+
+        monkeypatch.setattr(metrics, "_transfer_many", counted)
+        before = propagator._transfer.cache_info()
+        gammas = tuple(np.logspace(-1.0, 1.0, 23))
+        lambdas = tuple(np.logspace(-1.0, 1.7, 22)) + (math.inf,)
+        run_sweep(SweepSpec(gammas, lambdas, "stored_energy_max"))
+        assert sorted(expanded) == sorted((g, lam) for g in gammas
+                                          for lam in lambdas)
+        assert propagator._transfer.cache_info() == before
 
     def test_memoryless_threshold_cells(self, capsys):
         code, out = run_cli(["sweep", "--gamma-axis", "3.9,4.1",
@@ -349,13 +370,16 @@ class TestPopulationGuard:
 
     @pytest.fixture
     def inflated_terms(self, monkeypatch):
-        original = propagator._transfer
+        def inflate(expand):
+            def inflated(*args):
+                roots, coefs = expand(*args)
+                return roots, 2.0 * coefs  # |c2| up to 2
+            return inflated
 
-        def inflated(g, l):
-            roots, coefs = original(g, l)
-            return roots, 2.0 * coefs  # |c2| up to 2
-
-        monkeypatch.setattr(propagator, "_transfer", inflated)
+        monkeypatch.setattr(propagator, "_transfer",
+                            inflate(propagator._transfer))
+        monkeypatch.setattr(metrics, "_transfer_many",
+                            inflate(metrics._transfer_many))
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--gamma", "0.1", "--lambda", "0.1"],
