@@ -18,9 +18,10 @@ s^2 + gamma*s/2 + Omega^2 of the infinite-width limit):
 
 Both systems are integrated by adaptive Dormand-Prince 5(4).  Because the
 generator M is constant, each step's new state and error estimate are fixed
-polynomials in hM applied to y; a step is one product of their weights with
-the powers of M / ||M||_inf, precomputed once per call and normalised so that
-none overflows.
+polynomials in hM applied to y: one (2d x d) step matrix, built from the
+weighted powers of M / ||M||_inf (precomputed once per call and normalised so
+that none overflows) and applied to y in a single product.  A step spanning a
+whole output gap reuses that gap's matrix.
 
 This module is the reference the analytic propagator is checked against; it
 shares no code with the partial-fraction inversion.
@@ -38,8 +39,9 @@ from .model import InitialState, ModelParams
 DEFAULT_TOL = 1e-10
 # Largest rho*T integrated, rho the spectral radius of the generator and T
 # the horizon: explicit DOPRI5 takes at least rho*T/3.3 steps (its stability
-# interval), about 4 us of work per unit of rho*T on one core of a 2-vCPU
-# x86 box, so about 4 s at this bound.
+# interval), about 2 to 3 us of work per unit of rho*T on one core of a 2-vCPU
+# x86 box (lambda/Omega = 2000 over Omega*tau = 50), so about 2 to 3 s at
+# this bound.
 STIFFNESS_BUDGET = 1e6
 
 # Dormand-Prince 5(4) tableau: stage coefficients, 5th-order weights, and
@@ -119,38 +121,64 @@ def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
                  rtol: float, atol: float) -> np.ndarray:
     """Dormand-Prince 5(4) integration of the linear system y' = m @ y.
 
-    With a constant generator a whole step is ``_W`` applied to the powers
-    (h m)^p y, p = 0..7: the first row gives the new state, the second the
-    embedded error estimate.  The powers are taken of m / ||m||_inf, so none
-    overflows, and scaled by (h ||m||_inf)^p each step.  ``t_eval`` must be
-    sorted ascending, starting at >= 0; steps land exactly on each requested
-    output time, so no interpolation error is introduced.  Returns an array
-    of shape (len(t_eval), dim).  A run whose rho*T exceeds
-    ``STIFFNESS_BUDGET`` raises ValueError before the first step.
+    With a constant generator a step of size h is one (2d x d) matrix
+    applied to y: its first d rows give the new state, its last d the
+    embedded error estimate.  Row p of ``weighted`` holds ``_W[:, p]`` times
+    (m / ||m||_inf)^p, p = 0..7, flattened once per call, so none overflows;
+    the step matrix is ``((h ||m||_inf)**p @ weighted).reshape(2d, d)``.  A
+    step that spans a whole gap of ``t_eval`` takes its matrix from a
+    per-call dict keyed by the step size, since output grids repeat few
+    distinct gaps; other step sizes are not kept.  The error norm is taken
+    on Python floats.  ``t_eval`` must be sorted ascending, starting at
+    >= 0; steps land exactly on each requested output time, so no
+    interpolation error is introduced.  Returns an array of shape
+    (len(t_eval), dim).  A non-finite generator or initial state, or a run
+    whose rho*T exceeds ``STIFFNESS_BUDGET``, raises ValueError before the
+    first step.
     """
     mnorm = np.abs(m).sum(axis=1).max()
     if not math.isfinite(mnorm):
         raise ValueError("system matrix is not finite")
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("initial state is not finite")
     stiffness = np.abs(np.linalg.eigvals(m)).max() * t_eval[-1]
     if stiffness > STIFFNESS_BUDGET:
         raise ValueError(f"too stiff to integrate: spectral radius times "
                          f"horizon is {stiffness:.3g}, above "
                          f"{STIFFNESS_BUDGET:g}")
+    dim = y0.size
     mpow = np.stack([np.linalg.matrix_power(m / mnorm, p) for p in _POWERS])
-    out = np.empty((t_eval.size, y0.size), np.complex128)
+    weighted = (_W.T[:, :, None, None] * mpow[:, None]).reshape(
+        _POWERS.size, 2 * dim * dim)
+    gaps = {}  # whole-gap step size -> step matrix
+    out = np.empty((t_eval.size, dim), np.complex128)
     t = 0.0
     y = y0.copy()
+    ay = np.abs(y).tolist()
     h = 0.01 / mnorm  # initial step from the matrix scale
     for idx, tt in enumerate(t_eval):
+        start = t
         while t < tt - 1e-14 * (1.0 + tt):
-            hs = tt - t if t + h > tt else h
-            ynew, err = (_W * (hs * mnorm) ** _POWERS) @ (mpow @ y)
-            scaled = np.abs(err) / (atol + rtol * np.maximum(np.abs(y),
-                                                             np.abs(ynew)))
-            errnorm = math.sqrt(scaled @ scaled / scaled.size)  # RMS
+            clipped = t + h > tt
+            hs = tt - t if clipped else h
+            whole = clipped and t == start
+            step = gaps.get(hs) if whole else None
+            if step is None:
+                step = ((hs * mnorm) ** _POWERS @ weighted).reshape(2 * dim,
+                                                                    dim)
+                if whole:
+                    gaps[hs] = step
+            yerr = step @ y  # new state, then error estimate
+            a = np.abs(yerr).tolist()
+            sq = 0.0  # RMS of the error over atol + rtol * max(|y|, |ynew|)
+            for old, new, err in zip(ay, a, a[dim:]):
+                err /= atol + rtol * (old if old > new else new)
+                sq += err * err
+            errnorm = math.sqrt(sq / dim)
             if errnorm <= 1.0:
                 t += hs
-                y = ynew
+                y = yerr[:dim]
+                ay = a[:dim]
             factor = (5.0 if errnorm == 0.0
                       else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
             h = hs * factor

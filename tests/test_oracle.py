@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,16 @@ def _rk45_stages(m, y0, t_eval, rtol, atol):
     return out
 
 
+def _assert_matches_stages(gamma, lam, taus, tol):
+    m = system_matrix(params(gamma, lam))
+    for init in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
+        y0 = np.zeros(len(m), np.complex128)
+        y0[:2] = init
+        got = _rk45_linear(m, y0, taus, tol, tol)
+        want = _rk45_stages(m, y0, taus, tol, tol)
+        assert np.max(np.abs(got - want)) <= 20 * tol
+
+
 def _reference_cells():
     rng = np.random.default_rng(11)
     ratios = 10.0 ** rng.uniform(-1.3, 1.7, (6, 2))
@@ -239,15 +250,71 @@ def test_polynomial_step_matches_stage_by_stage(gamma, lam, tol):
     """Same method, cheaper evaluation: every field agrees with the stage
     loop to a small multiple of the tolerance (not bytewise, since roundoff
     can flip an accept/reject decision on stiff cells)."""
-    m = system_matrix(params(gamma, lam))
     # the stiff cell takes ~lam/3 steps per unit time: a shorter horizon
     taus = np.linspace(0.0, 2.0 if lam == 1e3 else 10.0, 21)
-    for init in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
-        y0 = np.zeros(len(m), np.complex128)
-        y0[:2] = init
-        got = _rk45_linear(m, y0, taus, tol, tol)
-        want = _rk45_stages(m, y0, taus, tol, tol)
-        assert np.max(np.abs(got - want)) <= 20 * tol
+    _assert_matches_stages(gamma, lam, taus, tol)
+
+
+# Cells on the benchmark's output grid: stiff (about two steps per gap),
+# slow, the triple root of the cubic and the memoryless R = 0 point.
+TRIPLE_ROOT = (16.0 * math.sqrt(3.0) / 9.0, 3.0 * math.sqrt(3.0))
+
+
+def _uneven_times():
+    """Sorted, starting above 0, with one time repeated: nearly every
+    output gap has its own length."""
+    taus = np.sort(np.random.default_rng(17).uniform(0.3, 50.0, 400))
+    return np.sort(np.append(taus, taus[150]))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("gamma,lam,taus", [
+    (0.1, 50.0, None), (0.1, 0.1, None), (*TRIPLE_ROOT, None),
+    (4.0, math.inf, None), (0.1, 0.1, _uneven_times())],
+    ids=["stiff", "slow", "triple-root", "memoryless-R0", "uneven-times"])
+def test_step_matrix_matches_stage_by_stage_on_output_grid(gamma, lam, taus,
+                                                           tol):
+    """The benchmark's shape, 1001 points over Omega*tau in [0, 50], where
+    most steps span a whole output gap and reuse that gap's step matrix;
+    the uneven grid gives the reuse many distinct gaps."""
+    taus = np.linspace(0.0, 50.0, 1001) if taus is None else taus
+    _assert_matches_stages(gamma, lam, taus, tol)
+
+
+def test_step_matrices_kept_per_gap_not_per_step():
+    """Peak traced allocation of one stiff call on 1001 points stays under
+    0.25 MB.  Keeping only whole-gap step matrices measured about 57 kB;
+    keeping one per distinct step size measured about 1.2 MB."""
+    p = params(0.1, 50.0)
+    taus = np.linspace(0.0, 50.0, 1001)
+    init = qb.empty_battery_state()
+    qb.integrate(p, init, 50.0, t_eval=taus)  # warm any lazy imports
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        qb.integrate(p, init, 50.0, t_eval=taus)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 0.25e6
+
+
+@pytest.mark.parametrize("lam", [2.0, math.inf])
+@pytest.mark.parametrize("init", [qb.InitialState(math.nan, 0.0),
+                                  qb.InitialState(0.0, math.inf)],
+                         ids=["nan", "inf"])
+def test_non_finite_initial_state_refused_at_once(lam, init):
+    """A NaN error norm fails every acceptance test and shrinks the step
+    to 0, so t would never advance: the oracle refuses the state before
+    the first step."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="initial state is not finite"):
+        qb.integrate(qb.make_params(1.0, 1.0, 0.5, lam), init, 1.0, steps=3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_overflowing_generator_raises():
