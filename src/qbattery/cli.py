@@ -64,8 +64,8 @@ def _parse_axis(text: str) -> tuple[float, ...]:
 
 def _load_config(path: str, subparsers: dict) -> dict:
     """Values of a key=value file.  A key is an option's destination
-    ('-' may stand for '_'), and its value is converted and checked as
-    that option's flag value is."""
+    ('-' may stand for '_') and sets that option of every command that
+    takes it; its value is converted and checked as the flag value is."""
     options = {a.dest: a for sub in subparsers.values() for a in sub._actions
                if a.option_strings and a.dest not in ("help", "config")}
     cfg = {}
@@ -105,7 +105,6 @@ def _write_output(out: str, text: str) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None,
                      help="optional key=value config file (defaults layer)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -126,6 +125,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("evolve", help="charging trajectory table")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_params(p)
     p.add_argument("--omega0", type=float, default=1.0,
                    help="energy unit of the energy columns")
@@ -135,6 +135,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subs.add_parser("sweep", help="quantity over a parameter grid")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--gamma-axis", dest="gamma_axis", required=False,
                    default=None, help="start:stop:count[:log|lin] or list")
     p.add_argument("--lambda-axis", dest="lambda_axis", required=False,
@@ -142,7 +143,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--quantity", choices=QUANTITIES, default=None)
     p.add_argument("--tmax", type=float, default=None,
                    help="horizon in Omega*tau (quantity default otherwise)")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None,
+                   help="BLP scan points (nonmarkovianity only)")
     p.add_argument("--workers", type=int, default=1)
 
     p = subs.add_parser("maxima", help="optimal charging values")

@@ -27,8 +27,9 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (Terms, _apply, _ratios, _real_parts_on_grid,
-                         _select, _transfer_many, _weights)
+from .propagator import (Terms, _apply, _check_tmax, _ratios,
+                         _real_parts_on_grid, _select, _transfer_many,
+                         _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -197,8 +198,7 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     """
     params_seq = list(params_seq)
     tmax = BLP_DEFAULT_TMAX if tmax is None else tmax
-    if not 0 < tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
+    _check_tmax(tmax)
     if grid is None:
         span = tmax / BLP_SCAN_SPACING
         if not math.isfinite(span):
@@ -268,8 +268,7 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
         init = empty_battery_state()
     params_seq = list(params_seq)
     tmax = MAXIMA_DEFAULT_TMAX if tmax is None else tmax
-    if not 0 < tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
+    _check_tmax(tmax)
 
     n = MAXIMA_SCAN_POINTS
     terms = _transfer_many([_ratios(p) for p in params_seq])

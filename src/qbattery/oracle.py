@@ -232,7 +232,8 @@ def integrate(params: ModelParams, init: InitialState, tmax: float,
 def integrate_memoryless(params: ModelParams, init: InitialState, tmax: float,
                          tol: float = DEFAULT_TOL, t_eval=None,
                          steps: int = 501) -> AmplitudeSeries:
-    """``integrate`` for memoryless params only."""
+    """``integrate`` for memoryless params only; it stays because
+    perfbench's oracle workload calls it."""
     if not params.memoryless:
         raise ValueError("finite-width params: use integrate")
     return _integrate(params, init, tmax, tol, t_eval, steps)

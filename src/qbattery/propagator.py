@@ -48,7 +48,8 @@ Terms = tuple[np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class PropagatorRoots:
-    """Physical roots of the denominator, and whether any cluster."""
+    """Physical roots of the denominator, and whether any cluster; kept
+    with ``solve_roots``, which perfbench's tracer wraps."""
 
     roots: tuple[complex, ...]
     degenerate: bool
@@ -190,12 +191,6 @@ def _clusters(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort((centres.imag, centres.real, mults == 0), axis=-1)
     return (np.take_along_axis(centres, order, -1),
             np.take_along_axis(mults, order, -1))
-
-
-def _cluster_roots(roots: np.ndarray) -> list[tuple[complex, int]]:
-    """The clusters of one cell's roots -> [(centre, multiplicity)]."""
-    centres, mults = _clusters(roots)
-    return [(complex(c), int(m)) for c, m in zip(centres, mults) if m]
 
 
 def _partial_fractions(nums, roots: np.ndarray) -> Terms:
@@ -344,11 +339,12 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
 def solve_roots(params: ModelParams) -> PropagatorRoots:
     """Physical roots of the denominator, Omega times those of p(s);
     ``degenerate`` is set when some of them cluster and take confluent
-    terms t**k * exp(s*t)."""
+    terms t**k * exp(s*t).  No module of the package calls it: it stays
+    because perfbench's tracer wraps it."""
     roots = _roots(_polynomials(*_ratios(params))[0])
     return PropagatorRoots(
         tuple(params.coupling_qb_cavity * complex(s) for s in roots),
-        any(m > 1 for _, m in _cluster_roots(roots)))
+        bool((_clusters(roots)[1] > 1).any()))
 
 
 def _transfer_many(ratios) -> Terms:
@@ -453,17 +449,16 @@ def _check_tau(tau: float) -> None:
         raise ValueError(f"tau must be non-negative and finite, got {tau}")
 
 
+def _check_tmax(tmax: float) -> None:
+    """The one horizon rule of trajectories and of the metrics searches."""
+    if not 0 < tmax < math.inf:
+        raise ValueError("tmax must be positive and finite")
+
+
 def kappa_at(params: ModelParams, tau: float) -> complex:
     """kappa(tau): amplitude reaching the battery from a full cavity."""
     _check_tau(tau)
     return complex(kappa_grid(params, np.float64(tau)))
-
-
-def kappa_memoryless_at(params: ModelParams, tau: float) -> complex:
-    """``kappa_at`` for memoryless params only."""
-    if not params.memoryless:
-        raise ValueError("params are not memoryless")
-    return kappa_at(params, tau)
 
 
 def amplitude_grid(params: ModelParams, init: InitialState,
@@ -507,8 +502,7 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     ``tmax`` and the stored grid are in Omega*tau.  A population |c2|^2
     outside [0, 1] raises ``metrics.NumericalGuardError``.
     """
-    if not 0 < tmax < math.inf:
-        raise ValueError("tmax must be positive and finite")
+    _check_tmax(tmax)
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if init is None:

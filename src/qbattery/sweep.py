@@ -31,7 +31,8 @@ QUANTITIES = ("stored_energy_max", "ergotropy_max", "nonmarkovianity")
 @dataclass(frozen=True)
 class SweepSpec:
     """Axes and quantity of one parameter sweep; ``tmax`` is the horizon
-    in Omega*tau (None selects the quantity's default)."""
+    in Omega*tau (None selects the quantity's default) and ``grid`` the
+    BLP scan's points, which only ``nonmarkovianity`` takes."""
 
     gamma_over_omega: tuple[float, ...]
     lambda_over_omega: tuple[float, ...]
@@ -49,6 +50,8 @@ class SweepSpec:
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}; "
                              f"choose from {QUANTITIES}")
+        if self.grid is not None and self.quantity != "nonmarkovianity":
+            raise ValueError(f"{self.quantity} takes no grid")
 
 
 @dataclass

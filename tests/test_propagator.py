@@ -256,7 +256,7 @@ class TestKappaMemoryless:
     def test_critical_damping_value(self):
         # gamma = 4*Omega, Omega*tau = 1: removable R -> 0 limit
         p = params(4.0, math.inf)
-        assert qb.kappa_memoryless_at(p, 1.0) == pytest.approx(
+        assert qb.kappa_at(p, 1.0) == pytest.approx(
             -1j * math.exp(-1.0), abs=1e-12)
 
     def test_branch_continuity_across_threshold(self):
@@ -271,13 +271,9 @@ class TestKappaMemoryless:
         peak = np.max(np.abs(kappa_grid(p, taus)) ** 2)
         assert peak == pytest.approx(0.925, abs=0.005)
 
-    def test_rejects_finite_width(self):
-        with pytest.raises(ValueError):
-            qb.kappa_memoryless_at(params(0.1, 0.1), 1.0)
-
     def test_dispatch_from_kappa_at(self):
         p = params(0.3, math.inf)
-        assert qb.kappa_at(p, 2.0) == qb.kappa_memoryless_at(p, 2.0)
+        assert qb.kappa_at(p, 2.0) == kappa_grid(p, np.array([2.0]))[0]
 
 
 class TestAmplitudes:

@@ -110,10 +110,12 @@ class TestSweep:
         make_params(1.0, 1.0, g, l) of the axis values, exactly."""
         gammas, lambdas = (0.123, 0.377, 2.5), (0.123, 0.377, math.inf)
         out = tmp_path / "sweep.csv"
+        grid = (["--grid", "2001"] if quantity == "nonmarkovianity"
+                else [])
         assert cli.main(["sweep", "--gamma-axis", ",".join(map(str, gammas)),
                          "--lambda-axis", ",".join(map(str, lambdas)),
-                         "--quantity", quantity, "--tmax", "20",
-                         "--grid", "2001", "--out", str(out)]) == 0
+                         "--quantity", quantity, "--tmax", "20", *grid,
+                         "--out", str(out)]) == 0
         rows = [line for line in out.read_text().splitlines()
                 if not line.startswith("#")][1:]
         written = [float(v) for row in rows for v in row.split(",")[1:]]
@@ -193,8 +195,9 @@ class TestSweep:
         chunks have unequal lengths (2, 2, 3, 2, 3)."""
         for quantity in ("stored_energy_max", "ergotropy_max",
                          "nonmarkovianity"):
+            grid = 301 if quantity == "nonmarkovianity" else None
             spec = SweepSpec((0.5, 2.0, 6.0), (0.3, 1.0, 4.0, math.inf),
-                             quantity, tmax=1.5, grid=301)
+                             quantity, tmax=1.5, grid=grid)
             serial = run_sweep(spec, workers=1)
             assert any(any(row) for row in serial.flags)  # boundary/truncated
             for workers in (2, 3, 5):
@@ -585,6 +588,144 @@ def test_no_parser_takes_Omega():
     assert not any("--Omega" in opts for opts in options.values())
     assert {name for name, opts in options.items()
             if "--omega0" in opts} == {"evolve", "maxima"}
+
+
+def test_format_is_an_option_of_the_table_commands():
+    """maxima and nonmarkov always write a JSON report: only evolve and
+    sweep take --format."""
+    _, subparsers = cli.build_parser()
+    assert {name for name, sub in subparsers.items()
+            if any("--format" in a.option_strings
+                   for a in sub._actions)} == {"evolve", "sweep"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [TMAX_COMMANDS[1], TMAX_COMMANDS[2]])
+def test_format_is_refused_where_it_changes_nothing(argv, fmt, capsys):
+    """--format csv used to print the same JSON and exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--format", fmt])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --format {fmt}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quantity", ["stored_energy_max", "ergotropy_max"])
+def test_energy_sweep_spec_refuses_a_grid(quantity):
+    """The charging optima scan a fixed grid; only the BLP scan takes one."""
+    with pytest.raises(ValueError, match=f"{quantity} takes no grid"):
+        SweepSpec((0.5,), (1.0,), quantity, grid=301)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_energy_sweep_grid_is_usage_error(source, tmp_path, capsys):
+    """A grid that the quantity cannot use is refused, from --grid or from
+    a config file: --grid 2 used to exit 0 with the values of no grid."""
+    argv = ["sweep", "--gamma-axis", "0.5", "--lambda-axis", "1",
+            "--quantity", "stored_energy_max"]
+    if source == "flag":
+        argv += ["--grid", "2"]
+    else:
+        cfg = tmp_path / "qb.cfg"
+        cfg.write_text("grid = 301\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    assert "stored_energy_max takes no grid" in capsys.readouterr().err
+
+
+# Options that change no result by design: where the output goes, where
+# the defaults come from, and the number of processes, whose values are
+# identical for any count (test_worker_count_equivalence).
+NO_RESULT_OPTIONS = {"--out", "--outdir", "--config", "--workers"}
+_SWEEP = {"--gamma-axis": "0.5", "--lambda-axis": "1"}
+_SWEEP_VARIED = {"--gamma-axis": "0.7", "--lambda-axis": "2",
+                 "--format": "json"}
+# (command, base options, {option: another valid value}, {option: a value
+# the base cannot use, refused with exit 2}); the charging optima lie at
+# the short horizons, so that a longer one moves them
+OPTION_CASES = [
+    ("evolve", {"--gamma": "0.5", "--lambda": "1", "--tmax": "2",
+                "--steps": "5"},
+     {"--gamma": "0.7", "--lambda": "inf", "--omega0": "2", "--tmax": "3",
+      "--steps": "7", "--format": "json"}, {}),
+    ("sweep", {**_SWEEP, "--quantity": "nonmarkovianity", "--tmax": "5"},
+     {**_SWEEP_VARIED, "--quantity": "stored_energy_max", "--tmax": "6",
+      "--grid": "3"}, {}),
+    ("sweep", {**_SWEEP, "--quantity": "stored_energy_max", "--tmax": "1"},
+     {**_SWEEP_VARIED, "--quantity": "ergotropy_max", "--tmax": "1.2"},
+     {"--grid": "2001"}),
+    ("sweep", {**_SWEEP, "--quantity": "ergotropy_max", "--tmax": "1"},
+     {**_SWEEP_VARIED, "--quantity": "nonmarkovianity", "--tmax": "1.2"},
+     {"--grid": "2001"}),
+    ("maxima", {"--gamma": "0.5", "--lambda": "1", "--tmax": "1"},
+     {"--gamma": "0.7", "--lambda": "inf", "--omega0": "2", "--tmax": "1.2"},
+     {}),
+    ("nonmarkov", {"--gamma": "0.5", "--lambda": "1", "--tmax": "5"},
+     {"--gamma": "0.7", "--lambda": "2", "--tmax": "6", "--grid": "3"}, {}),
+    ("figure", {}, {}, {}),
+]
+# keys of a JSON payload that echo the command line rather than compute
+_ECHOED = {"metadata", "command", "tool_version", "omega0", "gamma",
+           "lambda", "gamma_over_omega", "lambda_over_omega", "quantity",
+           "tmax", "grid"}
+
+
+def _outcome(command, options, capsys):
+    """The exit code and the result of one run: a JSON payload without its
+    echoed keys, or a CSV table's flag lines and its values, without the
+    '# key=value' metadata, the header row and the first column."""
+    try:
+        code = cli.main([command, *(tok for item in options.items()
+                                    for tok in item)])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    if out.startswith("{"):
+        return code, {key: value for key, value in json.loads(out).items()
+                      if key not in _ECHOED}
+    lines = out.splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    return code, ([line for line in lines if line.startswith("# flag:")],
+                  [row.split(",")[1:] for row in rows[1:]])
+
+
+def test_every_option_is_classified():
+    """Each option of each command is varied or refused by a case of
+    OPTION_CASES, or changes no result by design: a new option has to be
+    classified here."""
+    _, subparsers = cli.build_parser()
+    assert {case[0] for case in OPTION_CASES} == set(subparsers)
+    options = {name: {opt for a in sub._actions if a.dest != "help"
+                      for opt in a.option_strings}
+               for name, sub in subparsers.items()}
+    assert NO_RESULT_OPTIONS <= set().union(*options.values())
+    for command, _, varied, refused in OPTION_CASES:
+        assert not set(varied) & set(refused)
+        assert options[command] - NO_RESULT_OPTIONS == \
+            set(varied) | set(refused), command
+
+
+@pytest.mark.parametrize("command, base, option, value, valid", [
+    pytest.param(command, base, option, value, valid,
+                 id=" ".join(filter(None, [
+                     command, base.get("--quantity"), option, value,
+                     None if valid else "refused"])))
+    for command, base, varied, refused in OPTION_CASES
+    for valid, values in ((True, varied), (False, refused))
+    for option, value in values.items()])
+def test_every_option_changes_a_result(command, base, option, value, valid,
+                                       capsys):
+    """Setting an option to another valid value changes the data or the
+    report, not only the echoed flags; a value that the command cannot use
+    is a usage error.  maxima --format, nonmarkov --format and the --grid
+    of an energy sweep used to change nothing."""
+    want = _outcome(command, base, capsys)
+    assert want[0] != 2
+    got = _outcome(command, {**base, option: value}, capsys)
+    if valid:
+        assert got[0] != 2 and got != want
+    else:
+        assert got[0] == 2
 
 
 def test_Omega_config_key_is_unknown(tmp_path, capsys):
