@@ -11,11 +11,13 @@ for non-Markovian behaviour.
 
 The excited battery has c1 = -i*w and c2 = v, with the real entries w and
 v of the transfer matrix U, so D = v^2 and D' = 2*v*v' = -2*v*w.  The scan
-for the intervals reads the sign of -v*w on the uniform grid
-(``propagator._real_parts_on_grid``), and the charging optima scan |c2|^2
-on the same blocked grid.  Both searches expand a batch of cells once
-(``propagator._transfer_many``) and refine the extrema they bracket on
-that one stack of terms (``_refine``).
+for the intervals reads the sign of -v*w on the uniform grid, and the
+charging optima scan |c2|^2 on the same grid, both from the one blocked
+grid evaluator (``propagator._real_parts_on_grid``): a BLP scan of 2e5
+points takes one cell per call, and the charging scans of
+``MAXIMA_SCAN_CELLS`` cells share one blocked pass.  Both searches expand
+a batch of cells once (``propagator._transfer_many``) and refine the
+extrema they bracket on that one stack of terms (``_refine``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (Terms, _apply, _check_tmax, _ratios,
+from .propagator import (_GRID_BLOCK, Terms, _apply, _check_tmax, _ratios,
                          _real_parts_on_grid, _select, _transfer_many,
                          _weights)
 
@@ -36,6 +38,8 @@ BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
 MAXIMA_DEFAULT_TMAX = 50.0  # default horizon, in Omega*tau
 MAXIMA_SCAN_POINTS = 2000   # scan points of a charging optimum's bracket
 BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
+# cells whose charging-optimum scans fill one block of the grid evaluator
+MAXIMA_SCAN_CELLS = _GRID_BLOCK // MAXIMA_SCAN_POINTS
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,14 @@ def _blp_brackets(terms: Terms, tmax: float, grid: int):
     of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax, for
     the cell of ``terms``.
 
-    D' = -2*v*w: the scan reads only the entries w and v of U."""
+    D' = -2*v*w: the scan reads only the entries w and v of U.  A grid too
+    large to hold in memory raises ValueError naming --grid and --tmax."""
     roots, coefs = terms
-    w, v = _real_parts_on_grid((roots, coefs[1:]), tmax, grid)
+    try:
+        w, v = _real_parts_on_grid((roots, coefs[1:]), tmax, grid)
+    except MemoryError:
+        raise ValueError(f"a scan of {grid} points does not fit in memory; "
+                         "give a smaller --grid or --tmax") from None
     sign = v * w < 0.0
     del w, v  # free the entries before the grid's times are made
     # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls right after
@@ -192,7 +201,8 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     """``blp_nonmarkovianity`` for many cells, one report per cell.
 
     ``BLP_REFINE_CELLS`` cells at a time are expanded together, each is
-    scanned alone, and their brackets are refined together by ``_refine``:
+    scanned alone (at 2e5 points a call's overhead does not count), and
+    their brackets are refined together by ``_refine``:
     memory does not grow with the batch, nor a cell's report depend on it.
     D(tmax), read with the extrema, sets each report's ``truncated`` flag.
     """
@@ -248,21 +258,31 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     return blp_nonmarkovianity_many([params], tmax, grid)[0]
 
 
-def _scan_peak(terms: Terms, init: InitialState, tmax: float) -> int:
-    """Index of the largest population |c2|^2 of the cell of ``terms`` on
-    np.linspace(0, tmax, MAXIMA_SCAN_POINTS), from the blocked grid
-    evaluator; a population outside [0, 1] raises ``NumericalGuardError``."""
-    c2 = _apply(terms, _weights(init)[1:], tmax, MAXIMA_SCAN_POINTS)[0]
-    return int(np.argmax(_clipped_population(np.abs(c2) ** 2)))
+def _scan_peaks(terms: Terms, init: InitialState, tmax: float) -> np.ndarray:
+    """Index of the largest population |c2|^2 of each cell of the stack
+    ``terms`` on np.linspace(0, tmax, MAXIMA_SCAN_POINTS), from the blocked
+    grid evaluator, ``MAXIMA_SCAN_CELLS`` cells to a pass so that memory
+    does not grow with the stack; a population outside [0, 1] raises
+    ``NumericalGuardError``."""
+    weights = _weights(init)[1:]
+    peaks = np.empty(terms[0].shape[1], dtype=int)
+    for k in range(0, len(peaks), MAXIMA_SCAN_CELLS):
+        chunk = slice(k, k + MAXIMA_SCAN_CELLS)
+        c2 = _apply(_select(terms, chunk), weights, tmax,
+                    MAXIMA_SCAN_POINTS)[0]
+        peaks[chunk] = np.argmax(_clipped_population(np.abs(c2) ** 2), -1)
+        del c2  # free this chunk's c2 before the next one is made
+    return peaks
 
 
 def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                            tmax: float | None = None) -> list[MaximaReport]:
     """``maximize_over_tau`` for many cells, one report per cell.
 
-    The cells are expanded together, each is scanned alone, and the
-    brackets of all cells are then refined together by ``_refine`` on the
-    same stack of terms; a cell's report does not depend on its batch.
+    The cells are expanded together, scanned ``MAXIMA_SCAN_CELLS`` at a
+    time in one blocked pass each (``_scan_peaks``), and the brackets of
+    all cells are then refined together by ``_refine`` on the same stack of
+    terms; a cell's report does not depend on its batch.
     """
     if init is None:
         init = empty_battery_state()
@@ -272,8 +292,7 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
 
     n = MAXIMA_SCAN_POINTS
     terms = _transfer_many([_ratios(p) for p in params_seq])
-    peak = np.array([_scan_peak(_select(terms, i), init, tmax)
-                     for i in range(len(params_seq))], dtype=int)
+    peak = _scan_peaks(terms, init, tmax)
     taus = np.linspace(0.0, tmax, n)
     tau_star, c2 = _refine(terms, init, taus[np.maximum(peak - 1, 0)],
                            taus[np.minimum(peak + 1, n - 1)], True)

@@ -27,7 +27,8 @@ trailing axis, and each cell has the bytes of its one-cell expansion
 initial state share it).  One evaluator takes one exponential per root
 for any array of times, so the lockstep searches of ``metrics`` advance
 every cell of a stack at one time point each; the scans of ``metrics``
-read the same terms on a uniform grid, their exponentials blocked.
+read the same terms of one cell or a stack of cells on a uniform grid,
+their exponentials blocked.
 """
 
 from __future__ import annotations
@@ -288,52 +289,72 @@ def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
     return outs
 
 
-_GRID_BLOCK_ROWS = 32  # grid rows filled at a time by _real_parts_on_grid
+_GRID_BLOCK = 1 << 14  # grid points filled at a time by _real_parts_on_grid
 
 
 def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
-    """The entries of ``terms`` on np.linspace(0, tmax, n), [entry, point].
+    """The entries of ``terms`` on np.linspace(0, tmax, n): [entry, point]
+    for one cell, [entry, cell, point] for a stack of cells.
 
     Point m = i*b + k of b = isqrt(n) columns sits at t = m*h, h =
     tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
-    per row and per column for each root, and Re(a*exp(s*t)) from real
-    products.  ``_GRID_BLOCK_ROWS`` rows are filled at a time, so that the
-    temporaries stay in cache.  Zero coefficients, such as the padding of
-    one cell of a stack, cost no work.
+    per row and per column for each root of each cell, and Re(a*exp(s*t))
+    from outer products of real row and column parts on a (cell, row,
+    column) block.  The rows of all cells are filled ``_GRID_BLOCK``
+    points at a time, so that the temporaries stay in cache.  A coefficient
+    that is zero in every cell, such as the padding of a stack, costs no
+    work; one that is zero in some cells adds exact zeros there, so each
+    cell of a stack gets the bytes of its own terms.  The result is
+    allocated first: a grid too large to hold, or to address, raises
+    MemoryError before any exponential is taken.
     """
     roots, coefs = terms
     h = tmax / (n - 1)
     cols = math.isqrt(n)
     rows = -(-n // cols)
+    cells = roots.shape[1:]
+    try:
+        out = np.zeros(coefs.shape[:1] + cells + (rows, cols))
+    except ValueError as exc:  # numpy: more bytes than an address spans
+        raise MemoryError(exc) from None
     col_t = np.arange(cols) * h
     row_t = np.arange(0, rows * cols, cols) * h
-    exps = []
-    for s in roots:
-        ec = np.exp(s * col_t)
-        exps.append((np.exp(s * row_t), ec.real.copy(), ec.imag.copy()))
-    confluent = coefs[:, :, 1:].any()  # not for a stack's zero padding
-    out = np.zeros((len(coefs), rows, cols))
-    part, im_part = np.empty((2, _GRID_BLOCK_ROWS, cols))
-    for r0 in range(0, rows, _GRID_BLOCK_ROWS):
-        r1 = min(r0 + _GRID_BLOCK_ROWS, rows)
+    # per root: its row exponentials, the parts of its column ones (no Im
+    # unless the root is complex in some cell: a real root's is exactly 0)
+    # and its (entry, power, coefficient) terms nonzero in some cell
+    live = []
+    for s, by_entry in zip(roots, coefs.swapaxes(0, 1)):
+        nonzero = [(k, power, a[power, ..., None])
+                   for k, a in enumerate(by_entry)
+                   for power in reversed(range(len(a))) if a[power].any()]
+        if nonzero:
+            ec = np.exp(s[..., None] * col_t)
+            live.append((np.exp(s[..., None] * row_t), ec.real.copy(),
+                         ec.imag.copy() if s.imag.any() else None, nonzero))
+    confluent = any(power for *_, nonzero in live for _, power, _ in nonzero)
+    step = min(max(_GRID_BLOCK // (math.prod(cells) * cols), 1), rows)
+    part, im_part = np.empty((2,) + cells + (step, cols))
+    # each cell's outer product of a row and a column part: one rounded
+    # product per point, as a broadcast multiply forms it, only faster
+    outer = "...r,...k->...rk"
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
         if confluent:
             t = np.arange(r0 * cols, r1 * cols).reshape(r1 - r0, cols) * h
-        part_k, im_k = part[:r1 - r0], im_part[:r1 - r0]
-        for j, (s, (er, ec_re, ec_im)) in enumerate(zip(roots, exps)):
-            er = er[r0:r1, None]
-            for block, by_power in zip(out[:, r0:r1], coefs[:, j]):
-                for power in reversed(range(len(by_power))):
-                    if not by_power[power]:
-                        continue
-                    # Re(a e_r e_c) = Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
-                    ar = by_power[power] * er
-                    np.multiply(ar.real, ec_re, out=part_k)
-                    if s.imag:
-                        part_k -= np.multiply(ar.imag, ec_im, out=im_k)
-                    if power:
-                        part_k *= t ** power
-                    block += part_k
-    return out.reshape(len(out), -1)[:, :n]
+        part_k, im_k = part[..., :r1 - r0, :], im_part[..., :r1 - r0, :]
+        blocks = out[..., r0:r1, :]
+        for er, ec_re, ec_im, nonzero in live:
+            er = er[..., r0:r1]
+            for k, power, a in nonzero:
+                # Re(a e_r e_c) = Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
+                ar = a * er
+                np.einsum(outer, ar.real, ec_re, out=part_k)
+                if ec_im is not None:
+                    part_k -= np.einsum(outer, ar.imag, ec_im, out=im_k)
+                if power:
+                    part_k *= t ** power
+                blocks[k] += part_k
+    return out.reshape(out.shape[:-2] + (-1,))[..., :n]
 
 
 def solve_roots(params: ModelParams) -> PropagatorRoots:
@@ -402,7 +423,7 @@ def _transfer(g: float, l: float) -> Terms:
 
 def _select(terms: Terms, index) -> Terms:
     """The terms of the cells ``index`` of a stack: one cell for an integer,
-    a stack for an array of them."""
+    a stack for an array or a slice of them."""
     roots, coefs = terms
     return roots[:, index], coefs[..., index]
 
@@ -418,14 +439,15 @@ def _apply(terms: Terms, weights: np.ndarray, t,
            grid: int | None = None) -> list[np.ndarray]:
     """weights @ (u, w, v) at the times ``t`` in Omega*tau, one complex array
     per row, or with ``grid`` on np.linspace(0, t, grid) by the blocked
-    evaluator; an entry of zero weight in every row is not evaluated."""
+    evaluator, [point] for one cell and [cell, point] for a stack; an entry
+    of zero weight in every row is not evaluated."""
     roots, coefs = terms
     used = np.flatnonzero(weights.any(axis=0))
     if grid is None:
         entries, shape = _eval_terms((roots, coefs[used]), t), np.shape(t)
     else:
         entries = _real_parts_on_grid((roots, coefs[used]), t, grid)
-        shape = (grid,)
+        shape = entries.shape[1:]
     outs = []
     for row in weights[:, used]:
         out = np.zeros(shape, dtype=np.complex128)

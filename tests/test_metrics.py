@@ -12,7 +12,7 @@ import qbattery as qb
 from qbattery import metrics
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.figures import GRID_AXIS
-from qbattery.propagator import amplitude_grid, kappa_grid
+from qbattery.propagator import _transfer_many, amplitude_grid, kappa_grid
 from test_propagator import TRIPLE_ROOT, double_root_cell, transfer
 
 
@@ -314,6 +314,21 @@ def maximize_reference(params, init=None, tmax=None):
                            tau_star > tmax - (tmax / (n - 1)))
 
 
+def traced_peak(fn, *args):
+    """Peak traced memory of fn(*args), in bytes above what was live."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def unit_cell(p):
     """The Omega = 1 cell of the ratios of ``p``: the engine runs on
     gamma/Omega and lambda/Omega, so its reports at Omega*tau horizons are
@@ -403,22 +418,46 @@ class TestMaximizeBatch:
 
 
 class TestMaximizeScan:
-    """The scan reads c2 on the blocked grid and finds the largest sample
-    of a pointwise np.linspace scan, so every report keeps its bytes."""
+    """The scan reads c2 of a stack of cells on the blocked grid, a chunk
+    of cells to a pass, and finds the largest sample of a pointwise
+    np.linspace scan of each cell, so every report keeps its bytes."""
 
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
     def test_peak_matches_pointwise_scan_on_figure_axes(self, init):
         init = qb.empty_battery_state() if init is None else init
         taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        cells = [(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        got = metrics._scan_peaks(_transfer_many(cells), init, 50.0)
+        assert len(got) == len(cells) == 462
         mismatches = []
-        for g in GRID_AXIS:
-            for lam in GRID_AXIS + (math.inf,):
-                p = params(g, lam)
-                _, c2 = amplitude_grid(p, init, taus)
-                want = np.argmax(metrics._clipped_population(np.abs(c2) ** 2))
-                if metrics._scan_peak(transfer(p), init, 50.0) != want:
-                    mismatches.append((g, lam))
+        for cell, peak in zip(cells, got):
+            _, c2 = amplitude_grid(params(*cell), init, taus)
+            want = np.argmax(metrics._clipped_population(np.abs(c2) ** 2))
+            if peak != want:
+                mismatches.append(cell)
         assert mismatches == []
+
+    @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
+    def test_bytes_match_one_cell_batches_across_scan_chunks(self, init):
+        """BATCH_CELLS rotated and repeated over three scan chunks and a
+        partial fourth: the memoryless double root, the triple root,
+        gamma = 0 and Omega != 1 cells sit in several chunks and at
+        several places in a chunk."""
+        size = metrics.MAXIMA_SCAN_CELLS
+        cells = [BATCH_CELLS[(k + 5) % len(BATCH_CELLS)]
+                 for k in range(3 * size + size // 2)]
+        assert len(cells) % size and all(p in cells for p in BATCH_CELLS)
+        batch = maximize_over_tau_many(cells, init)
+        assert len(batch) == len(cells)
+        for p, got in zip(cells, batch):
+            assert same_report(got, maximize_over_tau_many([p], init)[0]), p
+
+    def test_peak_memory(self):
+        """The 441 figure cells in one call: one chunk of cells is scanned
+        at a time, so the traced peak stays under 1.5 MB."""
+        cells = [params(g, lam) for g in GRID_AXIS for lam in GRID_AXIS]
+        assert traced_peak(maximize_over_tau_many, cells) <= 1.5e6
 
 
 def blp_reference(params, tmax=None, grid=None):
@@ -598,18 +637,7 @@ class TestBlpScan:
         product and the sign: a traced peak under 8 MB, where the complex
         scan peaked at 13.7 MB."""
         terms = transfer(params(0.1, 0.1))
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            metrics._blp_brackets(terms, 200.0, 200001)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert peak <= 8e6
+        assert traced_peak(metrics._blp_brackets, terms, 200.0, 200001) <= 8e6
 
 
 def at_omega(p, om):

@@ -393,6 +393,15 @@ class TestPopulationGuard:
         assert cli.main(argv) == 4
         assert "population outside [0, 1]" in capsys.readouterr().err
 
+    def test_sweep_over_several_scan_chunks_exits_four(self, inflated_terms,
+                                                       capsys):
+        """20 inflated cells, one batch of more than two scan chunks."""
+        assert 20 > 2 * metrics.MAXIMA_SCAN_CELLS
+        assert cli.main(["sweep", "--gamma-axis", "0.1,0.2,0.5,1,2",
+                         "--lambda-axis", "0.3,1,5,inf",
+                         "--quantity", "stored_energy_max"]) == 4
+        assert "population outside [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["evolve", "maxima"])
     def test_nan_tmax_still_usage_error(self, inflated_terms, command,
                                         capsys):
@@ -551,6 +560,23 @@ def test_non_finite_default_grid_is_usage_error(argv, capsys):
     which used to end in an OverflowError traceback."""
     assert cli.main(argv + ["--tmax", "1e306"]) == 2
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonmarkov", "--gamma", "1", "--lambda", "1", "--tmax", "1e12"],
+    ["sweep", "--gamma-axis", "1", "--lambda-axis", "1",
+     "--quantity", "nonmarkovianity", "--grid", "1000000000000000"],
+    ["nonmarkov", "--gamma", "1", "--lambda", "1", "--tmax", "1e16"],
+])
+def test_scan_too_large_to_hold_is_usage_error(argv, capsys):
+    """About 1e15 scan points need 14 PiB, which used to end in a numpy
+    MemoryError traceback, and 1e19 more bytes than a 64-bit address
+    spans; the result is allocated before any other work, so the refusal
+    is immediate."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--grid" in err and "--tmax" in err
 
 
 @pytest.mark.parametrize("lam", ["nan", "-inf"])
