@@ -11,13 +11,16 @@ for non-Markovian behaviour.
 
 The excited battery has c1 = -i*w and c2 = v, with the real entries w and
 v of the transfer matrix U, so D = v^2 and D' = 2*v*v' = -2*v*w.  The scan
-for the intervals reads the sign of -v*w on the uniform grid, and the
-charging optima scan |c2|^2 on the same grid, both from the one blocked
-grid evaluator (``propagator._real_parts_on_grid``): a BLP scan of 2e5
-points takes one cell per call, and the charging scans of
-``MAXIMA_SCAN_CELLS`` cells share one blocked pass.  Both searches expand
-a batch of cells once (``propagator._transfer_many``) and refine the
-extrema they bracket on that one stack of terms (``_refine``).
+for the intervals finds every sign change of -v*w on the uniform grid, and
+the charging optima scan |c2|^2 on the same grid, both from the one blocked
+grid evaluator (``propagator._grid_blocks``).  A BLP scan takes one cell at
+a time and reads a coarse subset of its grid first, then every point of
+the intervals where a bound on the slopes of w and v does not prove that
+neither changes sign: on the figure axes about 6 % of a 2e5-point grid.
+The charging scans of ``MAXIMA_SCAN_CELLS`` cells share one blocked pass.
+Both searches expand a batch of cells once (``propagator._transfer_many``)
+and refine the extrema they bracket on that one stack of terms
+(``_refine``).
 """
 
 from __future__ import annotations
@@ -29,15 +32,20 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (_GRID_BLOCK, Terms, _apply, _check_tmax, _ratios,
-                         _real_parts_on_grid, _select, _transfer_many,
-                         _weights)
+from .propagator import (_GRID_BLOCK, Terms, _apply, _check_tmax,
+                         _grid_blocks, _ratios, _real_parts_on_grid, _select,
+                         _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
 MAXIMA_DEFAULT_TMAX = 50.0  # default horizon, in Omega*tau
 MAXIMA_SCAN_POINTS = 2000   # scan points of a charging optimum's bracket
 BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
+BLP_POINTS_PER_PERIOD = 64  # coarse scan points per period of D'
+BLP_MIN_SKIP = 8          # fewest grid steps between coarse scan points
+BLP_MIN_SKIP_GRID = 1 << 16  # fewest points of a scan that skips points
+BLP_SKIP_SLACK = 1e-9     # relative margin of the proof that skips points
+BLP_MAX_GRID = 1 << 32    # most points of a BLP scan (a minute a cell)
 # cells whose charging-optimum scans fill one block of the grid evaluator
 MAXIMA_SCAN_CELLS = _GRID_BLOCK // MAXIMA_SCAN_POINTS
 
@@ -171,29 +179,139 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     return t, _apply(terms, weights, t)[1]
 
 
-def _blp_brackets(terms: Terms, tmax: float, grid: int):
-    """Brackets (a, b, rising at a) of the sign changes of dD/dt on a scan
-    of [0, tmax] in Omega*tau, between zero-width ones at 0 and tmax, for
-    the cell of ``terms``.
+def _grid_times(m: np.ndarray, tmax: float, n: int) -> np.ndarray:
+    """np.linspace(0, tmax, n)[m] for sorted m, without the grid."""
+    h = tmax / (n - 1)
+    t = m * h if h else m / (n - 1) * tmax
+    if len(m) and m[-1] == n - 1:
+        t[-1] = tmax
+    return t
 
-    D' = -2*v*w: the scan reads only the entries w and v of U.  A grid too
-    large to hold in memory raises ValueError naming --grid and --tmax."""
+
+def _sign_kept(terms: Terms, t: np.ndarray, x: np.ndarray,
+               span: float) -> np.ndarray:
+    """For each interval, no longer than ``span``, between consecutive
+    times ``t`` (Omega*tau) with the entries x = (w, v) there, whether the
+    computed sign of D' = -2*v*w is the same at every grid point inside it
+    as at its ends.
+
+    On [t_a, t_b] an entry of terms a_jp t^p e^(s_j t) is at most E = sum
+    |a_jp| t_b^p e^max(Re s_j t_a, Re s_j t_b) in size, and its slope at
+    most the same sum with |a_jp| (|s_j| t_b^p + p t_b^(p-1)).  So an entry
+    keeps its sign when |x(t_a)| + |x(t_b)| exceeds ``span`` times the
+    slope bound (|x| stays above half the excess, and ends of opposite
+    sign or a zero end leave none) by more than ``BLP_SKIP_SLACK`` (1 +
+    max|s_j| t) E, which covers the roundoff of the grid evaluator's
+    exponentials at times up to t.  The sign of v*w is kept where both
+    entries keep theirs by an excess above 1e-150, so that their product
+    cannot round to zero, or where both E are under 1e-165, so that it
+    rounds to zero everywhere."""
     roots, coefs = terms
-    try:
-        w, v = _real_parts_on_grid((roots, coefs[1:]), tmax, grid)
-    except MemoryError:
-        raise ValueError(f"a scan of {grid} points does not fit in memory; "
-                         "give a smaller --grid or --tmax") from None
-    sign = v * w < 0.0
-    del w, v  # free the entries before the grid's times are made
-    # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls right after
-    # t = 0, and the computed sign of D'(0) is roundoff
-    sign[0] = False
-    taus = np.linspace(0.0, tmax, grid)
-    i = np.nonzero(sign[1:] != sign[:-1])[0]
-    return (np.concatenate(([0.0], taus[i], [tmax])),
-            np.concatenate(([0.0], taus[i + 1], [tmax])),
-            np.concatenate(([False], sign[i], [False])))
+    size = np.abs(roots)
+    slack = BLP_SKIP_SLACK * (1.0 + size.max() * t[-1])
+    e = np.exp(np.multiply.outer(roots.real, t))
+    e = np.maximum(e[:, :-1], e[:, 1:])
+    t_b = t[1:]
+    # need: span times the slope bound plus the slack, for each entry
+    need = bound = 0.0
+    for p, a in enumerate(np.abs(coefs).transpose(2, 0, 1)):
+        n, b = np.split(np.concatenate((a * (span * size + slack), a)) @ e, 2)
+        if p:
+            n, b = n * t_b ** p + p * span * b * t_b ** (p - 1), b * t_b ** p
+        need, bound = need + n, bound + b
+    mag = np.abs(x)
+    return ((mag[:, :-1] + mag[:, 1:] - need > 1e-150).all(0)
+            | (bound < 1e-165).all(0))
+
+
+def _blp_brackets(terms: Terms, tmax: float, grid: int):
+    """Brackets (a, b, rising at a) of the sign changes of dD/dt on the
+    scan np.linspace(0, tmax, grid) in Omega*tau, between zero-width ones
+    at 0 and tmax, for the cell of ``terms``.
+
+    D' = -2*v*w: the scan reads only the entries w and v of U, in two
+    passes over the grid evaluator's rows of b = isqrt(grid) points.  The
+    coarse pass reads the same columns of every row, at most ``width``
+    points apart (``BLP_POINTS_PER_PERIOD`` to a period of D''s fastest
+    frequency max(2 max|Im s_j|, 1)), and the column of the last point.
+    The dense pass reads every point between two coarse ones where
+    ``_sign_kept`` cannot prove that D' keeps its sign.  A point read has
+    the bits of a whole-grid scan, so the brackets are those of the sign
+    of v*w at every point.  The coarse pass reads every point (width 1)
+    when fewer than ``BLP_MIN_SKIP`` points would lie between coarse ones,
+    or the grid has fewer than ``BLP_MIN_SKIP_GRID`` points: then the
+    proofs would cost more than they save.  The evaluator fills
+    ``_GRID_BLOCK`` points at a time, so memory does not grow with the
+    grid."""
+    roots, coefs = terms
+    wv = (roots, coefs[1:])
+    b = math.isqrt(grid)
+    rows = -(-grid // b)
+    h = tmax / (grid - 1)
+    width = 1
+    if grid >= BLP_MIN_SKIP_GRID and h:
+        freq = max(2.0 * float(np.abs(roots.imag).max()), 1.0)
+        width = int(min(2.0 * math.pi / (BLP_POINTS_PER_PERIOD * freq * h),
+                        b, _GRID_BLOCK))
+        if width < BLP_MIN_SKIP:
+            width = 1
+    last = grid - 1 - (rows - 1) * b
+    cols = np.arange(0, b, width)
+    if last % width:
+        cols = np.insert(cols, last // width + 1, last)
+    q = len(cols)
+    count = (rows - 1) * q + last // width + 1 + (last % width > 0)
+
+    def point(g):  # grid index of coarse point g
+        return g // q * b + cols[g % q]
+
+    at, rising = [], []
+    sign, x, t = np.zeros(0, dtype=bool), np.empty((2, 0)), np.empty(0)
+    for r0, r1, new in _grid_blocks(wv, tmax, grid, np.arange(rows), cols):
+        # coarse points g0 (the last of the previous block) to g1 - 1
+        g0, g1 = r0 * q - (r0 > 0), min(r1 * q, count)
+        new = new.reshape(2, -1)[:, :g1 - r0 * q]
+        if width == 1:
+            sign = np.concatenate((sign[-1:], new[1] * new[0] < 0.0))
+            # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls
+            # right after t = 0, and the computed sign of D'(0) is roundoff
+            sign[0] &= r0 > 0
+            g = np.flatnonzero(sign[1:] != sign[:-1])
+            at.append(g0 + g)
+            rising.append(sign[g])
+            continue
+        x = np.concatenate((x[:, -1:], new), axis=1)
+        t = np.concatenate((t[-1:], ((np.arange(r0, r1) * b)[:, None] + cols
+                                     ).ravel()[:g1 - r0 * q] * h))
+        # the dense pass reads every point inside the intervals not proven;
+        # the coarse pass gave the signs at their ends
+        todo = np.flatnonzero(~_sign_kept(wv, t, x, width * h))
+        if not len(todo):
+            continue
+        m = point(g0 + todo)
+        span = point(g0 + todo + 1) - m
+        inner = int(span.max()) - 1
+        ends = x[:, np.stack((todo, todo + 1), 1)]
+        ends = ends[1] * ends[0] < 0.0
+        ends[:, 0] &= m > 0  # D'(0), as above
+        chunk = max(_GRID_BLOCK // max(inner, 1), 1)
+        for j in range(0, len(todo), chunk):
+            jj = slice(j, j + chunk)
+            # an interval's interior lies in the row of its left end
+            k = np.minimum(m[jj, None] % b + np.arange(1, inner + 1), b - 1)
+            iw, iv = _real_parts_on_grid(wv, tmax, grid, m[jj] // b, k)
+            signs = np.concatenate((ends[jj, :1], iv * iw < 0.0,
+                                    ends[jj, 1:]), axis=1)
+            # the right end after the interior of a shorter interval
+            signs[np.arange(len(signs)), span[jj]] = ends[jj, 1]
+            u, o = np.nonzero((signs[:, 1:] != signs[:, :-1])
+                              & (np.arange(inner + 1) < span[jj, None]))
+            at.append(m[jj][u] + o)
+            rising.append(signs[u, o])
+    at, rising = np.concatenate(at), np.concatenate(rising)
+    return (np.concatenate(([0.0], _grid_times(at, tmax, grid), [tmax])),
+            np.concatenate(([0.0], _grid_times(at + 1, tmax, grid), [tmax])),
+            np.concatenate(([False], rising, [False])))
 
 
 def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
@@ -201,9 +319,10 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     """``blp_nonmarkovianity`` for many cells, one report per cell.
 
     ``BLP_REFINE_CELLS`` cells at a time are expanded together, each is
-    scanned alone (at 2e5 points a call's overhead does not count), and
-    their brackets are refined together by ``_refine``:
-    memory does not grow with the batch, nor a cell's report depend on it.
+    scanned alone (``_blp_brackets``), and their brackets are refined
+    together by ``_refine``: memory does not grow with the batch or the
+    grid, nor a cell's report depend on the batch.  A grid of more than
+    ``BLP_MAX_GRID`` points raises ValueError naming --grid and --tmax.
     D(tmax), read with the extrema, sets each report's ``truncated`` flag.
     """
     params_seq = list(params_seq)
@@ -217,6 +336,10 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
         grid = int(round(span)) + 1
     if grid < 3:
         raise ValueError("grid must be at least 3 points")
+    if grid > BLP_MAX_GRID:
+        raise ValueError(f"a scan of {grid} points is more than the "
+                         f"{BLP_MAX_GRID} one may take; give a smaller --grid "
+                         "or --tmax")
     reports = [NonMarkovReport(math.inf, (), divergent=True)] * len(params_seq)
     live = [i for i, p in enumerate(params_seq) if p.coupling_cavity_env]
     for k in range(0, len(live), BLP_REFINE_CELLS):
@@ -245,14 +368,16 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
                         grid: int | None = None) -> NonMarkovReport:
     """BLP backflow measure for the optimal pure state pair.
 
-    Scans the sign of dD/dt = -2*v*w (c2 = v and c1 = -i*w of the excited
-    battery, w and v real) on a uniform grid over [0, tmax] in Omega*tau
-    (default spacing 1e-3), with one exponential per real root or
-    conjugate pair, blocked on the grid; bisects each sign change as
-    charging optima are (``_refine``) and sums the increase of D over
-    every rising interval.  gamma = 0 is a flagged divergent case (perpetual
-    closed-system recurrences); a ``truncated`` flag is set when D(tmax)
-    has not decayed below 1e-6.
+    Finds every sign change of dD/dt = -2*v*w (c2 = v and c1 = -i*w of the
+    excited battery, w and v real) on a uniform grid over [0, tmax] in
+    Omega*tau (default spacing 1e-3), with one exponential per real root or
+    conjugate pair, blocked on the grid: a coarse pass, then every point of
+    the intervals where a bound does not prove that D' keeps its sign, so
+    the brackets are those of a scan of every point.  Bisects each sign
+    change as charging optima are (``_refine``) and sums the increase of D
+    over every rising interval.  gamma = 0 is a flagged divergent case
+    (perpetual closed-system recurrences); a ``truncated`` flag is set when
+    D(tmax) has not decayed below 1e-6.
     This is the one-cell case of ``blp_nonmarkovianity_many``.
     """
     return blp_nonmarkovianity_many([params], tmax, grid)[0]

@@ -27,8 +27,8 @@ trailing axis, and each cell has the bytes of its one-cell expansion
 initial state share it).  One evaluator takes one exponential per root
 for any array of times, so the lockstep searches of ``metrics`` advance
 every cell of a stack at one time point each; the scans of ``metrics``
-read the same terms of one cell or a stack of cells on a uniform grid,
-their exponentials blocked.
+read the same terms of one cell or a stack of cells on a uniform grid, or
+at chosen points of it, their exponentials blocked (``_grid_blocks``).
 """
 
 from __future__ import annotations
@@ -289,36 +289,34 @@ def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
     return outs
 
 
-_GRID_BLOCK = 1 << 14  # grid points filled at a time by _real_parts_on_grid
+_GRID_BLOCK = 1 << 14  # grid points filled at a time by _grid_blocks
 
 
-def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
-    """The entries of ``terms`` on np.linspace(0, tmax, n): [entry, point]
-    for one cell, [entry, cell, point] for a stack of cells.
+def _grid_blocks(terms: Terms, tmax: float, n: int, rows: np.ndarray,
+                 cols: np.ndarray):
+    """The entries of ``terms`` at chosen points of np.linspace(0, tmax, n),
+    a block of rows at a time: yields (r0, r1, block) with block [entry,
+    (cell,) r1 - r0, column] for rows[r0:r1], about ``_GRID_BLOCK`` points
+    to a block, so that the temporaries stay in cache.
 
     Point m = i*b + k of b = isqrt(n) columns sits at t = m*h, h =
     tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
     per row and per column for each root of each cell, and Re(a*exp(s*t))
-    from outer products of real row and column parts on a (cell, row,
-    column) block.  The rows of all cells are filled ``_GRID_BLOCK``
-    points at a time, so that the temporaries stay in cache.  A coefficient
-    that is zero in every cell, such as the padding of a stack, costs no
-    work; one that is zero in some cells adds exact zeros there, so each
-    cell of a stack gets the bytes of its own terms.  The result is
-    allocated first: a grid too large to hold, or to address, raises
-    MemoryError before any exponential is taken.
+    from products of real row and column parts.  ``rows`` holds row numbers
+    i, and ``cols`` column numbers k, one set [C] for every row or one set
+    per row [len(rows), C]; a point has the same bits whatever else is
+    chosen with it.  A coefficient that is zero in every cell, such as the
+    padding of a stack, costs no work; one that is zero in some cells adds
+    exact zeros there, so each cell of a stack gets the bytes of its own
+    terms.
     """
     roots, coefs = terms
     h = tmax / (n - 1)
-    cols = math.isqrt(n)
-    rows = -(-n // cols)
+    b = math.isqrt(n)
     cells = roots.shape[1:]
-    try:
-        out = np.zeros(coefs.shape[:1] + cells + (rows, cols))
-    except ValueError as exc:  # numpy: more bytes than an address spans
-        raise MemoryError(exc) from None
-    col_t = np.arange(cols) * h
-    row_t = np.arange(0, rows * cols, cols) * h
+    shared = cols.ndim == 1
+    col_t = (cols if shared else np.arange(b)) * h
+    row_t = rows * b * h
     # per root: its row exponentials, the parts of its column ones (no Im
     # unless the root is complex in some cell: a real root's is exactly 0)
     # and its (entry, power, coefficient) terms nonzero in some cell
@@ -332,20 +330,25 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
             live.append((np.exp(s[..., None] * row_t), ec.real.copy(),
                          ec.imag.copy() if s.imag.any() else None, nonzero))
     confluent = any(power for *_, nonzero in live for _, power, _ in nonzero)
-    step = min(max(_GRID_BLOCK // (math.prod(cells) * cols), 1), rows)
-    part, im_part = np.empty((2,) + cells + (step, cols))
-    # each cell's outer product of a row and a column part: one rounded
-    # product per point, as a broadcast multiply forms it, only faster
-    outer = "...r,...k->...rk"
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
+    width = cols.shape[-1]
+    step = max(_GRID_BLOCK // (math.prod(cells) * max(width, 1)), 1)
+    part, im_part = np.empty((2,) + cells + (min(step, len(rows)), width))
+    # each cell's product of a row and a column part: one rounded product
+    # per point, as a broadcast multiply forms it, only faster
+    outer = "...r,...k->...rk" if shared else "...r,...rk->...rk"
+    for r0 in range(0, len(rows), step):
+        r1 = min(r0 + step, len(rows))
+        k = cols if shared else cols[r0:r1]
         if confluent:
-            t = np.arange(r0 * cols, r1 * cols).reshape(r1 - r0, cols) * h
+            t = (rows[r0:r1, None] * b + k) * h
         part_k, im_k = part[..., :r1 - r0, :], im_part[..., :r1 - r0, :]
-        blocks = out[..., r0:r1, :]
+        block = np.zeros(coefs.shape[:1] + part_k.shape)
         for er, ec_re, ec_im, nonzero in live:
             er = er[..., r0:r1]
-            for k, power, a in nonzero:
+            if not shared:  # this block's columns of each row
+                ec_re = ec_re[..., k]
+                ec_im = None if ec_im is None else ec_im[..., k]
+            for entry, power, a in nonzero:
                 # Re(a e_r e_c) = Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
                 ar = a * er
                 np.einsum(outer, ar.real, ec_re, out=part_k)
@@ -353,8 +356,25 @@ def _real_parts_on_grid(terms: Terms, tmax: float, n: int) -> np.ndarray:
                     part_k -= np.einsum(outer, ar.imag, ec_im, out=im_k)
                 if power:
                     part_k *= t ** power
-                blocks[k] += part_k
-    return out.reshape(out.shape[:-2] + (-1,))[..., :n]
+                block[entry] += part_k
+        yield r0, r1, block
+
+
+def _real_parts_on_grid(terms: Terms, tmax: float, n: int, rows=None,
+                        cols=None) -> np.ndarray:
+    """The entries of ``terms`` on np.linspace(0, tmax, n), [entry, point]
+    for one cell and [entry, cell, point] for a stack of cells, from
+    ``_grid_blocks``; or, given its ``rows`` (at least one) and ``cols``,
+    at those points of the grid, [entry, (cell,) row, column]."""
+    whole = rows is None
+    if whole:
+        b = math.isqrt(n)
+        rows, cols = np.arange(-(-n // b)), np.arange(b)
+    blocks = [block for *_, block in _grid_blocks(terms, tmax, n, rows, cols)]
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
+    if whole:
+        return out.reshape(out.shape[:-2] + (-1,))[..., :n]
+    return out
 
 
 def solve_roots(params: ModelParams) -> PropagatorRoots:

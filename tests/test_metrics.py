@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from scipy.optimize import minimize
 
 import qbattery as qb
-from qbattery import metrics
+from qbattery import metrics, propagator
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.figures import GRID_AXIS
 from qbattery.propagator import _transfer_many, amplitude_grid, kappa_grid
@@ -562,7 +562,8 @@ class TestBlpBatch:
 
     @pytest.mark.parametrize("kwargs", [
         {"grid": 2}, {"tmax": 0.0}, {"tmax": -1.0}, {"tmax": math.nan},
-        {"tmax": math.inf}, {"tmax": 1e-4}])
+        {"tmax": math.inf}, {"tmax": 1e-4},
+        {"grid": metrics.BLP_MAX_GRID + 1}])
     def test_bad_options_raise_before_any_scan(self, kwargs, monkeypatch):
         """tmax = 1e-4 makes the default grid 1 point; a divergent cell
         first in the batch, and alone, is checked as well."""
@@ -572,6 +573,7 @@ class TestBlpBatch:
         monkeypatch.setattr(metrics, "_transfer_many", no_scan)
         monkeypatch.setattr(metrics, "_real_parts_on_grid", no_scan)
         monkeypatch.setattr(metrics, "_apply", no_scan)
+        monkeypatch.setattr(metrics, "_grid_blocks", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
@@ -599,10 +601,19 @@ EXCEPTIONAL_SCAN_CELLS = (
     + [(TRIPLE_ROOT[0] * (1 + d), TRIPLE_ROOT[1])
        for d in (0.0, 1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3)]
     + [(4.0 * (1 + d), math.inf) for d in (0.0, 1e-9, -1e-9, 1e-6, -1e-6)])
+# the wide domain: gamma/Omega log-uniform in [1e-2, 1e3], lambda/Omega
+# log-uniform in [1e-3, 1e3] or, one cell in five, inf
+WIDE_SCAN_CELLS = [
+    (float(g), float(lam) if keep else math.inf)
+    for (g, lam), keep in zip(
+        np.exp(np.random.default_rng(20).uniform(
+            np.log([1e-2, 1e-3]), np.log([1e3, 1e3]), size=(200, 2))),
+        np.random.default_rng(21).uniform(size=200) > 0.2)]
 
 
 class TestBlpScan:
-    """The scan reads the entries w and v of U on the blocked grid and finds
+    """The scan reads the entries w and v of U on the blocked grid, skips
+    the intervals where a bound proves that neither changes sign, and finds
     the brackets of a pointwise scan of c1 and c2, so every report keeps
     its bytes."""
 
@@ -624,6 +635,60 @@ class TestBlpScan:
                  + EXCEPTIONAL_SCAN_CELLS)
         assert self.mismatches(cells, 200001) == []
 
+    @pytest.mark.parametrize("grid", [200001, 20001])
+    def test_brackets_match_complex_scan_on_wide_domain(self, grid):
+        assert self.mismatches(WIDE_SCAN_CELLS, grid) == []
+
+    def test_reports_where_a_spacing_rule_alone_fails(self):
+        """A grid of 64 points per period of D''s fastest frequency, cell by
+        cell, misses the rising interval of width 0.019 from Omega*tau
+        38.49227837862723 of the first cell and moves the end 57.3668043152
+        of an interval of the second by an ulp; skipping only the intervals
+        a bound proves keeps both."""
+        rising, axis = params(39.204, 0.0718145), params(GRID_AXIS[11], 1.0)
+        for p in (rising, axis):
+            assert blp_bytes(qb.blp_nonmarkovianity(p)) \
+                == blp_bytes(blp_reference(p)), p
+        assert 38.49227837862723 in [
+            a for a, _ in qb.blp_nonmarkovianity(rising).backflow_intervals]
+
+    def test_figure_axes_read_an_eighth_of_the_default_grid(self,
+                                                            monkeypatch):
+        """Over the 462 GRID_AXIS x (GRID_AXIS + inf) cells the evaluator
+        fills at most 1/8 of the points of their default scans: the coarse
+        pass and the intervals it cannot skip."""
+        filled = []
+        blocks = propagator._grid_blocks
+
+        def counting(*args):
+            for r0, r1, block in blocks(*args):
+                filled.append(block[0].size)
+                yield r0, r1, block
+
+        monkeypatch.setattr(propagator, "_grid_blocks", counting)
+        monkeypatch.setattr(metrics, "_grid_blocks", counting)
+        cells = [(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        for g, lam in cells:
+            metrics._blp_brackets(transfer(params(g, lam)), 200.0, 200001)
+        assert sum(filled) <= len(cells) * 200001 / 8
+
+    def test_long_horizon_skips_match_a_scan_of_every_point(self,
+                                                            monkeypatch):
+        """To Omega*tau 2000 at spacing 1e-3 the coarse pass spans several
+        evaluator blocks, and on the double-root curve w and v fall under
+        1e-165, where v*w rounds to zero: the brackets equal those of
+        reading every point (the scan with no skipping)."""
+        cells = ([double_root_cell(r) for r in (-6.0, -3.0, -1.5)]
+                 + [(0.5, 2.0), (2.0, math.inf)])
+        skipping = [metrics._blp_brackets(transfer(params(g, lam)), 2000.0,
+                                          2000001) for g, lam in cells]
+        monkeypatch.setattr(metrics, "BLP_MIN_SKIP", math.inf)
+        for (g, lam), got in zip(cells, skipping):
+            want = metrics._blp_brackets(transfer(params(g, lam)), 2000.0,
+                                         2000001)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want)), g
+
     def test_report_where_partial_fractions_cancel(self):
         """Just below the triple point coefficients of about 1e7 cancel,
         so a bracket may differ near Omega*tau = 0.1; the report must
@@ -633,11 +698,11 @@ class TestBlpScan:
             == blp_bytes(blp_reference(p))
 
     def test_peak_memory(self):
-        """One default 200001-point scan holds w and v as floats, their
-        product and the sign: a traced peak under 8 MB, where the complex
-        scan peaked at 13.7 MB."""
+        """One default 200001-point scan holds blocks of w and v: a traced
+        peak under 3 MB, where holding w and v of the whole grid peaked at
+        5.0 MB and the complex scan at 13.7 MB."""
         terms = transfer(params(0.1, 0.1))
-        assert traced_peak(metrics._blp_brackets, terms, 200.0, 200001) <= 8e6
+        assert traced_peak(metrics._blp_brackets, terms, 200.0, 200001) <= 3e6
 
 
 def at_omega(p, om):
