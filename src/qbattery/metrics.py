@@ -12,12 +12,13 @@ for non-Markovian behaviour.
 The excited battery has c1 = -i*w and c2 = v, with the real entries w and
 v of the transfer matrix U, so D = v^2 and D' = 2*v*v' = -2*v*w.  The scan
 for the intervals finds every sign change of -v*w on the uniform grid, and
-the charging optima scan |c2|^2 on the same grid, both from the one blocked
-grid evaluator (``propagator._grid_blocks``).  A BLP scan takes one cell at
-a time and reads a coarse subset of its grid first, then every point of
-the intervals where a bound on the slopes of w and v does not prove that
-neither changes sign: on the figure axes about 6 % of a 2e5-point grid.
-The charging scans of ``MAXIMA_SCAN_CELLS`` cells share one blocked pass.
+the charging optima scan |c2|^2 on the same grid, both through the one
+evaluator (``propagator._eval_terms``), a block of rows at a time.  A BLP
+scan takes one cell at a time and reads a coarse subset of its grid first,
+then every point of the intervals where a bound on the slopes of w and v
+does not prove that neither changes sign: on the figure axes about 6 % of
+a 2e5-point grid.  The charging scans of ``MAXIMA_SCAN_CELLS`` cells share
+one read, into buffers that every pass reuses.
 Both searches expand a batch of cells once (``propagator._transfer_many``)
 and refine the extrema they bracket on that one stack of terms
 (``_refine``).
@@ -32,9 +33,8 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (_GRID_BLOCK, Terms, _apply, _check_tmax,
-                         _grid_blocks, _ratios, _real_parts_on_grid, _select,
-                         _transfer_many, _weights)
+from .propagator import (Terms, _apply, _check_tmax, _eval_terms, _ratios,
+                         _select, _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -46,7 +46,8 @@ BLP_MIN_SKIP = 8          # fewest grid steps between coarse scan points
 BLP_MIN_SKIP_GRID = 1 << 16  # fewest points of a scan that skips points
 BLP_SKIP_SLACK = 1e-9     # relative margin of the proof that skips points
 BLP_MAX_GRID = 1 << 32    # most points of a BLP scan (a minute a cell)
-# cells whose charging-optimum scans fill one block of the grid evaluator
+_GRID_BLOCK = 1 << 14     # grid points a scan reads at a time
+# cells whose charging-optimum scans fill one block
 MAXIMA_SCAN_CELLS = _GRID_BLOCK // MAXIMA_SCAN_POINTS
 
 
@@ -230,18 +231,19 @@ def _blp_brackets(terms: Terms, tmax: float, grid: int):
     at 0 and tmax, for the cell of ``terms``.
 
     D' = -2*v*w: the scan reads only the entries w and v of U, in two
-    passes over the grid evaluator's rows of b = isqrt(grid) points.  The
+    passes over the grid, laid out in rows of b = isqrt(grid) points.  The
     coarse pass reads the same columns of every row, at most ``width``
     points apart (``BLP_POINTS_PER_PERIOD`` to a period of D''s fastest
     frequency max(2 max|Im s_j|, 1)), and the column of the last point.
     The dense pass reads every point between two coarse ones where
-    ``_sign_kept`` cannot prove that D' keeps its sign.  A point read has
-    the bits of a whole-grid scan, so the brackets are those of the sign
-    of v*w at every point.  The coarse pass reads every point (width 1)
-    when fewer than ``BLP_MIN_SKIP`` points would lie between coarse ones,
-    or the grid has fewer than ``BLP_MIN_SKIP_GRID`` points: then the
-    proofs would cost more than they save.  The evaluator fills
-    ``_GRID_BLOCK`` points at a time, so memory does not grow with the
+    ``_sign_kept`` cannot prove that D' keeps its sign, each interval as a
+    row from its left end, so its points may differ from a read of their
+    grid rows in the last bit; the brackets equal those of a pointwise scan
+    of every point on every cell the tests check.  The coarse pass reads
+    every point (width 1) when fewer than ``BLP_MIN_SKIP`` points would lie
+    between coarse ones, or the grid has fewer than ``BLP_MIN_SKIP_GRID``
+    points: then the proofs would cost more than they save.  Each read
+    fills at most ``_GRID_BLOCK`` points, so memory does not grow with the
     grid."""
     roots, coefs = terms
     wv = (roots, coefs[1:])
@@ -261,16 +263,19 @@ def _blp_brackets(terms: Terms, tmax: float, grid: int):
         cols = np.insert(cols, last // width + 1, last)
     q = len(cols)
     count = (rows - 1) * q + last // width + 1 + (last % width > 0)
+    step = max(_GRID_BLOCK // q, 1)  # rows to a block
 
     def point(g):  # grid index of coarse point g
         return g // q * b + cols[g % q]
 
     at, rising = [], []
     sign, x, t = np.zeros(0, dtype=bool), np.empty((2, 0)), np.empty(0)
-    for r0, r1, new in _grid_blocks(wv, tmax, grid, np.arange(rows), cols):
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
         # coarse points g0 (the last of the previous block) to g1 - 1
         g0, g1 = r0 * q - (r0 > 0), min(r1 * q, count)
-        new = new.reshape(2, -1)[:, :g1 - r0 * q]
+        new = np.reshape(_eval_terms(wv, np.arange(r0, r1) * b, cols, h),
+                         (2, -1))[:, :g1 - r0 * q]
         if width == 1:
             sign = np.concatenate((sign[-1:], new[1] * new[0] < 0.0))
             # D'(0) = 0 exactly and D''(0) = -2 < 0 in Omega*tau: D falls
@@ -297,9 +302,8 @@ def _blp_brackets(terms: Terms, tmax: float, grid: int):
         chunk = max(_GRID_BLOCK // max(inner, 1), 1)
         for j in range(0, len(todo), chunk):
             jj = slice(j, j + chunk)
-            # an interval's interior lies in the row of its left end
-            k = np.minimum(m[jj, None] % b + np.arange(1, inner + 1), b - 1)
-            iw, iv = _real_parts_on_grid(wv, tmax, grid, m[jj] // b, k)
+            # each interval a row from its left end
+            iw, iv = _eval_terms(wv, m[jj], np.arange(1, inner + 1), h)
             signs = np.concatenate((ends[jj, :1], iv * iw < 0.0,
                                     ends[jj, 1:]), axis=1)
             # the right end after the interior of a shorter interval
@@ -385,18 +389,31 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
 
 def _scan_peaks(terms: Terms, init: InitialState, tmax: float) -> np.ndarray:
     """Index of the largest population |c2|^2 of each cell of the stack
-    ``terms`` on np.linspace(0, tmax, MAXIMA_SCAN_POINTS), from the blocked
-    grid evaluator, ``MAXIMA_SCAN_CELLS`` cells to a pass so that memory
-    does not grow with the stack; a population outside [0, 1] raises
-    ``NumericalGuardError``."""
-    weights = _weights(init)[1:]
+    ``terms`` on np.linspace(0, tmax, MAXIMA_SCAN_POINTS),
+    ``MAXIMA_SCAN_CELLS`` cells to a pass, all into one set of buffers, so
+    that memory does not grow with the stack nor churn from pass to pass;
+    a population outside [0, 1] raises ``NumericalGuardError``."""
+    n = MAXIMA_SCAN_POINTS
+    b = math.isqrt(n)
+    rows, cols, h = np.arange(0, n, b), np.arange(b), tmax / (n - 1)
+    weights = _weights(init)[1]
+    used = np.flatnonzero(weights)
     peaks = np.empty(terms[0].shape[1], dtype=int)
+    # one set of buffers for every pass: the evaluator's and c2
+    size = min(len(peaks), MAXIMA_SCAN_CELLS), len(rows) * b
+    work = np.empty((len(used) + 2) * math.prod(size))
+    c2 = np.empty(size, dtype=np.complex128)
     for k in range(0, len(peaks), MAXIMA_SCAN_CELLS):
-        chunk = slice(k, k + MAXIMA_SCAN_CELLS)
-        c2 = _apply(_select(terms, chunk), weights, tmax,
-                    MAXIMA_SCAN_POINTS)[0]
-        peaks[chunk] = np.argmax(_clipped_population(np.abs(c2) ** 2), -1)
-        del c2  # free this chunk's c2 before the next one is made
+        roots, coefs = _select(terms, slice(k, k + MAXIMA_SCAN_CELLS))
+        m = roots.shape[1]
+        entries = _eval_terms((roots, coefs[used]), rows, cols, h, work)
+        # c2 = weights @ entries, as _apply sums it but for the signs of
+        # zeros, which |c2| drops
+        np.multiply(weights[used[0]], entries[0].reshape(m, -1), out=c2[:m])
+        for weight, entry in zip(weights[used[1:]], entries[1:]):
+            c2[:m] += weight * entry.reshape(m, -1)
+        peaks[k:k + m] = np.argmax(
+            _clipped_population(np.abs(c2[:m, :n]) ** 2), -1)
     return peaks
 
 
@@ -437,8 +454,8 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
     """Optimal stored energy and ergotropy over the charging time.
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
-    [0, tmax] in Omega*tau, read by the blocked grid evaluator the BLP scan
-    uses, then 60 halvings of the bracket around the largest sample on the
+    [0, tmax] in Omega*tau, read in rows as the BLP scan reads its grid,
+    then 60 halvings of the bracket around the largest sample on the
     sign of d|c2|^2/dt = 2 Re(conj(c2) (-i c1)), by the ``_refine`` that
     also finds the BLP extrema: Omega*tau is found to the roundoff of that
     slope, well within 1e-8, and an optimum at 0 or tmax is reached

@@ -24,11 +24,11 @@ real root, cluster or conjugate pair, and each entry the sum of
 Re(coef * t**power * exp(root*t)).  The cells' terms stack along a
 trailing axis, and each cell has the bytes of its one-cell expansion
 (``_transfer``, cached, so cells that differ only in Omega or in the
-initial state share it).  One evaluator takes one exponential per root
-for any array of times, so the lockstep searches of ``metrics`` advance
-every cell of a stack at one time point each; the scans of ``metrics``
-read the same terms of one cell or a stack of cells on a uniform grid, or
-at chosen points of it, their exponentials blocked (``_grid_blocks``).
+initial state share it).  One evaluator (``_eval_terms``) reads them: at
+any array of times, one exponential per root, so the lockstep searches of
+``metrics`` advance every cell of a stack at one time point each; or at
+the points (r + k)*h of a uniform grid, one exponential per row start r
+and per column offset k, as the scans of ``metrics`` read it.
 """
 
 from __future__ import annotations
@@ -258,22 +258,52 @@ def _partial_fractions(nums, roots: np.ndarray) -> Terms:
             coefs.reshape(coefs.shape[:3] + lead))
 
 
-def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
-    """Each entry of ``terms`` at the times ``t``, one exponential per root.
+# each cell's outer product of a row and a column part: one rounded product
+# per point, as a broadcast multiply forms it, only faster
+_OUTER = "...r,...k->...rk"
+
+
+def _eval_terms(terms: Terms, t, cols=None, h=None,
+                work=None) -> list[np.ndarray]:
+    """Each entry of ``terms`` at the times ``t``, one exponential per root;
+    or, given integer column offsets ``cols`` and the spacing ``h``, at the
+    grid points (t[r] + cols[k])*h of the integer row starts ``t``, [(cell,)
+    row, column], as views of ``work`` when given, a float buffer of at
+    least (entries + 2) times that many points.
 
     Each entry adds its products root by root, highest power first, and
     skips all-zero coefficients, so the result does not depend on how many
-    entries share a root.  For stacked terms ``t`` holds one time per cell:
-    a cell's zero padding adds exact zeros, so it gets the bytes of its own
-    terms.
+    entries share a root.  For stacked terms ``t`` holds one time per cell,
+    or the row starts of every cell: a cell's zero padding adds exact zeros,
+    so it gets the bytes of its own terms.  On a grid a term is the
+    pointwise one at the row start times the column factor e_c =
+    exp(s*cols[k]*h), Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c): one rounded
+    product per point and part, and no Im part unless the root is complex
+    in some cell.
     """
     roots, coefs = terms
     t = np.asarray(t, dtype=np.float64)
-    outs = [np.zeros(t.shape) for _ in coefs]
+    grid = cols is not None
+    if grid:  # a row axis on every cell; the columns follow it
+        roots, coefs = roots[..., None], coefs[..., None]
+        shape = (len(coefs) + 2,) + roots.shape[1:-1] + (len(t), len(cols))
+        work = (np.empty(shape) if work is None
+                else work[:math.prod(shape)].reshape(shape))
+        work[:-2] = 0.0
+        *outs, part, im_part = work
+        if coefs[:, :, 1:].any():  # the times of confluent terms
+            times = (t[:, None] + cols) * h
+        t, col_t = t * h, cols * h
+    else:
+        outs = [np.zeros(t.shape) for _ in coefs]
     for j, root in enumerate(roots):
         if not coefs[:, j].any():
             continue
         e = np.exp(root * t)  # exactly 1 at a zero root
+        if grid:
+            ec = np.exp(root * col_t)
+            ec_re = ec.real.copy()
+            ec_im = ec.imag.copy() if root.imag.any() else None
         for out, rows in zip(outs, coefs[:, j]):
             for power in reversed(range(len(rows))):
                 a = rows[power]
@@ -281,100 +311,18 @@ def _eval_terms(terms: Terms, t) -> list[np.ndarray]:
                     continue
                 term = a.real * e.real  # Re(a e) = Re a Re e - Im a Im e
                 term -= a.imag * e.imag
+                if grid:  # times the column factor e_c
+                    term = np.einsum(_OUTER, term, ec_re, out=part)
+                    if ec_im is not None:
+                        term -= np.einsum(_OUTER, a.real * e.imag
+                                          + a.imag * e.real, ec_im,
+                                          out=im_part)
                 if power:
-                    term *= t ** power
+                    term *= (times if grid else t) ** power
                 out += term
                 del term  # keep at most one product alive beside e
         del e  # free this root's exponential before the next one
     return outs
-
-
-_GRID_BLOCK = 1 << 14  # grid points filled at a time by _grid_blocks
-
-
-def _grid_blocks(terms: Terms, tmax: float, n: int, rows: np.ndarray,
-                 cols: np.ndarray):
-    """The entries of ``terms`` at chosen points of np.linspace(0, tmax, n),
-    a block of rows at a time: yields (r0, r1, block) with block [entry,
-    (cell,) r1 - r0, column] for rows[r0:r1], about ``_GRID_BLOCK`` points
-    to a block, so that the temporaries stay in cache.
-
-    Point m = i*b + k of b = isqrt(n) columns sits at t = m*h, h =
-    tmax/(n - 1), so exp(s*t) = exp(s*i*b*h) * exp(s*k*h): one exponential
-    per row and per column for each root of each cell, and Re(a*exp(s*t))
-    from products of real row and column parts.  ``rows`` holds row numbers
-    i, and ``cols`` column numbers k, one set [C] for every row or one set
-    per row [len(rows), C]; a point has the same bits whatever else is
-    chosen with it.  A coefficient that is zero in every cell, such as the
-    padding of a stack, costs no work; one that is zero in some cells adds
-    exact zeros there, so each cell of a stack gets the bytes of its own
-    terms.
-    """
-    roots, coefs = terms
-    h = tmax / (n - 1)
-    b = math.isqrt(n)
-    cells = roots.shape[1:]
-    shared = cols.ndim == 1
-    col_t = (cols if shared else np.arange(b)) * h
-    row_t = rows * b * h
-    # per root: its row exponentials, the parts of its column ones (no Im
-    # unless the root is complex in some cell: a real root's is exactly 0)
-    # and its (entry, power, coefficient) terms nonzero in some cell
-    live = []
-    for s, by_entry in zip(roots, coefs.swapaxes(0, 1)):
-        nonzero = [(k, power, a[power, ..., None])
-                   for k, a in enumerate(by_entry)
-                   for power in reversed(range(len(a))) if a[power].any()]
-        if nonzero:
-            ec = np.exp(s[..., None] * col_t)
-            live.append((np.exp(s[..., None] * row_t), ec.real.copy(),
-                         ec.imag.copy() if s.imag.any() else None, nonzero))
-    confluent = any(power for *_, nonzero in live for _, power, _ in nonzero)
-    width = cols.shape[-1]
-    step = max(_GRID_BLOCK // (math.prod(cells) * max(width, 1)), 1)
-    part, im_part = np.empty((2,) + cells + (min(step, len(rows)), width))
-    # each cell's product of a row and a column part: one rounded product
-    # per point, as a broadcast multiply forms it, only faster
-    outer = "...r,...k->...rk" if shared else "...r,...rk->...rk"
-    for r0 in range(0, len(rows), step):
-        r1 = min(r0 + step, len(rows))
-        k = cols if shared else cols[r0:r1]
-        if confluent:
-            t = (rows[r0:r1, None] * b + k) * h
-        part_k, im_k = part[..., :r1 - r0, :], im_part[..., :r1 - r0, :]
-        block = np.zeros(coefs.shape[:1] + part_k.shape)
-        for er, ec_re, ec_im, nonzero in live:
-            er = er[..., r0:r1]
-            if not shared:  # this block's columns of each row
-                ec_re = ec_re[..., k]
-                ec_im = None if ec_im is None else ec_im[..., k]
-            for entry, power, a in nonzero:
-                # Re(a e_r e_c) = Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
-                ar = a * er
-                np.einsum(outer, ar.real, ec_re, out=part_k)
-                if ec_im is not None:
-                    part_k -= np.einsum(outer, ar.imag, ec_im, out=im_k)
-                if power:
-                    part_k *= t ** power
-                block[entry] += part_k
-        yield r0, r1, block
-
-
-def _real_parts_on_grid(terms: Terms, tmax: float, n: int, rows=None,
-                        cols=None) -> np.ndarray:
-    """The entries of ``terms`` on np.linspace(0, tmax, n), [entry, point]
-    for one cell and [entry, cell, point] for a stack of cells, from
-    ``_grid_blocks``; or, given its ``rows`` (at least one) and ``cols``,
-    at those points of the grid, [entry, (cell,) row, column]."""
-    whole = rows is None
-    if whole:
-        b = math.isqrt(n)
-        rows, cols = np.arange(-(-n // b)), np.arange(b)
-    blocks = [block for *_, block in _grid_blocks(terms, tmax, n, rows, cols)]
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
-    if whole:
-        return out.reshape(out.shape[:-2] + (-1,))[..., :n]
-    return out
 
 
 def solve_roots(params: ModelParams) -> PropagatorRoots:
@@ -455,19 +403,12 @@ def _weights(init: InitialState) -> np.ndarray:
     return np.array([[a, -1j * b, 0.0], [0.0, -1j * a, b]])
 
 
-def _apply(terms: Terms, weights: np.ndarray, t,
-           grid: int | None = None) -> list[np.ndarray]:
+def _apply(terms: Terms, weights: np.ndarray, t) -> list[np.ndarray]:
     """weights @ (u, w, v) at the times ``t`` in Omega*tau, one complex array
-    per row, or with ``grid`` on np.linspace(0, t, grid) by the blocked
-    evaluator, [point] for one cell and [cell, point] for a stack; an entry
-    of zero weight in every row is not evaluated."""
+    per row; an entry of zero weight in every row is not evaluated."""
     roots, coefs = terms
     used = np.flatnonzero(weights.any(axis=0))
-    if grid is None:
-        entries, shape = _eval_terms((roots, coefs[used]), t), np.shape(t)
-    else:
-        entries = _real_parts_on_grid((roots, coefs[used]), t, grid)
-        shape = entries.shape[1:]
+    entries, shape = _eval_terms((roots, coefs[used]), t), np.shape(t)
     outs = []
     for row in weights[:, used]:
         out = np.zeros(shape, dtype=np.complex128)

@@ -6,10 +6,11 @@ sha256 of each file it writes."""
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qbattery import cli
-from qbattery.figures import FIGURE_NAMES
+from qbattery.figures import FIGURE_NAMES, GRID_AXIS
 
 EVOLVE_CSV = """\
 # command=evolve
@@ -163,6 +164,15 @@ def test_figure_names_order():
     assert FIGURE_NAMES == ("fig2", "fig3a", "fig3b", "fig4a", "fig4b",
                             "fig5a", "fig5b", "fig6a", "fig6b", "fig7a",
                             "fig7b")
+
+
+def test_grid_axis_is_log_spaced():
+    """The pinned axis is np.logspace(-1, 1, 21) to an ulp, whichever
+    kernel computes the reference here."""
+    want = 10.0 ** np.linspace(-1.0, 1.0, 21)
+    assert len(GRID_AXIS) == len(want)
+    for got, x in zip(GRID_AXIS, want):
+        assert abs(got - x) <= np.spacing(x), (got, x)
 
 
 @pytest.mark.parametrize("name", FIGURE_NAMES)

@@ -571,9 +571,8 @@ class TestBlpBatch:
             raise AssertionError("scanned before the options were checked")
 
         monkeypatch.setattr(metrics, "_transfer_many", no_scan)
-        monkeypatch.setattr(metrics, "_real_parts_on_grid", no_scan)
+        monkeypatch.setattr(metrics, "_eval_terms", no_scan)
         monkeypatch.setattr(metrics, "_apply", no_scan)
-        monkeypatch.setattr(metrics, "_grid_blocks", no_scan)
         for batch in ([params(0.0, 1.0), params(1.0, 1.0)],
                       [params(0.0, math.inf)]):
             with pytest.raises(ValueError, match="grid|tmax"):
@@ -658,15 +657,15 @@ class TestBlpScan:
         fills at most 1/8 of the points of their default scans: the coarse
         pass and the intervals it cannot skip."""
         filled = []
-        blocks = propagator._grid_blocks
+        eval_terms = propagator._eval_terms
 
         def counting(*args):
-            for r0, r1, block in blocks(*args):
-                filled.append(block[0].size)
-                yield r0, r1, block
+            entries = eval_terms(*args)
+            filled.append(entries[0].size)
+            return entries
 
-        monkeypatch.setattr(propagator, "_grid_blocks", counting)
-        monkeypatch.setattr(metrics, "_grid_blocks", counting)
+        monkeypatch.setattr(propagator, "_eval_terms", counting)
+        monkeypatch.setattr(metrics, "_eval_terms", counting)
         cells = [(g, lam) for g in GRID_AXIS
                  for lam in GRID_AXIS + (math.inf,)]
         for g, lam in cells:

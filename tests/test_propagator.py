@@ -9,9 +9,8 @@ import qbattery as qb
 from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
 from qbattery.propagator import (_eval_terms, _partial_fractions,
-                                 _polynomials, _ratios, _real_parts_on_grid,
-                                 _roots, _transfer, _transfer_many,
-                                 amplitude_grid, kappa_grid)
+                                 _polynomials, _ratios, _roots, _transfer,
+                                 _transfer_many, amplitude_grid, kappa_grid)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -475,22 +474,58 @@ def numerators(g, l):
             np.polysub(coeffs, memory)[:-1])
 
 
+def grid_read(terms, tmax, n):
+    """The entries of ``terms`` on np.linspace(0, tmax, n), [entry, point],
+    read as the scans read a grid: rows of isqrt(n) points."""
+    b = math.isqrt(n)
+    entries = _eval_terms(terms, np.arange(0, n, b), np.arange(b),
+                          tmax / (n - 1))
+    return np.reshape(entries, (len(entries), -1))[:, :n]
+
+
+def grid_reference(terms, rows, cols, h, entry):
+    """One entry of a one-cell ``terms`` at the grid points (rows[r] +
+    cols[k])*h, point by point: e_r and e_c from numpy's complex exp, and
+    each product a Python float, Re(a e_r) Re(e_c) - Im(a e_r) Im(e_c)
+    times the confluent factor, summed root by root, highest power first.
+    The bits a grid read must have, whatever the CPU."""
+    roots, coefs = terms
+    out = np.zeros((len(rows), len(cols)))
+    for root, by_power in zip(roots, coefs[entry]):
+        e_r = [complex(x) for x in np.exp(root * (rows * h))]
+        e_c = [complex(x) for x in np.exp(root * (cols * h))]
+        for power in reversed(range(len(by_power))):
+            a = complex(by_power[power])
+            if not a:
+                continue
+            for r, (row, x) in enumerate(zip(rows.tolist(), e_r)):
+                re = a.real * x.real - a.imag * x.imag
+                im = a.real * x.imag + a.imag * x.real
+                for k, (col, y) in enumerate(zip(cols.tolist(), e_c)):
+                    term = re * y.real - im * y.imag
+                    if power:
+                        term *= ((row + col) * h) ** power
+                    out[r, k] += term
+    return out
+
+
 class TestRealParts:
     """The transfer terms: one per real root or conjugate pair, on the
-    uniform grid with exponentials blocked as the BLP scan reads them."""
+    uniform grid with exponentials split by rows and columns as the scans
+    read them."""
 
     def test_matches_real_part_of_pole_evaluator(self):
-        """Within 1e-12 of ``_eval_terms`` on the same np.linspace grid,
-        over the norm cells and the figure axes with an inf column; 2001
-        points make two row blocks, the last with a partial row, and 3
-        points three rows of one."""
+        """Within 1e-12 of ``_eval_terms`` at the times of the same
+        np.linspace grid, over the norm cells and the figure axes with an
+        inf column; 2001 points end in a partial row, and 3 points make
+        three rows of one."""
         cells = NORM_CELLS + [(g, lam) for g in GRID_AXIS
                               for lam in GRID_AXIS + (math.inf,)]
         worst = 0.0
         for gamma, lam in cells:
             terms = transfer(params(gamma, lam))
             for n in (2001, 3):
-                got = _real_parts_on_grid(terms, 200.0, n)
+                got = grid_read(terms, 200.0, n)
                 assert got.shape == (3, n)
                 want = _eval_terms(terms, np.linspace(0.0, 200.0, n))
                 worst = max(worst, np.max(np.abs(got - want)))
@@ -500,9 +535,27 @@ class TestRealParts:
         for terms in (transfer(params(4.0, math.inf)),
                       transfer(params(*double_root_cell(-1.01)))):
             assert terms[1][:, :, 1].any()
-            got = _real_parts_on_grid(terms, 30.0, 3001)
+            got = grid_read(terms, 30.0, 3001)
             want = _eval_terms(terms, np.linspace(0.0, 30.0, 3001))
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_grid_read_has_the_bits_of_real_products(self):
+        """A conjugate pair, the memoryless double root (confluent) and
+        three real roots, each alone and in one stack: the grid read equals
+        the per-point reference bit for bit, where a complex multiply of
+        numpy's, which may fuse a multiply-add, rounds Re(a e_r) otherwise
+        on some CPUs."""
+        cells = [(0.1, 0.1), (4.0, math.inf), (10.0, 100.0)]
+        h = 200.0 / 2000
+        rows, cols = np.arange(0, 2001, 44), np.arange(44)
+        stacked = _eval_terms(_transfer_many(cells), rows, cols, h)
+        for c, cell in enumerate(cells):
+            terms = _transfer(*cell)
+            alone = _eval_terms(terms, rows, cols, h)
+            for k in range(3):
+                want = grid_reference(terms, rows, cols, h, k).tobytes()
+                assert alone[k].tobytes() == want, (cell, k)
+                assert stacked[k][c].tobytes() == want, (cell, k)
 
     def test_cubic_pair_is_one_term(self):
         """The pair's coefficients (a, a') fold into a + conj(a') on the
@@ -590,13 +643,13 @@ class TestNearExceptionalPoints:
 
     @pytest.mark.parametrize("cell,bound", NEAR_EXCEPTIONAL)
     def test_both_evaluators_match_oracle(self, cell, bound):
-        """c1 and c2 of the empty and the excited battery, from the
-        pointwise evaluator and from the grid one (c1 = u and c2 = -i*w
-        empty, c1 = -i*w and c2 = v excited), against the RK45 oracle
-        (tol 1e-12) on Omega*t in [0, 8]."""
+        """c1 and c2 of the empty and the excited battery, read at times
+        and read on the grid (c1 = u and c2 = -i*w empty, c1 = -i*w and
+        c2 = v excited), against the RK45 oracle (tol 1e-12) on Omega*t in
+        [0, 8]."""
         p = params(*cell)
         tau = np.linspace(0.0, 8.0, 801)
-        u, w, v = _real_parts_on_grid(transfer(p), 8.0, tau.size)
+        u, w, v = grid_read(transfer(p), 8.0, tau.size)
         for init, on_grid in ((qb.empty_battery_state(), (u, -1j * w)),
                               (excited_battery_state(), (-1j * w, v))):
             series = qb.integrate(p, init, 8.0, t_eval=tau, tol=1e-12)
