@@ -8,6 +8,10 @@ Every quantity is batched the same way: the cells go to
 ``blp_nonmarkovianity_many`` or ``maximize_over_tau_many`` in one batch, or
 in one contiguous chunk per worker, whose bisections run in lockstep (BLP
 cells ``BLP_REFINE_CELLS`` at a time, so no chunk holds all its reports).
+
+CSV and JSON tables share one writer, ``_table_rows``: each distinct
+column is turned into text by one bulk call, and the rows are joins of
+those texts.
 """
 
 from __future__ import annotations
@@ -115,38 +119,59 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     return SweepResult(spec, values, flags, metadata)
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+_fmt = "%.17g".__mod__  # a float's CSV text, 17 significant digits
+
+
+def _csv_texts(values: list[float]) -> list[str]:
+    return list(map(_fmt, values))
+
+
+def _json_texts(values: list[float]) -> list[str]:
+    # one call of json's C encoder (``indent`` would encode value by value
+    # in Python): floats as repr, NaN and Infinity, none holding ", "
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _table_rows(table: np.ndarray, encode, sep: str):
+    """Each row of the 2-d float ``table`` as its value texts joined by
+    ``sep``.  ``encode`` turns one column's values into their texts in one
+    call; a column bit-identical to an earlier one (``tobytes``, so -0.0
+    never shares 0.0's text) reuses that column's texts, as
+    ``stored_energy`` does ``population``'s at omega0 = 1."""
+    texts, seen = [], {}
+    for column in table.T:
+        key = column.tobytes()
+        if key not in seen:
+            seen[key] = encode(column.tolist())
+        texts.append(seen[key])
+    return map(sep.join, zip(*texts))
 
 
 def table_to_csv(comments, columns, table) -> str:
     """CSV text: one '#'-prefixed line per comment, a header row of
-    ``columns`` and one line per row of the 2-d numeric ``table``.  Each
-    row is written by one ``"%.17g"`` format string (17 significant digits
-    per value, the same text as ``_fmt``)."""
-    row = ",".join(["%.17g"] * len(columns))
+    ``columns`` and one line per row of the 2-d numeric ``table``, each
+    value as ``_fmt`` writes it.  A table whose width is not the header's
+    is a ValueError."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != len(columns):
+        raise ValueError(f"a table of shape {table.shape} does not fit a "
+                         f"header of {len(columns)} columns")
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(columns))
-    lines.extend([row % tuple(values)
-                  for values in np.asarray(table, dtype=np.float64).tolist()])
+    lines.extend(_table_rows(table, _csv_texts, ","))
     return "\n".join(lines) + "\n"
 
 
 def _table_json(table: np.ndarray) -> list[str]:
     """Text parts of a 2-d float table as ``json.dumps(..., indent=2)``
-    lays it out one level down: each row and each value on its own line.
-
-    The values are encoded by json's C encoder in one call (``indent``
-    would make json encode them one by one in Python); its compact text is
-    then re-laid.  Floats print as ``repr``, ``NaN`` and ``Infinity`` in
-    both encoders, and no float's text holds ``", "``.
-    """
+    lays it out one level down: each row and each value on its own line,
+    the values spelled by json's encoder (``_json_texts``).  A table
+    without values is left to ``json.dumps``."""
     if not table.size:
         return [json.dumps(table.tolist(), indent=2).replace("\n", "\n  ")]
     return ["[\n    [\n      ",
-            json.dumps(table.tolist())[2:-2]
-            .replace("], [", "\n    ],\n    [\n      ")
-            .replace(", ", ",\n      "),
+            "\n    ],\n    [\n      ".join(
+                _table_rows(table, _json_texts, ",\n      ")),
             "\n    ]\n  ]"]
 
 
