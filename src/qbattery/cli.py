@@ -1,8 +1,8 @@
 """Command-line front end: evolve, sweep, maxima, nonmarkov, figure.
 
 Exit codes: 0 ok, 2 usage error, 3 I/O error, 4 numerical guard triggered
-(divergent or truncated backflow measure, or a computed population outside
-[0, 1]).  Times on the command line are the dimensionless Omega*tau used on
+(divergent or truncated backflow measure, a computed population outside
+[0, 1], or an expansion that is not finite).  Times on the command line are the dimensionless Omega*tau used on
 every figure axis, and --gamma and --lambda are ratios to Omega, so no
 command takes Omega itself.  Environment variables are never consulted;
 precedence is flags > config file > defaults.

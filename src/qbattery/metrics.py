@@ -21,7 +21,7 @@ a 2e5-point grid.  The charging scans of ``MAXIMA_SCAN_CELLS`` cells share
 one read, into buffers that every pass reuses.
 Both searches expand a batch of cells once (``propagator._transfer_many``)
 and refine the extrema they bracket on that one stack of terms
-(``_refine``).
+(``_refine``), reading |c2|^2 there through ``propagator``'s guard.
 """
 
 from __future__ import annotations
@@ -33,8 +33,9 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (Terms, _apply, _check_tmax, _eval_terms, _ratios,
-                         _select, _transfer_many, _weights)
+from .propagator import (NumericalGuardError, Terms, _apply, _check_tmax,
+                         _clipped_population, _eval_terms, _qubit_ergotropy,
+                         _ratios, _select, _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -73,37 +74,9 @@ class MaximaReport:
     at_boundary: bool = False
 
 
-class NumericalGuardError(ValueError):
-    """A computed quantity left its physical range, such as a population
-    outside [0, 1]; the command line exits 4 on it."""
-
-
-def _clipped_population(population) -> np.ndarray:
-    """Population as a float array clipped to [0, 1], after a range guard
-    that rejects any entry outside [-1e-12, 1 + 1e-9], NaN included, with
-    ``NumericalGuardError``."""
-    p = np.asarray(population, dtype=np.float64)
-    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-9))
-    if bad.any():
-        raise NumericalGuardError(
-            f"population outside [0, 1]: {p[bad].flat[0]}")
-    return np.clip(p, 0.0, 1.0)
-
-
 def _like(population, values: np.ndarray) -> float | np.ndarray:
     """``values`` as a Python float for a scalar population, else as is."""
     return float(values) if np.ndim(population) == 0 else values
-
-
-def _stored(omega0, population):
-    """Stored energy; ``omega0`` is a scalar or one value per entry."""
-    return omega0 * _clipped_population(population)
-
-
-def _ergotropy(omega0, population):
-    """Qubit ergotropy; ``omega0`` is a scalar or one value per entry."""
-    p = _clipped_population(population)
-    return np.where(p > 0.5, omega0 * (2.0 * p - 1.0), 0.0)
 
 
 def stored_energy(params: ModelParams,
@@ -114,7 +87,7 @@ def stored_energy(params: ModelParams,
     (an array of the same shape is returned); every entry must lie in
     [0, 1] up to roundoff, else ValueError.
     """
-    return _like(population, _stored(params.omega0, population))
+    return _like(population, params.omega0 * _clipped_population(population))
 
 
 def ergotropy_qubit(params: ModelParams,
@@ -124,7 +97,8 @@ def ergotropy_qubit(params: ModelParams,
 
     Takes a scalar or an array population, as ``stored_energy`` does.
     """
-    return _like(population, _ergotropy(params.omega0, population))
+    p = _clipped_population(population)
+    return _like(population, _qubit_ergotropy(params.omega0, p))
 
 
 def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
@@ -167,9 +141,10 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     """60 lockstep halvings of the brackets (a[i], b[i]) of the cells
     stacked in ``terms`` (one per bracket), in Omega*tau, on the sign of
     d|c2|^2/dt, one stacked c1/c2 evaluation per halving: the points found
-    and c2 there.  A bracket moves its left end to a midpoint whose slope
-    has the sign ``rising_at_a`` gives that end, else its right end; a
-    zero-width bracket stays on its point."""
+    and the guarded population |c2|^2 there (``_clipped_population``).  A
+    bracket moves its left end to a midpoint whose slope has the sign
+    ``rising_at_a`` gives that end, else its right end; a zero-width
+    bracket stays on its point."""
     weights = _weights(init)
     for _ in range(60):
         mid = 0.5 * (a + b)
@@ -177,7 +152,7 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
     t = 0.5 * (a + b)
-    return t, _apply(terms, weights, t)[1]
+    return t, _clipped_population(np.abs(_apply(terms, weights, t)[1]) ** 2)
 
 
 def _grid_times(m: np.ndarray, tmax: float, n: int) -> np.ndarray:
@@ -352,12 +327,12 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
         brackets = [_blp_brackets(_select(terms, j), tmax, grid)
                     for j in range(len(group))]
         counts = [len(a) for a, _, _ in brackets]
-        crit, c2 = _refine(
+        crit, d_crit = _refine(
             _select(terms, np.repeat(np.arange(len(group)), counts)),
             excited_battery_state(), *map(np.concatenate, zip(*brackets)))
         ends = np.cumsum(counts)[:-1]
         for i, t, d in zip(group, np.split(crit, ends),
-                           np.split(np.abs(c2) ** 2, ends)):
+                           np.split(d_crit, ends)):
             measure, intervals = 0.0, []
             for a, b, da, db in zip(t[:-1], t[1:], d[:-1], d[1:]):
                 if b - a > 0 and db - da > 0.0:
@@ -436,17 +411,14 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     terms = _transfer_many([_ratios(p) for p in params_seq])
     peak = _scan_peaks(terms, init, tmax)
     taus = np.linspace(0.0, tmax, n)
-    tau_star, c2 = _refine(terms, init, taus[np.maximum(peak - 1, 0)],
-                           taus[np.minimum(peak + 1, n - 1)], True)
-    p_star = _clipped_population(np.abs(c2) ** 2)
-
+    tau_star, p_star = _refine(terms, init, taus[np.maximum(peak - 1, 0)],
+                               taus[np.minimum(peak + 1, n - 1)], True)
     omega0 = np.array([p.omega0 for p in params_seq])
-    reports = []
-    for tau, de, w in zip(tau_star.tolist(), _stored(omega0, p_star).tolist(),
-                          _ergotropy(omega0, p_star).tolist()):
-        reports.append(MaximaReport(de, w, tau, tau if w > 0.0 else math.nan,
-                                    tau > tmax - (tmax / (n - 1))))
-    return reports
+    return [MaximaReport(de, w, tau, tau if w > 0.0 else math.nan,
+                         tau > tmax - (tmax / (n - 1)))
+            for tau, de, w in zip(tau_star.tolist(),
+                                  (omega0 * p_star).tolist(),
+                                  _qubit_ergotropy(omega0, p_star).tolist())]
 
 
 def maximize_over_tau(params: ModelParams, init: InitialState | None = None,

@@ -28,7 +28,10 @@ initial state share it).  One evaluator (``_eval_terms``) reads them: at
 any array of times, one exponential per root, so the lockstep searches of
 ``metrics`` advance every cell of a stack at one time point each; or at
 the points (r + k)*h of a uniform grid, one exponential per row start r
-and per column offset k, as the scans of ``metrics`` read it.
+and per column offset k, as the scans of ``metrics`` read it.  Every
+population the package reads passes one guard, here below its readers
+(``_clipped_population``): |c2|^2 outside [0, 1] beyond roundoff, NaN
+included, raises ``NumericalGuardError`` (exit 4); the rest is clipped.
 """
 
 from __future__ import annotations
@@ -47,6 +50,29 @@ from .model import InitialState, ModelParams, empty_battery_state
 Terms = tuple[np.ndarray, np.ndarray]
 
 
+class NumericalGuardError(ValueError):
+    """A computed quantity left its physical range, such as a population
+    outside [0, 1]; the command line exits 4 on it."""
+
+
+def _clipped_population(population) -> np.ndarray:
+    """Population as a float array clipped to [0, 1], after a range guard
+    that rejects any entry outside [-1e-12, 1 + 1e-9], NaN included, with
+    ``NumericalGuardError``."""
+    p = np.asarray(population, dtype=np.float64)
+    bad = ~((p >= -1e-12) & (p <= 1.0 + 1e-9))
+    if bad.any():
+        raise NumericalGuardError(
+            f"population outside [0, 1]: {p[bad].flat[0]}")
+    return np.clip(p, 0.0, 1.0)
+
+
+def _qubit_ergotropy(omega0, p) -> np.ndarray:
+    """omega0*(2p - 1) above p = 1/2, else zero: the ergotropy of diag(p,
+    1 - p) at a guarded population ``p``; ``omega0`` a scalar or per entry."""
+    return np.where(p > 0.5, omega0 * (2.0 * p - 1.0), 0.0)
+
+
 @dataclass(frozen=True)
 class PropagatorRoots:
     """Physical roots of the denominator, and whether any cluster; kept
@@ -60,6 +86,19 @@ def _ratios(params: ModelParams) -> tuple[float, float]:
     """(gamma/Omega, lam/Omega): all the engine reads of params."""
     om = params.coupling_qb_cavity
     return params.coupling_cavity_env / om, params.spectral_width / om
+
+
+def _check_finite(g, l, *parts) -> None:
+    """Raise ``NumericalGuardError`` naming the first cell (g[i], l[i]) at
+    which some part of an expansion, cells along its last axis, is not
+    finite."""
+    ok = np.logical_and.reduce(
+        [np.isfinite(x).all(tuple(range(x.ndim - 1))) for x in parts])
+    if not ok.all():
+        i = np.argmin(ok)
+        raise NumericalGuardError(
+            f"expansion not finite at gamma/Omega = {float(g[i])!r}, "
+            f"lambda/Omega = {float(l[i])!r}")
 
 
 def _complex(re, im) -> np.ndarray:
@@ -329,8 +368,14 @@ def solve_roots(params: ModelParams) -> PropagatorRoots:
     """Physical roots of the denominator, Omega times those of p(s);
     ``degenerate`` is set when some of them cluster and take confluent
     terms t**k * exp(s*t).  No module of the package calls it: it stays
-    because perfbench's tracer wraps it."""
-    roots = _roots(_polynomials(*_ratios(params))[0])
+    because perfbench's tracer wraps it.  Roots that are not finite raise
+    ``NumericalGuardError``."""
+    g, l = _ratios(params)
+    with np.errstate(all="ignore"):
+        p = _polynomials(g, l)[0]
+        _check_finite([g], [l], p[:, None])
+        roots = _roots(p)
+    _check_finite([g], [l], roots[:, None])
     return PropagatorRoots(
         tuple(params.coupling_qb_cavity * complex(s) for s in roots),
         bool((_clusters(roots)[1] > 1).any()))
@@ -340,7 +385,10 @@ def _transfer_many(ratios) -> Terms:
     """Terms of the entries u, w and v of U, in Omega*tau, for a sequence
     of (g, l) ratio pairs: roots[j, cell] and coefs[entry, j, power, cell],
     each cell's roots first and zeros after them.  A cell's terms have the
-    bytes of its one-cell expansion, whatever the batch.
+    bytes of its one-cell expansion, whatever the batch.  A cell whose
+    polynomials, roots or coefficients are not finite, such as one whose
+    ratios overflow them, raises ``NumericalGuardError``, its polynomials
+    checked before their roots are sought.
 
     p - m vanishes at s = 0, so dropping its constant term divides it by s
     exactly.  With real numerators and exact conjugate roots a pair's
@@ -355,12 +403,16 @@ def _transfer_many(ratios) -> Terms:
     for cells in (np.flatnonzero(np.isfinite(l)), np.flatnonzero(np.isinf(l))):
         if not cells.size:
             continue
-        p, m = _polynomials(g[cells], l[cells])
-        p_minus_m = p.copy()
-        p_minus_m[:, -m.shape[1]:] -= m
-        # the numerators s*m, m and (p - m)/s of u, w and v
-        r, c = _partial_fractions(
-            (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]), _roots(p))
+        with np.errstate(all="ignore"):
+            p, m = _polynomials(g[cells], l[cells])
+            _check_finite(g[cells], l[cells], p.T)
+            p_minus_m = p.copy()
+            p_minus_m[:, -m.shape[1]:] -= m
+            # the numerators s*m, m and (p - m)/s of u, w and v
+            r, c = _partial_fractions(
+                (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]),
+                _roots(p))
+        _check_finite(g[cells], l[cells], r, c)
         roots[:len(r), cells] = r
         coefs[:, :len(r), :c.shape[2], cells] = c
         keep[:len(r), cells] = ~(r.imag < 0)
@@ -483,20 +535,17 @@ def trajectory(params: ModelParams, init: InitialState | None = None,
     """Evaluate amplitudes and figures of merit on a uniform time grid.
 
     ``tmax`` and the stored grid are in Omega*tau.  A population |c2|^2
-    outside [0, 1] raises ``metrics.NumericalGuardError``.
+    outside [0, 1] raises ``NumericalGuardError``.
     """
     _check_tmax(tmax)
     if steps < 2:
         raise ValueError("steps must be at least 2")
     if init is None:
         init = empty_battery_state()
-    from . import metrics  # deferred: metrics depends on this module
-
     taus = np.linspace(0.0, tmax, steps)
     # kappa (the empty battery's c2) and init's c2 share the entry w
     kap, c2 = _apply(_transfer(*_ratios(params)), np.stack(
         [_weights(empty_battery_state())[1], _weights(init)[1]]), taus)
-    pop = metrics._clipped_population(np.abs(c2) ** 2)
-    return ChargingTrajectory(taus, kap, pop,
-                              metrics.stored_energy(params, pop),
-                              metrics.ergotropy_qubit(params, pop))
+    pop = _clipped_population(np.abs(c2) ** 2)
+    return ChargingTrajectory(taus, kap, pop, params.omega0 * pop,
+                              _qubit_ergotropy(params.omega0, pop))

@@ -285,6 +285,68 @@ class TestTrends:
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def memoryless_peak(g):
+    """(t*, Delta E_max) of the empty battery at lambda = inf, Omega = 1:
+    c2 = -i w with w = e^(-g t/4) sin(wt)/w, w = sqrt(1 - g^2/16), below
+    g = 4, t e^(-t) at g = 4, and (e^(s+ t) - e^(s- t))/(s+ - s-) above,
+    s+- = (-g +- sqrt(g^2 - 16))/4."""
+    if g < 4:
+        om = math.sqrt(1.0 - g * g / 16.0)
+        t = math.atan2(4.0 * om, g) / om
+        return t, math.exp(-g * t / 2.0)
+    if g == 4:
+        return 1.0, math.exp(-2.0)
+    r = math.sqrt(g * g - 16.0)
+    sp, sm = (-g + r) / 4.0, (-g - r) / 4.0
+    t = math.log(sm / sp) / (sp - sm)
+    return t, ((math.exp(sp * t) - math.exp(sm * t)) / (sp - sm)) ** 2
+
+
+def memoryless_blp(g):
+    """BLP measure at lambda = inf: D = v^2 has its maxima e^(-g k pi/(2w))
+    at t_k = k pi/w, so the backflow sums to 1/expm1(pi g/(2w)) below
+    g = 4; D never rises at or above it."""
+    if g >= 4:
+        return 0.0
+    return 1.0 / math.expm1(math.pi * g / (2.0 * math.sqrt(1.0 - g * g / 16)))
+
+
+class TestMemorylessClosedForms:
+    """The engine against the closed forms of the flat-spectrum limit."""
+
+    GAMMAS = [0.1, 0.5, 1.0, 2.0, 3.0, 3.9, 4.0, 4.5, 6.0, 10.0, 30.0]
+
+    def test_charging_optimum(self):
+        reports = maximize_over_tau_many(
+            [params(g, math.inf) for g in self.GAMMAS])
+        for g, report in zip(self.GAMMAS, reports):
+            tau, energy = memoryless_peak(g)
+            assert report.delta_e_max == pytest.approx(energy, rel=6.4e-15)
+            assert report.tau_at_e_max == pytest.approx(tau, rel=2.8e-15)
+            assert not report.at_boundary
+
+    def test_blp_measure(self):
+        gammas = [0.5, 1.0, 2.0, 3.0, 3.9, 3.99, 4.0, 4.5, 8.0]
+        reports = blp_nonmarkovianity_many(
+            [params(g, math.inf) for g in gammas])
+        for g, report in zip(gammas, reports):
+            want = memoryless_blp(g)
+            assert not report.truncated
+            if want:
+                assert report.measure == pytest.approx(want, rel=1.8e-13)
+            else:
+                assert report.measure == 0.0
+                assert report.backflow_intervals == ()
+
+    def test_blp_truncated_low(self):
+        """At g = 0.1 D is still 7.6e-6 at the default horizon 200: the
+        report is flagged and falls 4.9e-5 (relative) short of the sum."""
+        report = qb.blp_nonmarkovianity(params(0.1, math.inf))
+        want = memoryless_blp(0.1)
+        assert report.truncated
+        assert 0.0 < (want - report.measure) / want < 4.9e-4
+
+
 def maximize_reference(params, init=None, tmax=None):
     """Per-cell search: 2000-point scan, then a scalar bisection on the
     sign of d|c2|^2/dt with one single-point ``amplitude_grid`` call per

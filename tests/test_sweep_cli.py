@@ -388,6 +388,12 @@ class TestPopulationGuard:
         ["evolve", "--gamma", "0.1", "--lambda", "0.1"],
         ["maxima", "--gamma", "0.1", "--lambda", "0.1"],
         ["maxima", "--gamma", "0.1", "--lambda", "inf"],
+        # the BLP search reads D = |c2|^2 at its extrema through the guard
+        ["nonmarkov", "--gamma", "0.5", "--lambda", "inf"],
+        ["nonmarkov", "--gamma", "0.5", "--lambda", "2", "--tmax", "20",
+         "--grid", "2001"],
+        ["sweep", "--gamma-axis", "0.5,2", "--lambda-axis", "1,inf",
+         "--quantity", "nonmarkovianity", "--tmax", "20", "--grid", "2001"],
     ])
     def test_exit_four(self, inflated_terms, argv, capsys):
         assert cli.main(argv) == 4
@@ -408,6 +414,48 @@ class TestPopulationGuard:
         assert cli.main([command, "--gamma", "0.1", "--lambda", "0.1",
                          "--tmax", "nan"]) == 2
         assert "tmax" in capsys.readouterr().err
+
+
+# ratio pairs whose expansion overflows: the partial fractions at (1e300, 1)
+# and (1, 1e300), the cubic's coefficients at (1e200, 1e200), the quadratic's
+# roots at (1e300, inf)
+NON_FINITE_CELLS = [("1e300", "1"), ("1", "1e300"), ("1e200", "1e200"),
+                    ("1e300", "inf")]
+
+
+class TestNonFiniteExpansion:
+    """An expansion that is not finite is a numerical guard failure (exit
+    4) naming the cell, with no warning and no traceback; pytest turns any
+    warning into an error here."""
+
+    @pytest.mark.parametrize("gamma,lam", NON_FINITE_CELLS)
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--steps", "3"], ["maxima"], ["nonmarkov"],
+        ["nonmarkov", "--tmax", "20", "--grid", "2001"]])
+    def test_cell_commands_exit_four(self, argv, gamma, lam, capsys):
+        assert cli.main(argv + ["--gamma", gamma, "--lambda", lam]) == 4
+        err = capsys.readouterr().err
+        assert "expansion not finite" in err
+        assert f"gamma/Omega = {float(gamma)!r}" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma,lam", NON_FINITE_CELLS)
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_sweep_exits_four(self, quantity, gamma, lam, capsys):
+        """One such cell among good ones fails the whole sweep."""
+        assert cli.main(["sweep", "--gamma-axis", f"0.5,{gamma}",
+                         "--lambda-axis", f"{lam},2",
+                         "--quantity", quantity]) == 4
+        err = capsys.readouterr().err
+        assert "expansion not finite" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma,lam", NON_FINITE_CELLS)
+    def test_solve_roots_raises(self, gamma, lam):
+        with pytest.raises(qb.metrics.NumericalGuardError,
+                           match="expansion not finite"):
+            qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
+                                          float(lam)))
 
 
 class TestFigureCommand:
