@@ -21,7 +21,10 @@ a 2e5-point grid.  The charging scans of ``MAXIMA_SCAN_CELLS`` cells share
 one read, into buffers that every pass reuses.
 Both searches expand a batch of cells once (``propagator._transfer_many``)
 and refine the extrema they bracket on that one stack of terms
-(``_refine``), reading |c2|^2 there through ``propagator``'s guard.
+(``_refine``): safeguarded Newton steps on the exact slope of |c2|^2, each
+bracket stopping on its own at a computed sign change of the slope, a few
+reads of the evaluator a bracket, and |c2|^2 read there through
+``propagator``'s guard.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ BLP_MIN_SKIP_GRID = 1 << 16  # fewest points of a scan that skips points
 BLP_SKIP_SLACK = 1e-9     # relative margin of the proof that skips points
 BLP_MAX_GRID = 1 << 32    # most points of a BLP scan (a minute a cell)
 _GRID_BLOCK = 1 << 14     # grid points a scan reads at a time
+_EPS = np.finfo(np.float64).eps
 # cells whose charging-optimum scans fill one block
 MAXIMA_SCAN_CELLS = _GRID_BLOCK // MAXIMA_SCAN_POINTS
 
@@ -131,28 +135,150 @@ def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
     return max(work, 0.0)
 
 
-def _slope(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """d|c2|^2/dt in Omega*tau: 2 Re(conj(c2) c2'), exact via c2' = -i*c1."""
-    return 2.0 * np.real(np.conj(c2) * (-1j * c1))
+def _halving_end(a: np.ndarray, b: np.ndarray, right) -> np.ndarray:
+    """Where 60 halvings of the brackets [a, b] end when every midpoint
+    sends each bracket the same way (``right``: its left end moves): what
+    a search by halvings reports for a bracket whose slope keeps its sign,
+    so an optimum at 0 or at tmax stays where such a search put it."""
+    for _ in range(60):
+        mid = 0.5 * (a + b)
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    return 0.5 * (a + b)
 
 
 def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
-            rising_at_a) -> tuple[np.ndarray, np.ndarray]:
-    """60 lockstep halvings of the brackets (a[i], b[i]) of the cells
-    stacked in ``terms`` (one per bracket), in Omega*tau, on the sign of
-    d|c2|^2/dt, one stacked c1/c2 evaluation per halving: the points found
-    and the guarded population |c2|^2 there (``_clipped_population``).  A
-    bracket moves its left end to a midpoint whose slope has the sign
-    ``rising_at_a`` gives that end, else its right end; a zero-width
-    bracket stays on its point."""
-    weights = _weights(init)
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        go_right = (_slope(*_apply(terms, weights, mid)) > 0.0) == rising_at_a
-        a = np.where(go_right, mid, a)
-        b = np.where(go_right, b, mid)
-    t = 0.5 * (a + b)
-    return t, _clipped_population(np.abs(_apply(terms, weights, t)[1]) ** 2)
+            rising_at_a, cells=None) -> tuple[np.ndarray, np.ndarray]:
+    """The extrema of |c2|^2 in the brackets (a[i], b[i]) in Omega*tau, the
+    i-th of cell ``cells[i]`` of the stack ``terms`` (cell i when ``cells``
+    is None): the points found and the guarded population |c2|^2 there
+    (``_clipped_population``).
+
+    Each bracket is refined on its own by safeguarded Newton steps on the
+    exact slope f = d|c2|^2/dt = 2 Im(conj(c2) c1), with f' = 2 (|c1|^2 +
+    Im(conj(c2) c1')) and c1' = c1_0 u' - i c2_0 u (U's entries obey w' = u
+    and v' = -w): a step reads (u, w, v, u') in one ``_eval_terms`` call
+    for every open bracket, the first at the midpoints.  The sign of f at
+    a point moves the end of its side (``rising_at_a``: f > 0 on the left
+    end's side).  A step is at least tol = 2 ulp + delta/|f'|, delta an
+    estimate of the roundoff of f from the terms' envelope, so that a
+    converged point is followed by one across its root.  A bracket is done
+    when both its ends are read and it is no wider than 4 ulps, or than 2
+    tol of an end whose Newton step is within its tol: a computed sign
+    change of f certified within a few ulps or within f's roundoff band.
+    It returns the left end of that sign change, or its one read end when
+    the cap of 60 reads stops it first.
+
+    A Newton point gives way, to the original end it heads for while that
+    is unread, else to the midpoint, where it leaves the open bracket,
+    where f' has the sign of the other kind of extremum, where its step is
+    over half the move before the last, or where it starts from an
+    original end that is less extreme than the other end and not
+    converged (from there it may head for another extremum than halvings
+    find).  An original end read on the wrong side and more extreme than
+    the other end shows a slope that keeps its sign: the bracket returns
+    the end that halvings reach (``_halving_end``), so an optimum at 0 or
+    tmax stays where it was; else the end is taken on its own side, as
+    halvings take it (a stationary end, as the empty battery's t = 0,
+    reads either way).
+    """
+    roots, coefs = terms
+    u = coefs[0]
+    du = u * roots[:, None]  # u' = sum of (a s t^p + p a t^(p-1)) e^(s t)
+    du[:, :-1] += u[:, 1:] * np.arange(1, u.shape[1])[:, None]
+    # rows c1, c2 and c1' over the entries (u, w, v, u')
+    weights = np.zeros((3, 4), dtype=np.complex128)
+    weights[:2, :3] = _weights(init)
+    weights[2, [0, 3]] = -1j * init.c2_0, init.c1_0
+    used = np.flatnonzero(weights.any(0))
+    stack = roots, np.concatenate((coefs, du[None]))[used]
+    weights = weights[:, used]
+    # the envelope of c1 and c2: sum_e max|weight_e| |a_ejp| per root, power
+    size = np.tensordot(np.abs(weights[:2]).max(0), np.abs(stack[1]), 1)
+    size_roots = np.abs(roots)
+
+    n = len(a)
+    a0, b0 = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+    t_out, pop_out = np.empty(n), np.empty(n)
+    # the state of each open bracket: its index, cell and kind of extremum
+    # (the sign of f' there); its ends (lo, hi), whether each was read, the
+    # population there and its tol if its Newton step was within it; the
+    # next point, the last two moves, and whether the point is the answer
+    # of a bracket whose slope keeps its sign
+    index = np.arange(n)
+    cell = index if cells is None else np.asarray(cells)
+    kind = np.where(rising_at_a, -1.0, np.ones(n))
+    ends = np.stack((a0, b0))
+    read = np.zeros((2, n), dtype=bool)
+    pops, tols = np.zeros((2, n)), np.zeros((2, n))
+    x, steps = 0.5 * (a0 + b0), np.full((2, n), np.inf)
+    final = np.zeros(n, dtype=bool)
+    count = 0
+    while len(x):
+        count += 1
+        r, c = _select(stack, cell)
+        c1, c2, d1 = _apply((r, c), weights, x)
+        pop = np.abs(c2) ** 2
+        c1_sq = c1.real ** 2 + c1.imag ** 2
+        f = 2.0 * (c2.real * c1.imag - c2.imag * c1.real)
+        fp = 2.0 * (c1_sq + c2.real * d1.imag - c2.imag * d1.real)
+        with np.errstate(all="ignore"):
+            envelope = size[:, -1, cell]
+            for p in range(size.shape[1] - 2, -1, -1):
+                envelope = envelope * x + size[:, p, cell]
+            envelope = (envelope * np.exp(r.real * x)
+                        * (1.0 + size_roots[:, cell] * x)).sum(0)
+            delta = _EPS * envelope * (np.sqrt(c1_sq) + np.sqrt(pop))
+            dx = -f / fp
+            ulp = np.spacing(np.abs(x))
+            tol = 2.0 * ulp + delta / np.abs(fp)
+        k = np.arange(len(x))
+        up = (f > 0.0) == (kind < 0.0)
+        # an unread original end read on the wrong side shows a slope that
+        # keeps its sign only if |c2|^2 there is the more extreme (not so
+        # at a stationary end, as t = 0 of the empty battery); else it is
+        # taken on its own side, as halvings take it
+        at_lo, at_hi = (x == ends[0]) & ~read[0], (x == ends[1]) & ~read[1]
+        other = np.where(at_lo, 1, 0)
+        extreme = ~read[other, k] | (kind * (pops[other, k] - pop) >= 0.0)
+        up = np.where(np.where(at_lo, ~up, at_hi & up) & ~extreme, at_lo, up)
+        side = (~up).astype(np.intp)  # lo (0) for a point on its side
+        kept = ~final & (x == ends[1 - side, k])
+        answer = x.copy()
+        halve = kept & (a0 < b0)
+        if halve.any():
+            answer[halve] = _halving_end(a0[halve], b0[halve], up[halve])
+        ends[side, k], read[side, k], pops[side, k] = x, True, pop
+        tols[side, k] = np.where((np.abs(dx) <= tol) & np.isfinite(tol), tol,
+                                 0.0)
+        now = final | (kept & (answer == x))
+        done = now | ~kept & ((read.all(0) & (ends[1] - ends[0] <= 4.0 * ulp
+                                                + 2.0 * tols.max(0)))
+                              | (count >= 60))
+        # the left end of the sign change, if read
+        end = (~read[0]).astype(np.intp)
+        t_out[index[done]] = np.where(now, x, ends[end, k])[done]
+        pop_out[index[done]] = np.where(now, pop, pops[end, k])[done]
+        # the next point of each open bracket: the Newton point from this
+        # read, else the other end if unread, else the midpoint
+        with np.errstate(all="ignore"):
+            move = np.maximum(np.abs(dx), tol)
+            newton = x + np.where(up, move, -move)
+            ok = (~((at_lo | at_hi) & (np.abs(dx) > tol) & ~extreme)
+                  & (fp * kind > 0.0) & (np.where(up, dx, -dx) >= -tol)
+                  & (move <= 0.5 * steps[1])
+                  & (ends[0] < newton) & (newton < ends[1]))
+        nxt = np.where(ok, newton, np.where(
+            read[1 - side, k], 0.5 * (ends[0] + ends[1]), ends[1 - side, k]))
+        nxt = np.where(kept, answer, nxt)
+        steps = np.stack((np.abs(nxt - x), steps[0]))
+        x, final = nxt, final | kept
+        if done.any():
+            keep = np.flatnonzero(~done)
+            index, cell, a0, b0, kind, x, final = (
+                v[keep] for v in (index, cell, a0, b0, kind, x, final))
+            ends, read, pops, tols, steps = (
+                v[:, keep] for v in (ends, read, pops, tols, steps))
+    return t_out, _clipped_population(pop_out)
 
 
 def _grid_times(m: np.ndarray, tmax: float, n: int) -> np.ndarray:
@@ -328,8 +454,9 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
                     for j in range(len(group))]
         counts = [len(a) for a, _, _ in brackets]
         crit, d_crit = _refine(
-            _select(terms, np.repeat(np.arange(len(group)), counts)),
-            excited_battery_state(), *map(np.concatenate, zip(*brackets)))
+            terms, excited_battery_state(),
+            *map(np.concatenate, zip(*brackets)),
+            np.repeat(np.arange(len(group)), counts))
         ends = np.cumsum(counts)[:-1]
         for i, t, d in zip(group, np.split(crit, ends),
                            np.split(d_crit, ends)):
@@ -352,11 +479,12 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
     Omega*tau (default spacing 1e-3), with one exponential per real root or
     conjugate pair, blocked on the grid: a coarse pass, then every point of
     the intervals where a bound does not prove that D' keeps its sign, so
-    the brackets are those of a scan of every point.  Bisects each sign
-    change as charging optima are (``_refine``) and sums the increase of D
-    over every rising interval.  gamma = 0 is a flagged divergent case
-    (perpetual closed-system recurrences); a ``truncated`` flag is set when
-    D(tmax) has not decayed below 1e-6.
+    the brackets are those of a scan of every point.  Refines each sign
+    change by safeguarded Newton steps, as charging optima are
+    (``_refine``), and sums the increase of D over every rising interval.
+    gamma = 0 is a flagged divergent case (perpetual closed-system
+    recurrences); a ``truncated`` flag is set when D(tmax) has not decayed
+    below 1e-6.
     This is the one-cell case of ``blp_nonmarkovianity_many``.
     """
     return blp_nonmarkovianity_many([params], tmax, grid)[0]
@@ -427,12 +555,13 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
     [0, tmax] in Omega*tau, read in rows as the BLP scan reads its grid,
-    then 60 halvings of the bracket around the largest sample on the
-    sign of d|c2|^2/dt = 2 Re(conj(c2) (-i c1)), by the ``_refine`` that
-    also finds the BLP extrema: Omega*tau is found to the roundoff of that
-    slope, well within 1e-8, and an optimum at 0 or tmax is reached
-    exactly.  A population outside [0, 1] raises ``NumericalGuardError``.
-    An optimum within one scan step of tmax sets ``at_boundary``.  This is
-    the one-cell case of ``maximize_over_tau_many``.
+    then safeguarded Newton steps in the bracket around the largest sample
+    on d|c2|^2/dt = 2 Re(conj(c2) (-i c1)) and its exact derivative, by the
+    ``_refine`` that also finds the BLP extrema: Omega*tau is found to a
+    sign change of that slope within a few ulps or within its roundoff,
+    and an optimum at 0 or tmax is where halvings of the bracket end.  A
+    population outside [0, 1] raises ``NumericalGuardError``.  An optimum
+    within one scan step of tmax sets ``at_boundary``.  This is the
+    one-cell case of ``maximize_over_tau_many``.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

@@ -25,8 +25,8 @@ Re(coef * t**power * exp(root*t)).  The cells' terms stack along a
 trailing axis, and each cell has the bytes of its one-cell expansion
 (``_transfer``, cached, so cells that differ only in Omega or in the
 initial state share it).  One evaluator (``_eval_terms``) reads them: at
-any array of times, one exponential per root, so the lockstep searches of
-``metrics`` advance every cell of a stack at one time point each; or at
+any array of times, one exponential per root, so the searches of
+``metrics`` read each open bracket of a stack at one time point; or at
 the points (r + k)*h of a uniform grid, one exponential per row start r
 and per column offset k, as the scans of ``metrics`` read it.  Every
 population the package reads passes one guard, here below its readers
@@ -88,17 +88,40 @@ def _ratios(params: ModelParams) -> tuple[float, float]:
     return params.coupling_cavity_env / om, params.spectral_width / om
 
 
+def _refuse(ok, g, l, what: str) -> None:
+    """Raise ``NumericalGuardError`` naming the first cell (g[i], l[i])
+    that is not ``ok`` and ``what`` is wrong there."""
+    if not ok.all():
+        i = np.argmin(ok)
+        raise NumericalGuardError(
+            f"{what} at gamma/Omega = {float(g[i])!r}, "
+            f"lambda/Omega = {float(l[i])!r}")
+
+
 def _check_finite(g, l, *parts) -> None:
     """Raise ``NumericalGuardError`` naming the first cell (g[i], l[i]) at
     which some part of an expansion, cells along its last axis, is not
     finite."""
-    ok = np.logical_and.reduce(
-        [np.isfinite(x).all(tuple(range(x.ndim - 1))) for x in parts])
-    if not ok.all():
-        i = np.argmin(ok)
-        raise NumericalGuardError(
-            f"expansion not finite at gamma/Omega = {float(g[i])!r}, "
-            f"lambda/Omega = {float(l[i])!r}")
+    _refuse(np.logical_and.reduce(
+        [np.isfinite(x).all(tuple(range(x.ndim - 1))) for x in parts]),
+        g, l, "expansion not finite")
+
+
+def _check_roots(g, l, coeffs: np.ndarray, roots: np.ndarray) -> None:
+    """Raise ``NumericalGuardError`` naming the first cell (g[i], l[i]),
+    cells along the first axis, at which some root s of its polynomial
+    (``coeffs``, highest power first) has a relative residual |p(s)| /
+    sum_k |p_k| |s|^k above 1e-10, or one that is NaN.  A root of modulus
+    above 1 is put in as 1/s into the reversed polynomial, p(s)/s^n, so no
+    power overflows."""
+    coeffs = coeffs[:, None, :]
+    big = np.abs(roots) > 1.0
+    z = np.where(big, 1.0 / np.where(big, roots, 1.0), roots)
+    c = np.where(big[..., None], coeffs[..., ::-1], coeffs)
+    residual = (np.abs(_horner(c, z)) / _horner(np.abs(c), np.abs(z))).max(-1)
+    ok = residual <= 1e-10
+    _refuse(ok, g, l, f"root residual {float(residual[np.argmin(ok)])!r} "
+            "above 1e-10")
 
 
 def _complex(re, im) -> np.ndarray:
@@ -368,14 +391,15 @@ def solve_roots(params: ModelParams) -> PropagatorRoots:
     """Physical roots of the denominator, Omega times those of p(s);
     ``degenerate`` is set when some of them cluster and take confluent
     terms t**k * exp(s*t).  No module of the package calls it: it stays
-    because perfbench's tracer wraps it.  Roots that are not finite raise
-    ``NumericalGuardError``."""
+    because perfbench's tracer wraps it.  Roots that are not finite, or of
+    relative residual above 1e-10, raise ``NumericalGuardError``."""
     g, l = _ratios(params)
     with np.errstate(all="ignore"):
         p = _polynomials(g, l)[0]
         _check_finite([g], [l], p[:, None])
         roots = _roots(p)
-    _check_finite([g], [l], roots[:, None])
+        _check_finite([g], [l], roots[:, None])
+        _check_roots([g], [l], p[None], roots[None])
     return PropagatorRoots(
         tuple(params.coupling_qb_cavity * complex(s) for s in roots),
         bool((_clusters(roots)[1] > 1).any()))
@@ -388,7 +412,9 @@ def _transfer_many(ratios) -> Terms:
     bytes of its one-cell expansion, whatever the batch.  A cell whose
     polynomials, roots or coefficients are not finite, such as one whose
     ratios overflow them, raises ``NumericalGuardError``, its polynomials
-    checked before their roots are sought.
+    checked before their roots are sought; so does a cell with a finite
+    root of relative residual above 1e-10 (``_check_roots``), as the
+    companion matrix gives at gamma/Omega = 1, lambda/Omega = 1e62.
 
     p - m vanishes at s = 0, so dropping its constant term divides it by s
     exactly.  With real numerators and exact conjugate roots a pair's
@@ -408,11 +434,12 @@ def _transfer_many(ratios) -> Terms:
             _check_finite(g[cells], l[cells], p.T)
             p_minus_m = p.copy()
             p_minus_m[:, -m.shape[1]:] -= m
+            roots_p = _roots(p)
             # the numerators s*m, m and (p - m)/s of u, w and v
             r, c = _partial_fractions(
-                (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]),
-                _roots(p))
-        _check_finite(g[cells], l[cells], r, c)
+                (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]), roots_p)
+            _check_finite(g[cells], l[cells], r, c)
+            _check_roots(g[cells], l[cells], p, roots_p)
         roots[:len(r), cells] = r
         coefs[:, :len(r), :c.shape[2], cells] = c
         keep[:len(r), cells] = ~(r.imag < 0)
@@ -460,7 +487,9 @@ def _apply(terms: Terms, weights: np.ndarray, t) -> list[np.ndarray]:
     per row; an entry of zero weight in every row is not evaluated."""
     roots, coefs = terms
     used = np.flatnonzero(weights.any(axis=0))
-    entries, shape = _eval_terms((roots, coefs[used]), t), np.shape(t)
+    if len(used) < len(coefs):
+        coefs = coefs[used]
+    entries, shape = _eval_terms((roots, coefs), t), np.shape(t)
     outs = []
     for row in weights[:, used]:
         out = np.zeros(shape, dtype=np.complex128)

@@ -6,8 +6,9 @@ units of omega0 for the energy quantities.  Cells are independent and may be
 evaluated by a process pool; the result is identical for any worker count.
 Every quantity is batched the same way: the cells go to
 ``blp_nonmarkovianity_many`` or ``maximize_over_tau_many`` in one batch, or
-in one contiguous chunk per worker, whose bisections run in lockstep (BLP
-cells ``BLP_REFINE_CELLS`` at a time, so no chunk holds all its reports).
+in one contiguous chunk per worker, whose extrema are refined together
+(BLP cells ``BLP_REFINE_CELLS`` at a time, so no chunk holds all its
+reports).
 
 CSV and JSON tables share one writer, ``_table_rows``: each distinct
 column is turned into text by one bulk call, and the rows are joins of

@@ -56,14 +56,14 @@ lam,stored_energy_max,ergotropy_max
 0.50118723362727235,0.97992197177763019,0.95984394355526037
 0.63095734448019325,0.97600655312107898,0.95201310624215796
 0.79432823472428149,0.97163700764935756,0.94327401529871513
-1,0.9668867299987185,0.93377345999743699
+1,0.96688672999871872,0.93377345999743744
 1.2589254117941675,0.96187856715275621,0.92375713430551243
-1.584893192461114,0.95678170681474428,0.91356341362948856
-1.9952623149688797,0.95179633252731388,0.90359266505462776
+1.584893192461114,0.9567817068147445,0.91356341362948901
+1.9952623149688797,0.95179633252731377,0.90359266505462754
 2.511886431509581,0.94712555467752757,0.89425110935505514
 3.1622776601683795,0.94294006636350458,0.88588013272700916
 3.9810717055349731,0.93934724530826352,0.87869449061652705
-5.0118723362727247,0.93637778003147121,0.87275556006294241
+5.0118723362727247,0.93637778003147143,0.87275556006294286
 6.3095734448019334,0.9339953560259201,0.8679907120518402
 7.9432823472428176,0.9321222871122905,0.86424457422458101
 10,0.9306668402381999,0.8613336804763998
@@ -93,7 +93,7 @@ PANEL_SHA256 = {
         "manifest.json":
             "9f7970e71d12f7c56aca2c577eab09bb8b1294398a23381c1e4ca34885777f05",
         "nonmarkovianity_grid.csv":
-            "e603933b62243149c619e7507a280a776e45744dd398b295d04137c81bc9135a",
+            "771bc1b9ec07c554e496958f6cfdd0df96d3c0d4a147f810940e8c24d4e51744",
     },
     "fig3a": {
         "manifest.json":
@@ -111,11 +111,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "4d5097325136afd4c42ab67ef70064e21799b4caccbcb2bd3765f687c29d1eec",
         "stored_energy_max_grid.csv":
-            "7a6c6fa64e5c9e616d3a494a556130f4db278f6f19de5cefd0c5fe9a5ea275d5",
+            "5eb4d5b720dd74de12c847a064873ce3d74a18d44c98c299a4d26febcc524f53",
     },
     "fig4b": {
         "ergotropy_max_grid.csv":
-            "8ac4f6fe942a56ab206620735417af1765c12cbabd962d5f91cacc271aed6246",
+            "b9b54bb4ae6adc1d75470d427a45fc2eb9275c32b70bf307098ba75d3e8043fa",
         "manifest.json":
             "50a34eac8fdd804ef9f83b4907cd313a25b5b714aa7dd09de40ab0cf7b467823",
     },
@@ -147,15 +147,15 @@ PANEL_SHA256 = {
         "manifest.json":
             "09cd6914f13f2130849d01789152ebd22342d1f23e439123ee4f596e999ab241",
         "maxima_vs_lambda.csv":
-            "84be010f0d44c002b2a9201166e7cb66468a692ac7083c051ab6be07824e1e59",
+            "484ff9b0c3d4f825ea4a3380c4ab4c4d75a824014607237df19dd9fb410d0c87",
     },
     "fig7b": {
         "manifest.json":
             "5096f319923dfb98d77a2a26e8ff7589fe05437211ce245c279678337895d787",
         "maxima_memoryless.csv":
-            "a03ba89d539e6fcaf121b8771a11777056b8c637b37f24dcb8c3e04576427577",
+            "56bdd82b389c4e4d4bc554d0286ed6ce1f91c80dd5b43f9904eef6948f799129",
         "maxima_with_memory.csv":
-            "aeded1176034af6143e13ddf71417fb90fd347b660c2930158789c7c2a68d1e7",
+            "52b2eedb8d9f13028f275d37a5935b8c45075bd38b9c079a0da76c8ab16c6df8",
     },
 }
 

@@ -350,8 +350,8 @@ class TestMemorylessClosedForms:
 def maximize_reference(params, init=None, tmax=None):
     """Per-cell search: 2000-point scan, then a scalar bisection on the
     sign of d|c2|^2/dt with one single-point ``amplitude_grid`` call per
-    halving: the reference the lockstep search must reproduce bit for bit,
-    cell by cell."""
+    halving: an independent reference that the batch search must match
+    within ``close_report``'s tolerances, cell by cell."""
     om = params.coupling_qb_cavity
     init = qb.empty_battery_state() if init is None else init
     tmax = 50.0 / om if tmax is None else tmax
@@ -411,6 +411,23 @@ def same_report(got, want):
             and got.at_boundary is want.at_boundary)
 
 
+def close_report(got, want, value=1e-14, tau=1e-14):
+    """The optima of both reports within ``value`` relative (the ergotropy
+    2p - 1 within twice that times the energy, the difference it inherits
+    from p), their times within ``tau`` * max(tau, 1), the flag equal: two
+    searches that stop at sign changes of the slope within its roundoff
+    agree to these tolerances, not bit for bit."""
+    def near(x, y, tol):
+        return (math.isnan(x) and math.isnan(y)) or abs(x - y) <= tol
+    energy = want.delta_e_max
+    return (near(got.delta_e_max, energy, value * energy)
+            and near(got.w_max, want.w_max, 2.0 * value * energy)
+            and all(near(getattr(got, f), getattr(want, f),
+                         tau * max(getattr(want, f), 1.0))
+                    for f in ("tau_at_e_max", "tau_at_w_max"))
+            and got.at_boundary is want.at_boundary)
+
+
 # memoryless (gamma = 4 Omega is the quadratic's double root, confluent
 # terms), the triple root, a double root, lambda/Omega = 1e7, and cells at
 # Omega != 1, where the slope -i*Omega*c1 scales
@@ -428,24 +445,31 @@ BATCH_INITS = {"empty": None, "excited": qb.excited_battery_state(),
 
 
 class TestMaximizeBatch:
-    """The lockstep batch search against a per-cell scalar search."""
+    """The batch search against a per-cell scalar search by halvings."""
 
     @pytest.mark.parametrize("tmax", [None, 1.0], ids=["default", "boundary"])
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
     def test_bytes_match_per_cell_reference(self, init, tmax):
+        """Each report within ``close_report``'s tolerances of the halving
+        reference, and byte for byte that of its one-cell batch."""
         cells = BATCH_CELLS
         batch = maximize_over_tau_many(cells, init, tmax)
         if init is BATCH_INITS["excited"]:
             # at the triple root the partial fractions cancel terms of
             # 4e10, so near tau = 0 v moves in steps of 2^-20 = 9.5e-7
             # (ROADMAP item 2), and the optimum, exactly |c2(0)|^2 = 1,
-            # reads 1 - 1.9e-6 at the default horizon and 1 - 3.8e-6 at 1
+            # reads 1 - 1.9e-6 or 1 - 3.8e-6 near tau = 0
             got = batch[cells.index(TRIPLE_ROOT_CELL)]
             assert abs(got.delta_e_max - 1.0) <= 1e-5
             assert got.tau_at_e_max < 1e-6
         for p, got in zip(cells, batch):
-            assert same_report(
-                got, maximize_reference(unit_cell(p), init, tmax)), p
+            want = maximize_reference(unit_cell(p), init, tmax)
+            if p is TRIPLE_ROOT_CELL:
+                # populations move in steps of about 1e-6 there, so a
+                # maximum's time is defined to sqrt(2e-6), 1.4e-3
+                assert close_report(got, want, 1e-5, 1.4e-3), p
+            else:
+                assert close_report(got, want), p
             alone = maximize_over_tau_many([p], init, tmax)[0]
             assert same_report(alone, got), p
         if tmax is not None and init is None:  # Rabi-like peaks after 1.0
@@ -526,8 +550,9 @@ def blp_reference(params, tmax=None, grid=None):
     """Per-cell BLP search: scan D' on the grid, 60 halvings of each
     bracket of a sign change with one ``amplitude_grid`` call per halving
     for that cell alone, then D read at 0, the extrema and tmax; the
-    truncation flag comes from the scan's last point.  The reference the
-    lockstep batch search must reproduce bit for bit, cell by cell."""
+    truncation flag comes from the scan's last point.  An independent
+    reference that the batch search must match within ``close_blp``'s
+    tolerances, cell by cell."""
     om = params.coupling_qb_cavity
     tmax = 200.0 / om if tmax is None else tmax
     grid = int(round(tmax * om / 1e-3)) + 1 if grid is None else grid
@@ -568,6 +593,26 @@ def blp_bytes(report):
             report.truncated, report.divergent)
 
 
+def close_blp(got, want):
+    """Both flags and the number of intervals equal, the measures within
+    1e-14 relative plus 1e-15 absolute (D <= 1, so an ulp of an
+    extremum's D is 1.1e-16) and every interval end within 1e-14 *
+    max(tau, 1): the tolerances of two searches that stop at sign changes
+    of D' within its roundoff."""
+    if ((got.truncated, got.divergent, len(got.backflow_intervals))
+            != (want.truncated, want.divergent,
+                len(want.backflow_intervals))):
+        return False
+    if math.isinf(want.measure):
+        return got.measure == want.measure
+    return (abs(got.measure - want.measure)
+            <= 1e-14 * want.measure + 1e-15
+            and all(abs(x - y) <= 1e-14 * max(y, 1.0)
+                    for g, w in zip(got.backflow_intervals,
+                                    want.backflow_intervals)
+                    for x, y in zip(g, w)))
+
+
 # memoryless on both sides of gamma = 4 Omega, gamma = 0 (divergent) among
 # live cells, the triple root, a double root, Omega != 1, lambda/Omega = 1e7
 # and a cell truncated at the default horizon
@@ -580,15 +625,16 @@ BLP_CELLS = (
 
 
 class TestBlpBatch:
-    """The lockstep batch search against a per-cell BLP search."""
+    """The batch search against a per-cell BLP search by halvings."""
 
     @pytest.mark.parametrize("grid", [None, 2001], ids=["default", "coarse"])
     def test_bytes_match_per_cell_reference(self, grid):
+        """Each report within ``close_blp``'s tolerances of the halving
+        reference, and byte for byte that of its one-cell batch."""
         batch = blp_nonmarkovianity_many(BLP_CELLS, grid=grid)
         assert len(batch) == len(BLP_CELLS)
         for p, got in zip(BLP_CELLS, batch):
-            assert blp_bytes(got) == blp_bytes(
-                blp_reference(unit_cell(p), None, grid)), p
+            assert close_blp(got, blp_reference(unit_cell(p), None, grid)), p
             assert blp_bytes(qb.blp_nonmarkovianity(p, grid=grid)) \
                 == blp_bytes(got), p
         assert sum(r.divergent for r in batch) == 2
@@ -598,7 +644,7 @@ class TestBlpBatch:
     def test_roundoff_at_zero_cell(self):
         p = params(3.1622776601683795, 5.011872336272722)
         got = blp_nonmarkovianity_many([params(1.0, 1.0), p], grid=4405)[1]
-        assert blp_bytes(got) == blp_bytes(blp_reference(p, grid=4405))
+        assert close_blp(got, blp_reference(p, grid=4405))
         assert got.backflow_intervals == ()
 
     def test_independent_of_batch_order_and_grouping(self, monkeypatch):
@@ -708,10 +754,9 @@ class TestBlpScan:
         a bound proves keeps both."""
         rising, axis = params(39.204, 0.0718145), params(GRID_AXIS[11], 1.0)
         for p in (rising, axis):
-            assert blp_bytes(qb.blp_nonmarkovianity(p)) \
-                == blp_bytes(blp_reference(p)), p
-        assert 38.49227837862723 in [
-            a for a, _ in qb.blp_nonmarkovianity(rising).backflow_intervals]
+            assert close_blp(qb.blp_nonmarkovianity(p), blp_reference(p)), p
+        assert any(abs(a - 38.49227837862723) <= 1e-14 * a for a, _ in
+                   qb.blp_nonmarkovianity(rising).backflow_intervals)
 
     def test_figure_axes_read_an_eighth_of_the_default_grid(self,
                                                             monkeypatch):
@@ -755,8 +800,7 @@ class TestBlpScan:
         so a bracket may differ near Omega*tau = 0.1; the report must
         not."""
         p = params(TRIPLE_ROOT[0] * (1 - 1e-12), TRIPLE_ROOT[1])
-        assert blp_bytes(qb.blp_nonmarkovianity(p)) \
-            == blp_bytes(blp_reference(p))
+        assert close_blp(qb.blp_nonmarkovianity(p), blp_reference(p))
 
     def test_peak_memory(self):
         """One default 200001-point scan holds blocks of w and v: a traced
@@ -764,6 +808,136 @@ class TestBlpScan:
         5.0 MB and the complex scan at 13.7 MB."""
         terms = transfer(params(0.1, 0.1))
         assert traced_peak(metrics._blp_brackets, terms, 200.0, 200001) <= 3e6
+
+
+def slope(p, init, t):
+    """d|c2|^2/dt = 2 Re(conj(c2) (-i c1)) at the times ``t``, from a
+    pointwise ``amplitude_grid`` read of the cell ``p`` (Omega = 1)."""
+    c1, c2 = amplitude_grid(p, init, np.asarray(t, dtype=np.float64))
+    return 2.0 * np.real(np.conj(c2) * (-1j * c1))
+
+
+# gamma/Omega log-uniform in [1e-2, 1e4], lambda/Omega log-uniform in
+# [1e-3, 1e4] or, one cell in five, inf; a cell whose bracket from
+# Omega*tau 0.025 to 0.075 has its maximum 1.084e-5 at 0.04565, where
+# stopping once a step no longer halved returned 0.0406 (population 7.9e-6);
+# a cell whose charging bracket holds three extrema, where Newton steps
+# from its left end find a maximum below the bracket's midpoint; and one
+# whose empty battery's stationary start (slope 0 at t = 0) must not read
+# as a slope that keeps its sign
+TRAP_CELL = params(908.6227050538575, 71.2956206788843)
+WIDE_REFINE_CELLS = [
+    params(float(g), float(lam) if i % 5 else math.inf)
+    for i, (g, lam) in enumerate(np.exp(np.random.default_rng(24).uniform(
+        np.log([1e-2, 1e-3]), np.log([1e4, 1e4]), size=(120, 2))))
+] + [TRAP_CELL, params(2015.3077044076774, 30.97433110912979),
+     params(4243.800515361025, math.inf)]
+
+
+class TestRefine:
+    """Safeguarded Newton steps on the exact slope of |c2|^2: a few reads
+    of the evaluator a call, where 60 halvings read it 61 times, and each
+    refined point a sign change of the slope within its roundoff."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The number of ``_eval_terms`` calls of each ``_refine`` call."""
+        per_call, count = [], [0]
+        eval_terms, refine = propagator._eval_terms, metrics._refine
+
+        def counting(*args):
+            count[0] += 1
+            return eval_terms(*args)
+
+        def refining(*args):
+            count[0] = 0
+            result = refine(*args)
+            per_call.append(count[0])
+            return result
+
+        monkeypatch.setattr(propagator, "_eval_terms", counting)
+        monkeypatch.setattr(metrics, "_refine", refining)
+        return per_call
+
+    @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
+    def test_figure_cells_read_at_most_ten_times(self, init, reads):
+        cells = [params(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        for tmax in (None, 1.0):
+            maximize_over_tau_many(cells, init, tmax)
+        assert len(reads) == 2 and max(reads) <= 10
+
+    def test_default_blp_group_reads_at_most_ten_times(self, reads):
+        cells = [params(g, lam) for g in GRID_AXIS[::6]
+                 for lam in GRID_AXIS[::7] + (math.inf,)]
+        assert len(cells) == metrics.BLP_REFINE_CELLS
+        blp_nonmarkovianity_many(cells)
+        assert len(reads) == 1 and reads[0] <= 10
+
+    def test_trap_bracket(self):
+        """Refined from the scan's bracket around its third point."""
+        taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        terms = _transfer_many([(908.6227050538575, 71.2956206788843)])
+        t, pop = metrics._refine(terms, qb.empty_battery_state(),
+                                 taus[1:2], taus[3:4], True)
+        assert t[0] == pytest.approx(0.0456512, abs=1e-7)
+        assert pop[0] == pytest.approx(1.083969e-5, rel=1e-6)
+
+    @pytest.mark.parametrize("init", [qb.empty_battery_state(),
+                                      BATCH_INITS["general"]],
+                             ids=["empty", "general"])
+    def test_maxima_are_sign_changes_on_wide_domain(self, init):
+        """The slope falls through zero within 1e-12 * max(tau, 1) of each
+        optimum that is not a scan point; an optimum at a scan point ends
+        a bracket whose slope keeps its sign, as the excited battery's, at
+        tau = 0, does on every cell."""
+        taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        checked = 0
+        for p, report in zip(WIDE_REFINE_CELLS, maximize_over_tau_many(
+                WIDE_REFINE_CELLS, init)):
+            t = report.tau_at_e_max
+            if np.abs(taus - t).min() <= 1e-9:
+                continue
+            eta = 1e-12 * max(t, 1.0)
+            before, after = slope(p, init, [t - eta, t + eta])
+            assert before > 0.0 >= after, (p, t)
+            checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("init", [qb.empty_battery_state(),
+                                      qb.excited_battery_state()],
+                             ids=["empty", "excited"])
+    def test_optimum_not_below_largest_sample_on_wide_domain(self, init):
+        """No optimum falls below the largest sample of its scan: not at a
+        stationary end (the empty battery's t = 0), and not at an end whose
+        slope only seems to keep its sign.  For a general state an optimum
+        at t = 0 is still missed where the first bracket holds a lower
+        maximum inside (ROADMAP item 2)."""
+        taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        for p, report in zip(WIDE_REFINE_CELLS, maximize_over_tau_many(
+                WIDE_REFINE_CELLS, init)):
+            _, c2 = amplitude_grid(p, init, taus)
+            assert report.delta_e_max >= (np.abs(c2) ** 2).max() * (
+                1.0 - 1e-13), p
+
+    def test_blp_interval_ends_are_sign_changes_on_wide_domain(self):
+        """D' rises through zero within 1e-12 * max(tau, 1) of each
+        interval's start and falls through it at each end."""
+        cells = WIDE_REFINE_CELLS[::2]
+        checked = 0
+        for p, report in zip(cells, blp_nonmarkovianity_many(
+                cells, tmax=20.0, grid=20001)):
+            for ends, sign in zip(np.reshape(report.backflow_intervals,
+                                             (-1, 2)).T, (1.0, -1.0)):
+                ends = ends[(ends > 0.0) & (ends < 20.0)]
+                eta = 1e-12 * np.maximum(ends, 1.0)
+                before = sign * slope(p, qb.excited_battery_state(),
+                                      ends - eta)
+                after = sign * slope(p, qb.excited_battery_state(),
+                                     ends + eta)
+                assert ((before <= 0.0) & (after >= 0.0)).all(), p
+                checked += len(ends)
+        assert checked >= 200
 
 
 def at_omega(p, om):

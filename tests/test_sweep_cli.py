@@ -458,6 +458,52 @@ class TestNonFiniteExpansion:
                                           float(lam)))
 
 
+# ratio pairs whose companion-matrix roots are finite but wrong: relative
+# residuals |p(s)| / sum_k |p_k| |s|^k of 6.8e-4 at (1, 1e62) and 1.0 at the
+# other two, where the good cells reach 3.5e-16
+WRONG_ROOT_CELLS = [("1", "1e62"), ("1", "1e86"), ("1.99e-8", "1.07e96")]
+
+
+class TestRootResidual:
+    """A root whose relative residual exceeds 1e-10 is a numerical guard
+    failure (exit 4) naming the cell, with no warning and no traceback,
+    where a population of wrong roots was reported or overflowed."""
+
+    @pytest.mark.parametrize("gamma,lam", WRONG_ROOT_CELLS)
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--steps", "3"], ["maxima"], ["nonmarkov"]])
+    def test_cell_commands_exit_four(self, argv, gamma, lam, capsys):
+        assert cli.main(argv + ["--gamma", gamma, "--lambda", lam]) == 4
+        err = capsys.readouterr().err
+        assert "root residual" in err and "above 1e-10" in err
+        assert f"lambda/Omega = {float(lam)!r}" in err
+        assert "Warning" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("gamma,lam", WRONG_ROOT_CELLS)
+    def test_sweep_and_solve_roots(self, gamma, lam, capsys):
+        assert cli.main(["sweep", "--gamma-axis", f"0.5,{gamma}",
+                         "--lambda-axis", f"2,{lam}",
+                         "--quantity", "stored_energy_max"]) == 4
+        assert "root residual" in capsys.readouterr().err
+        with pytest.raises(qb.metrics.NumericalGuardError,
+                           match="root residual"):
+            qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
+                                          float(lam)))
+
+    def test_wide_domain_passes(self):
+        """2 000 cells log-uniform in [1e-6, 1e6] x [1e-9, 1e15], the
+        triple root and the double-root curve expand."""
+        cells = np.exp(np.random.default_rng(24).uniform(
+            np.log([1e-6, 1e-9]), np.log([1e6, 1e15]), size=(2000, 2)))
+        cells = [tuple(c) for c in cells] + [
+            (16 * math.sqrt(3) / 9, 3 * math.sqrt(3))] + [
+            (2 * (r * r + 2 * r * q - 1) / -(2 * r + q), -(2 * r + q))
+            for r in (-1.01, -1.5, -3.0, -10.0)
+            for q in [2 * r / (r * r - 1)]]
+        roots, _ = propagator._transfer_many(cells)
+        assert roots.shape[1] == len(cells)
+
+
 class TestFigureCommand:
     def test_fig7a_bundle(self, tmp_path, capsys):
         code, _ = run_cli(["figure", "fig7a", "--outdir", str(tmp_path)],
