@@ -2,10 +2,12 @@
 
 Exit codes: 0 ok, 2 usage error, 3 I/O error, 4 numerical guard triggered
 (divergent or truncated backflow measure, a computed population outside
-[0, 1], or an expansion that is not finite).  Times on the command line are the dimensionless Omega*tau used on
-every figure axis, and --gamma and --lambda are ratios to Omega, so no
-command takes Omega itself.  Environment variables are never consulted;
-precedence is flags > config file > defaults.
+[0, 1], an expansion that is not finite, or a root whose relative residual
+|p(s)| / sum_k |p_k| |s|^k exceeds 1e-10).  Times on the command line are
+the dimensionless Omega*tau used on every figure axis, and --gamma and
+--lambda are ratios to Omega, so no command takes Omega itself.
+Environment variables are never consulted; precedence is flags > config
+file > defaults.
 """
 
 from __future__ import annotations

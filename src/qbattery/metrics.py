@@ -24,7 +24,10 @@ and refine the extrema they bracket on that one stack of terms
 (``_refine``): safeguarded Newton steps on the exact slope of |c2|^2, each
 bracket stopping on its own at a computed sign change of the slope, a few
 reads of the evaluator a bracket, and |c2|^2 read there through
-``propagator``'s guard.
+``propagator``'s guard.  A bracket whose slope keeps its sign returns its
+end.  Both searches read the ends of the horizon as zero-width brackets,
+so a charging optimum is the largest of its refined extremum and both
+ends.
 """
 
 from __future__ import annotations
@@ -135,17 +138,6 @@ def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
     return max(work, 0.0)
 
 
-def _halving_end(a: np.ndarray, b: np.ndarray, right) -> np.ndarray:
-    """Where 60 halvings of the brackets [a, b] end when every midpoint
-    sends each bracket the same way (``right``: its left end moves): what
-    a search by halvings reports for a bracket whose slope keeps its sign,
-    so an optimum at 0 or at tmax stays where such a search put it."""
-    for _ in range(60):
-        mid = 0.5 * (a + b)
-        a, b = np.where(right, mid, a), np.where(right, b, mid)
-    return 0.5 * (a + b)
-
-
 def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
             rising_at_a, cells=None) -> tuple[np.ndarray, np.ndarray]:
     """The extrema of |c2|^2 in the brackets (a[i], b[i]) in Omega*tau, the
@@ -173,13 +165,12 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     where f' has the sign of the other kind of extremum, where its step is
     over half the move before the last, or where it starts from an
     original end that is less extreme than the other end and not
-    converged (from there it may head for another extremum than halvings
-    find).  An original end read on the wrong side and more extreme than
-    the other end shows a slope that keeps its sign: the bracket returns
-    the end that halvings reach (``_halving_end``), so an optimum at 0 or
-    tmax stays where it was; else the end is taken on its own side, as
-    halvings take it (a stationary end, as the empty battery's t = 0,
-    reads either way).
+    converged (from there it may head for another extremum than the
+    bracket's).  An original end read on the wrong side and more extreme
+    than the other end shows a slope that keeps its sign: the bracket
+    returns that end, with |c2|^2 there, at once; else the end is taken on
+    its own side (a stationary end, as the empty battery's t = 0, reads
+    either way).  A zero-width bracket [t, t] so returns t at its one read.
     """
     roots, coefs = terms
     u = coefs[0]
@@ -197,21 +188,18 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     size_roots = np.abs(roots)
 
     n = len(a)
-    a0, b0 = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
     t_out, pop_out = np.empty(n), np.empty(n)
     # the state of each open bracket: its index, cell and kind of extremum
     # (the sign of f' there); its ends (lo, hi), whether each was read, the
     # population there and its tol if its Newton step was within it; the
-    # next point, the last two moves, and whether the point is the answer
-    # of a bracket whose slope keeps its sign
+    # next point and the last two moves
     index = np.arange(n)
     cell = index if cells is None else np.asarray(cells)
     kind = np.where(rising_at_a, -1.0, np.ones(n))
-    ends = np.stack((a0, b0))
+    ends = np.array((a, b), dtype=np.float64)
     read = np.zeros((2, n), dtype=bool)
     pops, tols = np.zeros((2, n)), np.zeros((2, n))
-    x, steps = 0.5 * (a0 + b0), np.full((2, n), np.inf)
-    final = np.zeros(n, dtype=bool)
+    x, steps = 0.5 * (ends[0] + ends[1]), np.full((2, n), np.inf)
     count = 0
     while len(x):
         count += 1
@@ -236,28 +224,22 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
         # an unread original end read on the wrong side shows a slope that
         # keeps its sign only if |c2|^2 there is the more extreme (not so
         # at a stationary end, as t = 0 of the empty battery); else it is
-        # taken on its own side, as halvings take it
+        # taken on its own side
         at_lo, at_hi = (x == ends[0]) & ~read[0], (x == ends[1]) & ~read[1]
         other = np.where(at_lo, 1, 0)
         extreme = ~read[other, k] | (kind * (pops[other, k] - pop) >= 0.0)
         up = np.where(np.where(at_lo, ~up, at_hi & up) & ~extreme, at_lo, up)
         side = (~up).astype(np.intp)  # lo (0) for a point on its side
-        kept = ~final & (x == ends[1 - side, k])
-        answer = x.copy()
-        halve = kept & (a0 < b0)
-        if halve.any():
-            answer[halve] = _halving_end(a0[halve], b0[halve], up[halve])
+        kept = x == ends[1 - side, k]  # so both its ends are x from here
         ends[side, k], read[side, k], pops[side, k] = x, True, pop
         tols[side, k] = np.where((np.abs(dx) <= tol) & np.isfinite(tol), tol,
                                  0.0)
-        now = final | (kept & (answer == x))
-        done = now | ~kept & ((read.all(0) & (ends[1] - ends[0] <= 4.0 * ulp
-                                                + 2.0 * tols.max(0)))
-                              | (count >= 60))
+        done = kept | (read.all(0) & (ends[1] - ends[0] <= 4.0 * ulp
+                                      + 2.0 * tols.max(0))) | (count >= 60)
         # the left end of the sign change, if read
         end = (~read[0]).astype(np.intp)
-        t_out[index[done]] = np.where(now, x, ends[end, k])[done]
-        pop_out[index[done]] = np.where(now, pop, pops[end, k])[done]
+        t_out[index[done]] = ends[end, k][done]
+        pop_out[index[done]] = pops[end, k][done]
         # the next point of each open bracket: the Newton point from this
         # read, else the other end if unread, else the midpoint
         with np.errstate(all="ignore"):
@@ -269,13 +251,11 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
                   & (ends[0] < newton) & (newton < ends[1]))
         nxt = np.where(ok, newton, np.where(
             read[1 - side, k], 0.5 * (ends[0] + ends[1]), ends[1 - side, k]))
-        nxt = np.where(kept, answer, nxt)
         steps = np.stack((np.abs(nxt - x), steps[0]))
-        x, final = nxt, final | kept
+        x = nxt
         if done.any():
             keep = np.flatnonzero(~done)
-            index, cell, a0, b0, kind, x, final = (
-                v[keep] for v in (index, cell, a0, b0, kind, x, final))
+            index, cell, kind, x = (v[keep] for v in (index, cell, kind, x))
             ends, read, pops, tols, steps = (
                 v[:, keep] for v in (ends, read, pops, tols, steps))
     return t_out, _clipped_population(pop_out)
@@ -526,8 +506,9 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
 
     The cells are expanded together, scanned ``MAXIMA_SCAN_CELLS`` at a
     time in one blocked pass each (``_scan_peaks``), and the brackets of
-    all cells are then refined together by ``_refine`` on the same stack of
-    terms; a cell's report does not depend on its batch.
+    all cells, with each cell's ends 0 and tmax as zero-width brackets, are
+    then refined together by ``_refine`` on the same stack of terms; a
+    cell's report does not depend on its batch.
     """
     if init is None:
         init = empty_battery_state()
@@ -539,8 +520,16 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
     terms = _transfer_many([_ratios(p) for p in params_seq])
     peak = _scan_peaks(terms, init, tmax)
     taus = np.linspace(0.0, tmax, n)
-    tau_star, p_star = _refine(terms, init, taus[np.maximum(peak - 1, 0)],
-                               taus[np.minimum(peak + 1, n - 1)], True)
+    # each cell's bracket, then its ends as zero-width brackets [0, 0] and
+    # [tmax, tmax]; the largest of the three, the bracket's on ties
+    m = len(peak)
+    ends = np.repeat([0.0, tmax], m)
+    t, pop = (v.reshape(3, m) for v in _refine(
+        terms, init, np.concatenate((taus[np.maximum(peak - 1, 0)], ends)),
+        np.concatenate((taus[np.minimum(peak + 1, n - 1)], ends)), True,
+        np.tile(np.arange(m), 3)))
+    best = np.argmax(pop, 0), np.arange(m)
+    tau_star, p_star = t[best], pop[best]
     omega0 = np.array([p.omega0 for p in params_seq])
     return [MaximaReport(de, w, tau, tau if w > 0.0 else math.nan,
                          tau > tmax - (tmax / (n - 1)))
@@ -559,9 +548,11 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
     on d|c2|^2/dt = 2 Re(conj(c2) (-i c1)) and its exact derivative, by the
     ``_refine`` that also finds the BLP extrema: Omega*tau is found to a
     sign change of that slope within a few ulps or within its roundoff,
-    and an optimum at 0 or tmax is where halvings of the bracket end.  A
-    population outside [0, 1] raises ``NumericalGuardError``.  An optimum
-    within one scan step of tmax sets ``at_boundary``.  This is the
-    one-cell case of ``maximize_over_tau_many``.
+    and a bracket whose slope keeps its sign returns its end.  The optimum
+    is the largest of the refined extremum and both ends, 0 and tmax
+    (the extremum on ties).  A population outside [0, 1] raises
+    ``NumericalGuardError``.  An optimum within one scan step of tmax sets
+    ``at_boundary``.  This is the one-cell case of
+    ``maximize_over_tau_many``.
     """
     return maximize_over_tau_many([params], init, tmax)[0]

@@ -256,11 +256,35 @@ class TestMaximize:
             assert 0.0 <= report.w_max <= report.delta_e_max <= 1.0 + 1e-9
 
     def test_boundary_warning(self):
-        """The report's flag is the one channel: nothing is warned."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = qb.maximize_over_tau(params(0.0, 1.0), tmax=1.0)
-        assert report.at_boundary
+        """The report's flag is the one channel: nothing is warned.  An
+        optimum at the horizon is the horizon itself: at tmax = 0.3 the
+        empty battery still charges on every figure cell."""
+        cells = [params(0.0, 1.0)] + [params(g, lam) for g in GRID_AXIS
+                                      for lam in GRID_AXIS + (math.inf,)]
+        for tmax in (1.0, 0.3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = maximize_over_tau_many(cells, tmax=tmax)
+            assert reports[0].at_boundary
+            flagged = [r.tau_at_e_max for r in reports if r.at_boundary]
+            assert flagged == [tmax] * len(flagged)
+        assert len(flagged) == len(cells) == 463
+
+    def test_optimum_at_zero_is_zero(self):
+        """The excited battery discharges from t = 0 on every figure cell,
+        so its optimum is |c2(0)|^2 = 1 at tau = 0 exactly; a general state
+        whose first bracket holds a lower maximum inside keeps |c2(0)|^2."""
+        cells = [params(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        reports = maximize_over_tau_many(cells, qb.excited_battery_state())
+        assert [r.tau_at_e_max for r in reports] == [0.0] * 462
+        assert all(r.delta_e_max == pytest.approx(1.0, rel=1e-15)
+                   for r in reports)
+        report = qb.maximize_over_tau(
+            params(9397.269903317789, 353.6986763035348),
+            qb.make_initial_state(0.6, 0.8j))
+        assert report.tau_at_e_max == 0.0
+        assert report.delta_e_max == pytest.approx(0.64, rel=1e-15)
 
 
 class TestTrends:
@@ -905,14 +929,14 @@ class TestRefine:
         assert checked >= 40
 
     @pytest.mark.parametrize("init", [qb.empty_battery_state(),
-                                      qb.excited_battery_state()],
-                             ids=["empty", "excited"])
+                                      qb.excited_battery_state(),
+                                      BATCH_INITS["general"]],
+                             ids=["empty", "excited", "general"])
     def test_optimum_not_below_largest_sample_on_wide_domain(self, init):
         """No optimum falls below the largest sample of its scan: not at a
-        stationary end (the empty battery's t = 0), and not at an end whose
-        slope only seems to keep its sign.  For a general state an optimum
-        at t = 0 is still missed where the first bracket holds a lower
-        maximum inside (ROADMAP item 2)."""
+        stationary end (the empty battery's t = 0), not at an end whose
+        slope only seems to keep its sign, and not at t = 0 where the
+        first bracket holds a lower maximum inside."""
         taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
         for p, report in zip(WIDE_REFINE_CELLS, maximize_over_tau_many(
                 WIDE_REFINE_CELLS, init)):
