@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -26,9 +27,8 @@ from .metrics import (NumericalGuardError, blp_nonmarkovianity,
                       maximize_over_tau)
 from .model import make_params
 from .propagator import trajectory
-from .sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
-                    sweep_to_json, table_to_csv, trajectory_to_csv,
-                    trajectory_to_json)
+from .sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_csv, sweep_json,
+                    table_to_csv, trajectory_csv, trajectory_json)
 
 EXIT_USAGE = 2
 EXIT_IO = 3
@@ -93,12 +93,22 @@ def _load_config(path: str, subparsers: dict) -> dict:
     return cfg
 
 
-def _write_output(out: str, text: str) -> None:
+def _write_output(out: str, chunks) -> None:
+    """Write the text ``chunks`` to the file ``out``, or to stdout for '-',
+    each as it is made.  A reader that closes stdout early ends the output
+    quietly: the command keeps its exit code."""
     if out == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # what stdout still buffers goes to devnull, so that its flush
+            # at exit cannot fail on the closed pipe too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            file.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
@@ -195,7 +205,7 @@ def _cmd_evolve(args, parser) -> int:
     traj = trajectory(params, tmax=args.tmax, steps=args.steps)
     metadata = {**_header(args, omega0=args.omega0),
                 "tmax_Omega_tau": args.tmax, "steps": args.steps}
-    writer = trajectory_to_csv if args.format == "csv" else trajectory_to_json
+    writer = trajectory_csv if args.format == "csv" else trajectory_json
     _write_output(args.out, writer(traj, metadata))
     return 0
 
@@ -206,9 +216,8 @@ def _cmd_sweep(args, parser) -> int:
                      _parse_axis(args.lambda_axis), args.quantity,
                      tmax=args.tmax, grid=args.grid)
     result = run_sweep(spec, workers=args.workers)
-    text = (sweep_to_csv(result) if args.format == "csv"
-            else sweep_to_json(result))
-    _write_output(args.out, text)
+    writer = sweep_csv if args.format == "csv" else sweep_json
+    _write_output(args.out, writer(result))
     return 0
 
 
@@ -221,7 +230,7 @@ def _cmd_maxima(args, parser) -> int:
                "tau_at_e_max": report.tau_at_e_max,
                "tau_at_w_max": report.tau_at_w_max,
                "at_boundary": report.at_boundary}
-    _write_output(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_output(args.out, [json.dumps(payload, indent=2) + "\n"])
     return 0
 
 
@@ -235,7 +244,7 @@ def _cmd_nonmarkov(args, parser) -> int:
                "backflow_intervals": [list(iv)
                                       for iv in report.backflow_intervals],
                "divergent": report.divergent, "truncated": report.truncated}
-    _write_output(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_output(args.out, [json.dumps(payload, indent=2) + "\n"])
     return EXIT_GUARD if (report.divergent or report.truncated) else 0
 
 
@@ -246,16 +255,18 @@ def _cmd_figure(args, parser) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     outdir = Path(args.outdir) / bundle.name
+    comments = [f"figure={bundle.name}", f"tool_version={__version__}"]
+    outputs = [("manifest.json", [json.dumps(bundle.manifest, indent=2)
+                                  + "\n"])]
+    outputs += [(fname, table_to_csv(comments, cols, table))
+                for fname, (cols, table) in bundle.tables.items()]
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "manifest.json").write_text(
-            json.dumps(bundle.manifest, indent=2) + "\n")
-        comments = [f"figure={bundle.name}", f"tool_version={__version__}"]
-        for fname, (cols, table) in bundle.tables.items():
-            (outdir / fname).write_text(table_to_csv(comments, cols, table))
     except OSError as exc:
         print(f"error: cannot write bundle: {exc}", file=sys.stderr)
         return EXIT_IO
+    for fname, chunks in outputs:
+        _write_output(str(outdir / fname), chunks)
     return 0
 
 

@@ -407,7 +407,8 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
     scanned alone (``_blp_brackets``), and their brackets are refined
     together by ``_refine``: memory does not grow with the batch or the
     grid, nor a cell's report depend on the batch.  A grid of more than
-    ``BLP_MAX_GRID`` points raises ValueError naming --grid and --tmax.
+    ``BLP_MAX_GRID`` points, or a default grid of fewer than 3, raises
+    ValueError naming --grid and --tmax.
     D(tmax), read with the extrema, sets each report's ``truncated`` flag.
     """
     params_seq = list(params_seq)
@@ -419,7 +420,11 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
             raise ValueError("the default scan grid at this tmax is not "
                              "finite; give --grid")
         grid = int(round(span)) + 1
-    if grid < 3:
+        if grid < 3:
+            raise ValueError("the default scan grid at this tmax has "
+                             "fewer than 3 points; give a larger --tmax or "
+                             "a --grid")
+    elif grid < 3:
         raise ValueError("grid must be at least 3 points")
     if grid > BLP_MAX_GRID:
         raise ValueError(f"a scan of {grid} points is more than the "

@@ -10,9 +10,11 @@ in one contiguous chunk per worker, whose extrema are refined together
 (BLP cells ``BLP_REFINE_CELLS`` at a time, so no chunk holds all its
 reports).
 
-CSV and JSON tables share one writer, ``_table_rows``: each distinct
-column is turned into text by one bulk call, and the rows are joins of
-those texts.
+CSV and JSON tables share one writer, ``_table_rows``, which goes through
+a table ``BLOCK_ROWS`` rows at a time: in each block, each distinct column
+slice is turned into text by one bulk call, and the rows are joins of
+those texts.  The CSV and JSON writers return their text as chunks, one
+or a few per block, so no whole document is ever held in memory.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 _fmt = "%.17g".__mod__  # a float's CSV text, 17 significant digits
 
+BLOCK_ROWS = 2048  # rows a table writer turns into text at once
+
 
 def _csv_texts(values: list[float]) -> list[str]:
     return list(map(_fmt, values))
@@ -133,62 +137,77 @@ def _json_texts(values: list[float]) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
-def _table_rows(table: np.ndarray, encode, sep: str):
-    """Each row of the 2-d float ``table`` as its value texts joined by
-    ``sep``.  ``encode`` turns one column's values into their texts in one
-    call; a column bit-identical to an earlier one (``tobytes``, so -0.0
-    never shares 0.0's text) reuses that column's texts, as
-    ``stored_energy`` does ``population``'s at omega0 = 1."""
-    texts, seen = [], {}
-    for column in table.T:
-        key = column.tobytes()
-        if key not in seen:
-            seen[key] = encode(column.tolist())
-        texts.append(seen[key])
-    return map(sep.join, zip(*texts))
+def _table_rows(columns, encode, sep: str):
+    """Blocks of at most ``BLOCK_ROWS`` rows of the table whose 1-d float
+    ``columns`` are given, each block the list of its rows, a row its
+    value texts joined by ``sep``.  ``encode`` turns one column's values
+    in a block into their texts in one call; a column slice bit-identical
+    to an earlier one of the block (``tobytes``, so -0.0 never shares
+    0.0's text) reuses its texts, as ``stored_energy`` does
+    ``population``'s at omega0 = 1."""
+    for start in range(0, len(columns[0]) if len(columns) else 0,
+                       BLOCK_ROWS):
+        texts, seen = [], {}
+        for column in columns:
+            part = np.asarray(column[start:start + BLOCK_ROWS],
+                              dtype=np.float64)
+            key = part.tobytes()
+            if key not in seen:
+                seen[key] = encode(part.tolist())
+            texts.append(seen[key])
+        yield list(map(sep.join, zip(*texts)))
 
 
-def table_to_csv(comments, columns, table) -> str:
-    """CSV text: one '#'-prefixed line per comment, a header row of
-    ``columns`` and one line per row of the 2-d numeric ``table``, each
+def _csv_chunks(comments, header, columns):
+    """Chunks of the CSV text of ``table_to_csv``, the table given by its
+    columns: the comment and header lines, then one chunk per block."""
+    yield "".join(f"# {comment}\n" for comment in comments) + ",".join(
+        header) + "\n"
+    for block in _table_rows(columns, _csv_texts, ","):
+        yield "\n".join(block) + "\n"
+
+
+def table_to_csv(comments, header, table):
+    """Chunks of CSV text: one '#'-prefixed line per comment, a header row
+    of ``header`` and one line per row of the 2-d numeric ``table``, each
     value as ``_fmt`` writes it.  A table whose width is not the header's
-    is a ValueError."""
+    is a ValueError, raised by this call, before any chunk is made."""
     table = np.asarray(table, dtype=np.float64)
-    if table.ndim != 2 or table.shape[1] != len(columns):
+    if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"a table of shape {table.shape} does not fit a "
-                         f"header of {len(columns)} columns")
-    lines = [f"# {comment}" for comment in comments]
-    lines.append(",".join(columns))
-    lines.extend(_table_rows(table, _csv_texts, ","))
-    return "\n".join(lines) + "\n"
+                         f"header of {len(header)} columns")
+    return _csv_chunks(comments, header, table.T)
 
 
-def _table_json(table: np.ndarray) -> list[str]:
-    """Text parts of a 2-d float table as ``json.dumps(..., indent=2)``
-    lays it out one level down: each row and each value on its own line,
-    the values spelled by json's encoder (``_json_texts``).  A table
-    without values is left to ``json.dumps``."""
-    if not table.size:
-        return [json.dumps(table.tolist(), indent=2).replace("\n", "\n  ")]
-    return ["[\n    [\n      ",
-            "\n    ],\n    [\n      ".join(
-                _table_rows(table, _json_texts, ",\n      ")),
-            "\n    ]\n  ]"]
+def _table_json(columns):
+    """Chunks of a float table, given by its columns, as
+    ``json.dumps(..., indent=2)`` lays it out one level down: each row and
+    each value on its own line, the values spelled by json's encoder
+    (``_json_texts``).  A table without values is ``[]``."""
+    if not len(columns) or not len(columns[0]):
+        yield "[]"
+        return
+    between = "\n    ],\n    [\n      "
+    opening = "[\n    [\n      "
+    for block in _table_rows(columns, _json_texts, ",\n      "):
+        yield opening + between.join(block)
+        opening = between
+    yield "\n    ]\n  ]"
 
 
-def _to_json(payload: dict, table_key: str) -> str:
-    """``json.dumps(payload, indent=2)``, byte for byte, with the 2-d float
-    table ``payload[table_key]`` written by ``_table_json``."""
-    parts = []
+def _to_json(payload: dict, table_key: str):
+    """Chunks of ``json.dumps(payload, indent=2)``, byte for byte, with
+    ``payload[table_key]`` the columns of a float table, written as its
+    rows by ``_table_json``."""
+    opening = "{\n  "
     for key, value in payload.items():
-        parts.append(("{\n  " if not parts else ",\n  ")
-                     + json.dumps(key) + ": ")
+        yield opening + json.dumps(key) + ": "
+        opening = ",\n  "
         if key == table_key:
-            parts += _table_json(np.asarray(value, dtype=np.float64))
+            yield from _table_json(value)
         else:
-            parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
-    parts.append("\n}")
-    return "".join(parts)
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
+    yield "\n}"
 
 
 def sweep_table(result: SweepResult) -> tuple[list[str], np.ndarray]:
@@ -199,9 +218,9 @@ def sweep_table(result: SweepResult) -> tuple[list[str], np.ndarray]:
                                      result.values])
 
 
-def sweep_to_csv(result: SweepResult) -> str:
-    """CSV with '#'-prefixed metadata, a header row of lambda/Omega values
-    and one row per gamma/Omega value."""
+def sweep_csv(result: SweepResult):
+    """Chunks of CSV with '#'-prefixed metadata, a header row of
+    lambda/Omega values and one row per gamma/Omega value."""
     comments = [f"{key}={val}" for key, val in result.metadata.items()]
     comments += [f"flag: {i},{j},{flag}"
                  for i, row in enumerate(result.flags)
@@ -209,14 +228,15 @@ def sweep_to_csv(result: SweepResult) -> str:
     return table_to_csv(comments, *sweep_table(result))
 
 
-def sweep_to_json(result: SweepResult) -> str:
+def sweep_json(result: SweepResult):
+    """Chunks of the sweep's JSON document."""
     payload = {
         "gamma_over_omega": list(result.spec.gamma_over_omega),
         "lambda_over_omega": list(result.spec.lambda_over_omega),
         "quantity": result.spec.quantity,
         "tmax": result.spec.tmax,
         "grid": result.spec.grid,
-        "values": result.values,
+        "values": result.values.T,
         "flags": result.flags,
         "metadata": result.metadata,
     }
@@ -227,19 +247,21 @@ TRAJECTORY_COLUMNS = ("Omega_tau", "re_kappa", "im_kappa", "population",
                       "stored_energy", "ergotropy")
 
 
-def trajectory_table(traj: ChargingTrajectory) -> np.ndarray:
-    return np.column_stack([traj.times, traj.kappa.real, traj.kappa.imag,
-                            traj.population, traj.stored_energy,
-                            traj.ergotropy])
+def trajectory_columns(traj: ChargingTrajectory) -> list[np.ndarray]:
+    """The arrays of the ``TRAJECTORY_COLUMNS``, in order."""
+    return [traj.times, traj.kappa.real, traj.kappa.imag, traj.population,
+            traj.stored_energy, traj.ergotropy]
 
 
-def trajectory_to_csv(traj: ChargingTrajectory, metadata: dict) -> str:
-    return table_to_csv([f"{key}={val}" for key, val in metadata.items()],
-                        TRAJECTORY_COLUMNS, trajectory_table(traj))
+def trajectory_csv(traj: ChargingTrajectory, metadata: dict):
+    """Chunks of the trajectory's CSV table, ``metadata`` as comments."""
+    return _csv_chunks([f"{key}={val}" for key, val in metadata.items()],
+                       TRAJECTORY_COLUMNS, trajectory_columns(traj))
 
 
-def trajectory_to_json(traj: ChargingTrajectory, metadata: dict) -> str:
+def trajectory_json(traj: ChargingTrajectory, metadata: dict):
+    """Chunks of the trajectory's JSON document."""
     payload = {"metadata": metadata,
                "columns": list(TRAJECTORY_COLUMNS),
-               "rows": trajectory_table(traj)}
+               "rows": trajectory_columns(traj)}
     return _to_json(payload, "rows")

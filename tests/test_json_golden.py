@@ -19,10 +19,10 @@ import pytest
 import qbattery as qb
 from qbattery import cli
 from qbattery.propagator import ChargingTrajectory
-from qbattery.sweep import (SweepResult, SweepSpec, TRAJECTORY_COLUMNS,
-                            _to_json, sweep_to_json, table_to_csv,
-                            trajectory_table, trajectory_to_csv,
-                            trajectory_to_json)
+from qbattery.sweep import (BLOCK_ROWS, SweepResult, SweepSpec,
+                            TRAJECTORY_COLUMNS, _to_json, sweep_json,
+                            table_to_csv, trajectory_columns, trajectory_csv,
+                            trajectory_json)
 
 EVOLVE_JSON = """\
 {
@@ -175,6 +175,10 @@ def test_command_json_bytes(tmp_path, argv, expected):
     assert out.read_bytes() == expected.encode()
 
 
+def trajectory_table(traj):
+    return np.column_stack(trajectory_columns(traj))
+
+
 def trajectory_to_json_reference(traj, metadata):
     """The per-value ``indent=2`` encoding the writer replaces."""
     payload = {"metadata": metadata,
@@ -215,7 +219,7 @@ METADATA = {"command": "evolve", "lambda": math.inf, "tmax": None,
 @pytest.mark.parametrize("n", [1, 2, 13, 40])
 def test_trajectory_writer_matches_indent_encoder(rng, n):
     traj = special_trajectory(rng, n)
-    text = trajectory_to_json(traj, METADATA)
+    text = "".join(trajectory_json(traj, METADATA))
     assert text == trajectory_to_json_reference(traj, METADATA)
     if n >= len(SPECIAL):  # every column holds every special value
         rows = json.loads(text)["rows"]
@@ -228,7 +232,7 @@ def test_trajectory_writer_matches_indent_encoder(rng, n):
 def test_empty_trajectory_matches_indent_encoder():
     empty = np.zeros(0)
     traj = ChargingTrajectory(empty, empty + 0j, empty, empty, empty)
-    assert (trajectory_to_json(traj, {})
+    assert ("".join(trajectory_json(traj, {}))
             == trajectory_to_json_reference(traj, {}))
 
 
@@ -241,14 +245,14 @@ def test_sweep_writer_matches_indent_encoder(rng, shape):
     result = SweepResult(spec, values.reshape(shape),
                          [["divergent"] * shape[1]] * shape[0],
                          {"quantity": spec.quantity, "grid": None})
-    assert sweep_to_json(result) == sweep_to_json_reference(result)
+    assert "".join(sweep_json(result)) == sweep_to_json_reference(result)
 
 
 @pytest.mark.parametrize("lam", [0.3, math.inf])
 def test_real_trajectory_matches_indent_encoder(lam):
     traj = qb.trajectory(qb.make_params(1.0, 1.0, 0.7, lam), tmax=10.0,
                          steps=501)
-    assert (trajectory_to_json(traj, METADATA)
+    assert ("".join(trajectory_json(traj, METADATA))
             == trajectory_to_json_reference(traj, METADATA))
 
 
@@ -263,7 +267,7 @@ def table_to_csv_reference(comments, columns, table):
 @pytest.mark.parametrize("n", [1, 2, 13, 40])
 def test_trajectory_csv_matches_per_value_format(rng, n):
     traj = special_trajectory(rng, n)
-    text = trajectory_to_csv(traj, METADATA)
+    text = "".join(trajectory_csv(traj, METADATA))
     assert text == table_to_csv_reference(
         [f"{key}={val}" for key, val in METADATA.items()],
         TRAJECTORY_COLUMNS, trajectory_table(traj))
@@ -276,25 +280,32 @@ def test_trajectory_csv_matches_per_value_format(rng, n):
 def shared_text_tables(rng):
     """Tables whose columns repeat: a column bit-identical to an earlier
     one, columns equal in value but not in bits (0.0 against -0.0), a
-    constant column, and one row, one column and zero rows."""
+    constant column, and one row, one column and zero rows; and tables of
+    one and of several blocks of rows, with columns equal to an earlier one
+    in every block but the first or the last."""
     x = rng.permutation(np.resize(SPECIAL, 2 * len(SPECIAL)))
     zeros = np.zeros(len(x))
     flipped = np.where(x == 0, -x, x)
     wide = np.column_stack([x, zeros, x, -zeros, flipped, zeros + 0.1, x])
-    return [wide, wide[:1], x[:, None], -zeros[:, None], wide[:0]]
+    y = rng.permutation(np.resize(SPECIAL, 2 * BLOCK_ROWS + 5))
+    head, tail = y.copy(), y.copy()
+    head[0] = tail[-1] = 7.25  # no SPECIAL value
+    long = np.column_stack([y, head, y, tail, np.zeros(len(y))])
+    return [wide, wide[:1], x[:, None], -zeros[:, None], wide[:0],
+            long, long[:BLOCK_ROWS], long[:BLOCK_ROWS + 1]]
 
 
 def test_shared_texts_csv(rng):
     for table in shared_text_tables(rng):
         columns = [f"c{k}" for k in range(table.shape[1])]
-        assert (table_to_csv(["note"], columns, table)
+        assert ("".join(table_to_csv(["note"], columns, table))
                 == table_to_csv_reference(["note"], columns, table))
 
 
 def test_shared_texts_json(rng):
     for table in shared_text_tables(rng):
-        payload = {"note": "shared", "rows": table}
-        assert (_to_json(payload, "rows")
+        payload = {"note": "shared", "rows": table.T}
+        assert ("".join(_to_json(payload, "rows"))
                 == json.dumps({**payload, "rows": table.tolist()}, indent=2))
 
 
@@ -320,19 +331,17 @@ def traced_peak(write) -> float:
             tracemalloc.stop()
 
 
-def test_peak_memory():
-    """Peak traced allocation of one 20001-step export stays under 14 MB.
-    The per-value ``indent=2`` encoder peaked at 19.8 MB on this table,
-    a one-call encoding of the whole table 10.8 MB and the column-at-a-time
-    writer 12.8 MB."""
+@pytest.mark.parametrize("steps", [20001, 200001])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_write_peak_memory(tmp_path, fmt, steps):
+    """Peak traced allocation of writing an export to a file stays under
+    3 MB at any number of rows: the writer holds one block of rows at a
+    time.  Measured at 1.4 MB (CSV) and 1.8 MB (JSON) at both sizes; the
+    writers that built the whole text peaked at 9.4 MB (CSV) and 12.8 MB
+    (JSON) at 20001 rows."""
     traj = qb.trajectory(qb.make_params(1.0, 1.0, 0.1, 0.1), tmax=25.0,
-                         steps=20001)
-    assert traced_peak(lambda: trajectory_to_json(traj, METADATA)) <= 14e6
-
-
-def test_csv_peak_memory():
-    """Peak traced allocation of one 20001-step CSV export stays under
-    11 MB; the column-at-a-time writer measured 9.4 MB."""
-    traj = qb.trajectory(qb.make_params(1.0, 1.0, 0.1, 0.1), tmax=25.0,
-                         steps=20001)
-    assert traced_peak(lambda: trajectory_to_csv(traj, METADATA)) <= 11e6
+                         steps=steps)
+    writer = trajectory_csv if fmt == "csv" else trajectory_json
+    out = str(tmp_path / f"out.{fmt}")
+    assert traced_peak(lambda: cli._write_output(
+        out, writer(traj, METADATA))) <= 3e6

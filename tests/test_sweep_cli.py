@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +13,8 @@ import qbattery as qb
 from qbattery import cli, metrics, propagator, sweep
 from qbattery.figures import GRID_AXIS
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
-from qbattery.sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_to_csv,
-                            sweep_to_json)
+from qbattery.sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_csv,
+                            sweep_json)
 
 
 def run_cli(args, capsys):
@@ -247,7 +249,7 @@ class TestSweep:
     def test_json_round_trip_exact(self):
         spec = SweepSpec((0.5, 5.0), (0.5, math.inf), "ergotropy_max")
         result = run_sweep(spec)
-        payload = json.loads(sweep_to_json(result))
+        payload = json.loads("".join(sweep_json(result)))
         np.testing.assert_array_equal(result.values,
                                       np.array(payload["values"]))
         assert SweepSpec(tuple(payload["gamma_over_omega"]),
@@ -259,7 +261,7 @@ class TestSweep:
     def test_csv_shape_and_metadata(self):
         spec = SweepSpec((0.5, 1.0, 2.0), (1.0, math.inf),
                          "stored_energy_max")
-        text = sweep_to_csv(run_sweep(spec))
+        text = "".join(sweep_csv(run_sweep(spec)))
         lines = text.splitlines()
         assert any(l.startswith("# quantity=stored_energy_max")
                    for l in lines)
@@ -654,6 +656,54 @@ def test_non_finite_default_grid_is_usage_error(argv, capsys):
     which used to end in an OverflowError traceback."""
     assert cli.main(argv + ["--tmax", "1e306"]) == 2
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["evolve", "--gamma", "1", "--lambda", "1e62"], 4),
+    (["sweep", "--gamma-axis", "1", "--lambda-axis", "1e62",
+      "--quantity", "stored_energy_max", "--format", "json"], 4),
+    (["evolve", "--gamma", "1", "--lambda", "1", "--steps", "1"], 2),
+])
+def test_refused_command_leaves_no_file(tmp_path, argv, code, capsys):
+    """Every check that can refuse a command runs before --out is
+    opened."""
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_pipe_ends_quietly(tmp_path, fmt):
+    """A reader that stops after two lines of a 400001-row export ends the
+    command with its own exit code and nothing on stderr."""
+    src = str(Path(qb.__file__).resolve().parent.parent)
+    err = tmp_path / "err"
+    with open(err, "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from qbattery import cli; sys.exit(cli.main(sys.argv[2:]))",
+             src, "evolve", "--gamma", "1", "--lambda", "1",
+             "--steps", "400001", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=stderr)
+        first = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+    assert first[0] in (b"# command=evolve\n", b"{\n")
+    assert err.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonmarkov", "--gamma", "1", "--lambda", "1"],
+    ["sweep", "--gamma-axis", "1", "--lambda-axis", "1",
+     "--quantity", "nonmarkovianity"],
+])
+def test_short_default_grid_names_tmax_and_grid(argv, capsys):
+    """At tmax = 1e-4 the default spacing rounds to a 1-point grid; no
+    --grid was given, so the refusal names both options."""
+    assert cli.main(argv + ["--tmax", "1e-4"]) == 2
+    err = capsys.readouterr().err
+    assert "--tmax" in err and "--grid" in err
 
 
 @pytest.mark.parametrize("argv", [
