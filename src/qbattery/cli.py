@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .figures import FIGURE_NAMES, figure_bundle
-from .metrics import (NumericalGuardError, blp_nonmarkovianity,
-                      maximize_over_tau)
+from .metrics import blp_nonmarkovianity, maximize_over_tau
 from .model import make_params
-from .propagator import trajectory
+from .propagator import NumericalGuardError, trajectory
 from .sweep import (QUANTITIES, SweepSpec, run_sweep, sweep_csv, sweep_json,
                     table_to_csv, trajectory_csv, trajectory_json)
 

@@ -1,4 +1,6 @@
-"""Figures of merit: stored energy, ergotropy, BLP backflow, optima.
+"""Figures of merit: BLP backflow and the charging optima of stored energy
+and ergotropy, both formulas applied by ``propagator`` (``_qubit_ergotropy``
+on the guarded population ``_clipped_population``).
 
 The BLP trace distance is evaluated for the maximizing state pair
 {|e><e|, |g><g|}.  |g><g| carries no excitation and is stationary, while
@@ -39,9 +41,9 @@ import numpy as np
 
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
-from .propagator import (NumericalGuardError, Terms, _apply, _check_tmax,
-                         _clipped_population, _eval_terms, _qubit_ergotropy,
-                         _ratios, _select, _transfer_many, _weights)
+from .propagator import (Terms, _apply, _check_tmax, _clipped_population,
+                         _eval_terms, _qubit_ergotropy, _ratios, _select,
+                         _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -79,63 +81,6 @@ class MaximaReport:
     tau_at_e_max: float
     tau_at_w_max: float
     at_boundary: bool = False
-
-
-def _like(population, values: np.ndarray) -> float | np.ndarray:
-    """``values`` as a Python float for a scalar population, else as is."""
-    return float(values) if np.ndim(population) == 0 else values
-
-
-def stored_energy(params: ModelParams,
-                  population: float | np.ndarray) -> float | np.ndarray:
-    """Energy held by the battery at excited population p: omega0 * p.
-
-    ``population`` is a scalar (a Python float is returned) or an array
-    (an array of the same shape is returned); every entry must lie in
-    [0, 1] up to roundoff, else ValueError.
-    """
-    return _like(population, params.omega0 * _clipped_population(population))
-
-
-def ergotropy_qubit(params: ModelParams,
-                    population: float | np.ndarray) -> float | np.ndarray:
-    """Extractable work of the diagonal qubit state diag(p, 1-p):
-    omega0*(2p - 1) above the passive boundary p = 1/2, else zero.
-
-    Takes a scalar or an array population, as ``stored_energy`` does.
-    """
-    p = _clipped_population(population)
-    return _like(population, _qubit_ergotropy(params.omega0, p))
-
-
-def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
-                      tol: float = 1e-9) -> float:
-    """Extractable work tr(rho H) - tr(sigma H) for any finite dimension.
-
-    The passive state sigma pairs the populations of rho, sorted descending,
-    with the energy levels sorted ascending.  Inputs must be Hermitian, with
-    rho trace-1 and positive semidefinite (tolerance ``tol``).
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    h = np.asarray(hamiltonian, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
-        raise ValueError("rho must be a square matrix of dimension >= 2")
-    if h.shape != rho.shape:
-        raise ValueError("hamiltonian shape must match rho")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("rho is not Hermitian")
-    if np.max(np.abs(h - h.conj().T)) > tol:
-        raise ValueError("hamiltonian is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol:
-        raise ValueError("rho is not trace-1")
-    r = np.linalg.eigvalsh(rho)
-    if r[0] < -tol:
-        raise ValueError("rho is not positive semidefinite")
-    eps = np.linalg.eigvalsh(h)          # ascending
-    r_desc = r[::-1]                     # descending
-    passive = float(np.dot(r_desc, eps))
-    work = float(np.trace(rho @ h).real) - passive
-    return max(work, 0.0)
 
 
 def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,

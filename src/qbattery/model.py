@@ -1,4 +1,4 @@
-"""Physical parameter set, initial states and the Lorentzian coupling spectrum.
+"""Physical parameter set and initial states.
 
 Conventions used throughout the package:
 
@@ -13,7 +13,7 @@ Conventions used throughout the package:
   ((omega0 - w)^2 + width^2): ``spectral_width`` is the half-width and
   ``gamma`` the overall coupling weight.  All dynamics are driven by the
   equivalent exponential memory kernel (gamma*width/2) * exp(-width*|t-t'|);
-  J itself is exposed for documentation and plotting only.
+  J is documented here and never computed.
 """
 
 from __future__ import annotations
@@ -106,18 +106,3 @@ def empty_battery_state() -> InitialState:
 def excited_battery_state() -> InitialState:
     """Excitation starts in the battery qubit (used by the BLP state pair)."""
     return InitialState(0.0 + 0.0j, 1.0 + 0.0j)
-
-
-def spectral_density_at(params: ModelParams, omega: float) -> float:
-    """Lorentzian coupling spectrum J(omega); peaks at resonance.
-
-    Rejects memoryless parameters: in the flat-spectrum limit J degenerates
-    and carries no information (the memory kernel is a delta function).
-    """
-    if params.memoryless:
-        raise ValueError("spectral density is unsupported for memoryless "
-                         "(infinite-width) parameters")
-    lam = params.spectral_width
-    gamma = params.coupling_cavity_env
-    return (gamma / (2.0 * math.pi)) * lam ** 2 / (
-        (params.omega0 - omega) ** 2 + lam ** 2)

@@ -208,8 +208,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-6], got {tol}")
 
 
-def _integrate(params: ModelParams, init: InitialState, tmax: float,
-               tol: float, t_eval, steps: int) -> AmplitudeSeries:
+def integrate(params: ModelParams, init: InitialState, tmax: float,
+              tol: float = DEFAULT_TOL, t_eval=None,
+              steps: int = 501) -> AmplitudeSeries:
+    """Adaptive RK45 integration of the amplitude system: the 3-component
+    finite-width system, or the 2-component one when memoryless (``z`` is
+    then zeros)."""
     _check_tol(tol)
     times = _as_t_eval(tmax, t_eval, steps)
     m = system_matrix(params)
@@ -220,15 +224,6 @@ def _integrate(params: ModelParams, init: InitialState, tmax: float,
     return AmplitudeSeries(times, ys[:, 0], ys[:, 1], z)
 
 
-def integrate(params: ModelParams, init: InitialState, tmax: float,
-              tol: float = DEFAULT_TOL, t_eval=None,
-              steps: int = 501) -> AmplitudeSeries:
-    """Adaptive RK45 integration of the amplitude system: the 3-component
-    finite-width system, or the 2-component one when memoryless (``z`` is
-    then zeros)."""
-    return _integrate(params, init, tmax, tol, t_eval, steps)
-
-
 def integrate_memoryless(params: ModelParams, init: InitialState, tmax: float,
                          tol: float = DEFAULT_TOL, t_eval=None,
                          steps: int = 501) -> AmplitudeSeries:
@@ -236,4 +231,4 @@ def integrate_memoryless(params: ModelParams, init: InitialState, tmax: float,
     perfbench's oracle workload calls it."""
     if not params.memoryless:
         raise ValueError("finite-width params: use integrate")
-    return _integrate(params, init, tmax, tol, t_eval, steps)
+    return integrate(params, init, tmax, tol, t_eval, steps)

@@ -10,7 +10,8 @@ import pytest
 import qbattery as qb
 from qbattery.propagator import kappa_grid
 
-from test_metrics import orbit_minimum_energy, random_density_matrix
+from test_metrics import (ergotropy_general, orbit_minimum_energy,
+                          random_density_matrix)
 
 
 def params(gamma, lam):
@@ -105,18 +106,23 @@ def test_criterion_7_memoryless_convergence():
 
 def test_criterion_8_ergotropy_consistency(rng):
     with Timer() as t:
-        p = params(0.1, 0.1)
-        h2 = np.diag([1.0, 0.0])
-        for pop in np.arange(0.0, 1.0 + 1e-9, 0.1):
-            rho = np.diag([pop, 1.0 - pop])
-            assert qb.ergotropy_general(rho, h2) == pytest.approx(
-                qb.ergotropy_qubit(p, pop), abs=1e-12)
+        # the reported ergotropy at every row against the passive state of
+        # diag(p, 1 - p) under diag(omega0, 0)
+        for omega0 in (1.0, 2.5):
+            traj = qb.trajectory(qb.make_params(omega0, 1.0, 0.1, 0.1),
+                                 tmax=25.0, steps=1001)
+            assert np.max(traj.population) > 0.5
+            h2 = np.diag([omega0, 0.0])
+            for pop, w in zip(traj.population, traj.ergotropy):
+                rho = np.diag([pop, 1.0 - pop])
+                assert ergotropy_general(rho, h2) == pytest.approx(
+                    w, abs=1e-12)
         h3 = np.diag([0.0, 1.0, 2.0])
         for _ in range(20):
             rho = random_density_matrix(rng, 3)
             expected = (np.trace(rho @ h3).real
                         - orbit_minimum_energy(rho, h3, rng, restarts=4))
-            assert qb.ergotropy_general(rho, h3) == pytest.approx(
+            assert ergotropy_general(rho, h3) == pytest.approx(
                 expected, abs=1e-6)
     report(8, "ergotropy matches Heaviside form and orbit search", t, 60.0)
 

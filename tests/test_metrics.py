@@ -12,7 +12,8 @@ import qbattery as qb
 from qbattery import metrics, propagator
 from qbattery.metrics import blp_nonmarkovianity_many, maximize_over_tau_many
 from qbattery.figures import GRID_AXIS
-from qbattery.propagator import _transfer_many, amplitude_grid, kappa_grid
+from qbattery.propagator import (_clipped_population, _qubit_ergotropy,
+                                 _transfer_many, amplitude_grid, kappa_grid)
 from test_propagator import TRIPLE_ROOT, double_root_cell, transfer
 
 
@@ -56,78 +57,107 @@ def orbit_minimum_energy(rho, h, rng, restarts=6):
     return best
 
 
+def ergotropy_general(rho: np.ndarray, hamiltonian: np.ndarray,
+                      tol: float = 1e-9) -> float:
+    """Extractable work tr(rho H) - tr(sigma H) for any finite dimension:
+    the independent reference of the qubit form.
+
+    The passive state sigma pairs the populations of rho, sorted descending,
+    with the energy levels sorted ascending.  Inputs must be Hermitian, with
+    rho trace-1 and positive semidefinite (tolerance ``tol``).
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    h = np.asarray(hamiltonian, dtype=np.complex128)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
+        raise ValueError("rho must be a square matrix of dimension >= 2")
+    if h.shape != rho.shape:
+        raise ValueError("hamiltonian shape must match rho")
+    if np.max(np.abs(rho - rho.conj().T)) > tol:
+        raise ValueError("rho is not Hermitian")
+    if np.max(np.abs(h - h.conj().T)) > tol:
+        raise ValueError("hamiltonian is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > tol:
+        raise ValueError("rho is not trace-1")
+    r = np.linalg.eigvalsh(rho)
+    if r[0] < -tol:
+        raise ValueError("rho is not positive semidefinite")
+    eps = np.linalg.eigvalsh(h)          # ascending
+    r_desc = r[::-1]                     # descending
+    passive = float(np.dot(r_desc, eps))
+    work = float(np.trace(rho @ h).real) - passive
+    return max(work, 0.0)
+
+
+def stored_energy(omega0, population):
+    """omega0 * p on the guarded population, as ``trajectory`` and
+    ``maximize_over_tau`` form the stored energy."""
+    return omega0 * _clipped_population(population)
+
+
+def ergotropy_qubit(omega0, population):
+    """The qubit ergotropy on the guarded population, as ``trajectory``
+    and ``maximize_over_tau`` form it."""
+    return _qubit_ergotropy(omega0, _clipped_population(population))
+
+
 class TestStoredEnergy:
     def test_empty_and_full(self):
-        p = params(0.1, 0.1)
-        assert qb.stored_energy(p, 0.0) == 0.0
-        assert qb.stored_energy(p, 1.0) == 1.0
+        assert stored_energy(1.0, 0.0) == 0.0
+        assert stored_energy(1.0, 1.0) == 1.0
 
     def test_scales_with_omega0(self):
-        p = qb.make_params(2.0, 1.0, 0.1, 0.1)
-        assert qb.stored_energy(p, 0.5) == 1.0
+        assert stored_energy(2.0, 0.5) == 1.0
 
     def test_rejects_bad_population(self):
-        p = params(0.1, 0.1)
         with pytest.raises(ValueError):
-            qb.stored_energy(p, 1.1)
+            stored_energy(1.0, 1.1)
         with pytest.raises(ValueError):
-            qb.stored_energy(p, -0.1)
+            stored_energy(1.0, -0.1)
 
 
 class TestErgotropyQubit:
     def test_passive_boundary(self):
-        p = params(0.1, 0.1)
-        assert qb.ergotropy_qubit(p, 0.5) == 0.0
-        assert qb.ergotropy_qubit(p, 0.3) == 0.0
+        assert ergotropy_qubit(1.0, 0.5) == 0.0
+        assert ergotropy_qubit(1.0, 0.3) == 0.0
 
     def test_pure_excited(self):
-        p = params(0.1, 0.1)
-        assert qb.ergotropy_qubit(p, 1.0) == 1.0
+        assert ergotropy_qubit(1.0, 1.0) == 1.0
 
     def test_heaviside_gate(self):
-        p = params(0.1, 0.1)
         for pop in np.linspace(0.0, 1.0, 101):
-            w = qb.ergotropy_qubit(p, pop)
+            w = ergotropy_qubit(1.0, pop)
             if pop > 0.5:
                 assert w > 0.0
             else:
                 assert w == 0.0
-            assert w <= qb.stored_energy(p, pop) + 1e-15
+            assert w <= stored_energy(1.0, pop) + 1e-15
 
 
 class TestArrayPopulation:
-    """The energy metrics take a whole population column at once; each
+    """The energy formulas take a whole population column at once; each
     entry must carry the bytes of the scalar call on that entry."""
 
     EDGES = [0.0, 0.5, 1.0, 1.0 + 1e-9, -1e-12]
 
-    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
+    @pytest.mark.parametrize("fn", [stored_energy, ergotropy_qubit])
     @pytest.mark.parametrize("omega0", [1.0, 2.5, 1e-3])
     def test_bytes_match_scalar_loop(self, fn, omega0, rng):
-        p = qb.make_params(omega0, 1.0, 0.1, 0.1)
         pops = np.concatenate([rng.uniform(0.0, 1.0, 500), self.EDGES])
-        got = fn(p, pops)
+        got = fn(omega0, pops)
         assert isinstance(got, np.ndarray) and got.shape == pops.shape
-        expected = np.array([fn(p, float(x)) for x in pops])
+        expected = np.array([fn(omega0, float(x)) for x in pops])
         assert got.tobytes() == expected.tobytes()
-        assert fn(p, pops.reshape(5, -1)).tobytes() == expected.tobytes()
+        assert fn(omega0, pops.reshape(5, -1)).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
-    def test_scalar_gives_python_float(self, fn):
-        p = params(0.1, 0.1)
-        for pop in [0.75, np.float64(0.75), 1.0 + 1e-9, -1e-12]:
-            assert type(fn(p, pop)) is float
-        assert fn(p, 0.75) == fn(p, np.array([0.75]))[0]
-
-    @pytest.mark.parametrize("fn", [qb.stored_energy, qb.ergotropy_qubit])
+    @pytest.mark.parametrize("fn", [stored_energy, ergotropy_qubit])
     @pytest.mark.parametrize("bad", [math.nan, 1.1, 1.0 + 2e-9, -1e-11])
     def test_one_bad_entry_rejects_the_array(self, fn, bad):
         pops = np.linspace(0.0, 1.0, 11)
         pops[4] = bad
         with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
-            fn(params(0.1, 0.1), pops)
+            fn(1.0, pops)
         with pytest.raises(ValueError, match=r"population outside \[0, 1\]"):
-            fn(params(0.1, 0.1), bad)
+            fn(1.0, bad)
 
     def test_nan_population_in_trajectory_raises(self, monkeypatch):
         import qbattery.propagator as prop
@@ -146,36 +176,33 @@ class TestArrayPopulation:
 class TestErgotropyGeneral:
     def test_matches_qubit_form(self):
         h = np.diag([1.0, 0.0])  # omega0 |e><e| in the {|e>, |g>} basis
-        p = params(0.1, 0.1)
         for pop in np.arange(0.0, 1.0 + 1e-9, 1e-3):
             rho = np.diag([pop, 1.0 - pop])
-            got = qb.ergotropy_general(rho, h)
-            assert got == pytest.approx(qb.ergotropy_qubit(p, pop),
-                                        abs=1e-12)
+            got = ergotropy_general(rho, h)
+            assert got == pytest.approx(ergotropy_qubit(1.0, pop), abs=1e-12)
 
     def test_maximally_mixed_is_passive(self, rng):
         for dim in (2, 3, 4):
             h = np.diag(np.sort(rng.uniform(0, 3, size=dim)))
-            assert qb.ergotropy_general(np.eye(dim) / dim, h) == pytest.approx(
+            assert ergotropy_general(np.eye(dim) / dim, h) == pytest.approx(
                 0.0, abs=1e-12)
 
     def test_pure_three_level_against_orbit_search(self, rng):
         h = np.diag([0.0, 1.0, 2.0])
         rho = random_density_matrix(rng, 3, pure=True)
         expected = np.trace(rho @ h).real - orbit_minimum_energy(rho, h, rng)
-        assert qb.ergotropy_general(rho, h) == pytest.approx(expected,
-                                                             abs=1e-6)
+        assert ergotropy_general(rho, h) == pytest.approx(expected, abs=1e-6)
 
     def test_validation(self):
         h = np.diag([0.0, 1.0])
         with pytest.raises(ValueError):
-            qb.ergotropy_general(np.array([[0.7, 0.5], [0.1, 0.3]]), h)
+            ergotropy_general(np.array([[0.7, 0.5], [0.1, 0.3]]), h)
         with pytest.raises(ValueError):
-            qb.ergotropy_general(np.diag([0.7, 0.7]), h)
+            ergotropy_general(np.diag([0.7, 0.7]), h)
         with pytest.raises(ValueError):
-            qb.ergotropy_general(np.diag([1.5, -0.5]), h)
+            ergotropy_general(np.diag([1.5, -0.5]), h)
         with pytest.raises(ValueError):
-            qb.ergotropy_general(np.diag([0.5, 0.5]), np.diag([1.0, 1j]))
+            ergotropy_general(np.diag([0.5, 0.5]), np.diag([1.0, 1j]))
 
 
 class TestBlp:
@@ -393,9 +420,9 @@ def maximize_reference(params, init=None, tmax=None):
             b = mid
     tau_star = 0.5 * (a + b)
     _, c2 = amplitude_grid(params, init, np.array([tau_star]))
-    p_star = float(np.abs(c2[0]) ** 2)
-    w = qb.ergotropy_qubit(params, p_star)
-    return qb.MaximaReport(qb.stored_energy(params, p_star), w,
+    p_star = float(_clipped_population(np.abs(c2[0]) ** 2))
+    w = float(_qubit_ergotropy(params.omega0, p_star))
+    return qb.MaximaReport(params.omega0 * p_star, w,
                            om * tau_star, om * tau_star if w > 0.0 else math.nan,
                            tau_star > tmax - (tmax / (n - 1)))
 

@@ -8,6 +8,26 @@ import qbattery as qb
 from qbattery.propagator import kappa_grid
 
 
+PUBLIC_NAMES = {
+    "MEMORYLESS", "InitialState", "ModelParams", "empty_battery_state",
+    "excited_battery_state", "make_params", "make_initial_state",
+    "ChargingTrajectory", "PropagatorRoots", "amplitudes_at", "kappa_at",
+    "solve_roots", "trajectory", "AmplitudeSeries", "integrate",
+    "integrate_memoryless", "MaximaReport", "NonMarkovReport",
+    "blp_nonmarkovianity", "maximize_over_tau", "SweepResult", "SweepSpec",
+    "run_sweep", "__version__",
+}
+
+
+def test_public_surface():
+    """The package exports exactly these 24 names, and each resolves."""
+    assert len(qb.__all__) == len(PUBLIC_NAMES) == 24
+    assert set(qb.__all__) == PUBLIC_NAMES
+    namespace = {}
+    exec("from qbattery import *", namespace)
+    assert all(namespace[name] is getattr(qb, name) for name in PUBLIC_NAMES)
+
+
 def test_make_params_basic():
     p = qb.make_params(1.0, 1.0, 0.1, 0.1)
     assert p.omega0 == 1.0
@@ -58,40 +78,6 @@ def test_make_initial_state_normalization():
     qb.make_initial_state(1 / math.sqrt(2), 1j / math.sqrt(2))
     with pytest.raises(ValueError):
         qb.make_initial_state(1.0, 0.5)
-
-
-def test_spectral_density_peak_value():
-    p = qb.make_params(1.0, 1.0, 0.1, 0.1)
-    # at resonance the Lorentzian reduces to gamma/(2*pi)
-    assert qb.spectral_density_at(p, 1.0) == pytest.approx(
-        0.015915494309189534, abs=1e-15)
-
-
-def test_spectral_density_tails_and_symmetry():
-    p = qb.make_params(1.0, 1.0, 0.1, 0.1)
-    assert qb.spectral_density_at(p, 1e9) < 1e-18
-    assert qb.spectral_density_at(p, -1e9) < 1e-18
-    for delta in (0.01, 0.3, 5.0):
-        left = qb.spectral_density_at(p, 1.0 - delta)
-        right = qb.spectral_density_at(p, 1.0 + delta)
-        assert left == pytest.approx(right, rel=1e-14)
-        assert left < qb.spectral_density_at(p, 1.0)
-
-
-def test_spectral_density_positive_and_integrable():
-    p = qb.make_params(1.0, 1.0, 0.3, 0.5)
-    lam = p.spectral_width
-    omegas = np.linspace(p.omega0 - 50 * lam, p.omega0 + 50 * lam, 20001)
-    js = np.array([qb.spectral_density_at(p, w) for w in omegas])
-    assert np.all(js >= 0.0)
-    total = np.trapezoid(js, omegas)
-    assert math.isfinite(total) and total > 0.0
-
-
-def test_spectral_density_rejects_memoryless():
-    p = qb.make_params(1.0, 1.0, 0.1, math.inf)
-    with pytest.raises(ValueError):
-        qb.spectral_density_at(p, 1.0)
 
 
 def test_dynamics_independent_of_omega0():

@@ -454,7 +454,7 @@ class TestNonFiniteExpansion:
 
     @pytest.mark.parametrize("gamma,lam", NON_FINITE_CELLS)
     def test_solve_roots_raises(self, gamma, lam):
-        with pytest.raises(qb.metrics.NumericalGuardError,
+        with pytest.raises(qb.propagator.NumericalGuardError,
                            match="expansion not finite"):
             qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
                                           float(lam)))
@@ -487,7 +487,7 @@ class TestRootResidual:
                          "--lambda-axis", f"2,{lam}",
                          "--quantity", "stored_energy_max"]) == 4
         assert "root residual" in capsys.readouterr().err
-        with pytest.raises(qb.metrics.NumericalGuardError,
+        with pytest.raises(qb.propagator.NumericalGuardError,
                            match="root residual"):
             qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
                                           float(lam)))
@@ -713,10 +713,11 @@ def test_short_default_grid_names_tmax_and_grid(argv, capsys):
     ["nonmarkov", "--gamma", "1", "--lambda", "1", "--tmax", "1e16"],
 ])
 def test_scan_too_large_to_hold_is_usage_error(argv, capsys):
-    """About 1e15 scan points need 14 PiB, which used to end in a numpy
-    MemoryError traceback, and 1e19 more bytes than a 64-bit address
-    spans; the result is allocated before any other work, so the refusal
-    is immediate."""
+    """Scans of about 1e15 and 1e19 points once ended in a numpy
+    MemoryError traceback.  A scan reads its grid a block at a time and
+    allocates nothing of its size, but any grid above ``BLP_MAX_GRID``
+    (2^32) points is refused before a cell is expanded, so the usage
+    error is immediate."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
