@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .model import (MEMORYLESS, InitialState, ModelParams,
                     empty_battery_state, excited_battery_state, make_params,
                     make_initial_state)
-from .propagator import (ChargingTrajectory, PropagatorRoots, amplitudes_at,
-                         kappa_at, solve_roots, trajectory)
-from .oracle import AmplitudeSeries, integrate, integrate_memoryless
+from .propagator import (ChargingTrajectory, amplitude_grid, kappa_grid,
+                         trajectory)
+from .oracle import AmplitudeSeries, integrate
 from .metrics import (MaximaReport, NonMarkovReport, blp_nonmarkovianity,
                       maximize_over_tau)
 from .sweep import SweepResult, SweepSpec, run_sweep
@@ -22,9 +22,8 @@ from .sweep import SweepResult, SweepSpec, run_sweep
 __all__ = [
     "MEMORYLESS", "InitialState", "ModelParams", "empty_battery_state",
     "excited_battery_state", "make_params", "make_initial_state",
-    "ChargingTrajectory", "PropagatorRoots", "amplitudes_at", "kappa_at",
-    "solve_roots", "trajectory", "AmplitudeSeries", "integrate",
-    "integrate_memoryless", "MaximaReport", "NonMarkovReport",
+    "ChargingTrajectory", "amplitude_grid", "kappa_grid", "trajectory",
+    "AmplitudeSeries", "integrate", "MaximaReport", "NonMarkovReport",
     "blp_nonmarkovianity", "maximize_over_tau", "SweepResult", "SweepSpec",
     "run_sweep", "__version__",
 ]

@@ -52,7 +52,6 @@ MAXIMA_SCAN_POINTS = 2000   # scan points of a charging optimum's bracket
 BLP_REFINE_CELLS = 16     # BLP cells whose brackets are refined together
 BLP_POINTS_PER_PERIOD = 64  # coarse scan points per period of D'
 BLP_MIN_SKIP = 8          # fewest grid steps between coarse scan points
-BLP_MIN_SKIP_GRID = 1 << 16  # fewest points of a scan that skips points
 BLP_SKIP_SLACK = 1e-9     # relative margin of the proof that skips points
 BLP_MAX_GRID = 1 << 32    # most points of a BLP scan (a minute a cell)
 _GRID_BLOCK = 1 << 14     # grid points a scan reads at a time
@@ -267,17 +266,16 @@ def _blp_brackets(terms: Terms, tmax: float, grid: int):
     grid rows in the last bit; the brackets equal those of a pointwise scan
     of every point on every cell the tests check.  The coarse pass reads
     every point (width 1) when fewer than ``BLP_MIN_SKIP`` points would lie
-    between coarse ones, or the grid has fewer than ``BLP_MIN_SKIP_GRID``
-    points: then the proofs would cost more than they save.  Each read
-    fills at most ``_GRID_BLOCK`` points, so memory does not grow with the
-    grid."""
+    between coarse ones: then the proofs would cost more than they save.
+    Each read fills at most ``_GRID_BLOCK`` points, so memory does not grow
+    with the grid."""
     roots, coefs = terms
     wv = (roots, coefs[1:])
     b = math.isqrt(grid)
     rows = -(-grid // b)
     h = tmax / (grid - 1)
     width = 1
-    if grid >= BLP_MIN_SKIP_GRID and h:
+    if h:
         freq = max(2.0 * float(np.abs(roots.imag).max()), 1.0)
         width = int(min(2.0 * math.pi / (BLP_POINTS_PER_PERIOD * freq * h),
                         b, _GRID_BLOCK))

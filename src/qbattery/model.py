@@ -93,7 +93,7 @@ def make_params(omega0: float, Omega: float, gamma: float,
 def make_initial_state(c1_0: complex, c2_0: complex) -> InitialState:
     """Validate normalization |c1|^2 + |c2|^2 = 1 (tolerance 1e-12)."""
     norm = abs(c1_0) ** 2 + abs(c2_0) ** 2
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # NaN included
         raise ValueError(f"initial state not normalized: |c1|^2+|c2|^2 = {norm}")
     return InitialState(complex(c1_0), complex(c2_0))
 

@@ -3,7 +3,8 @@
 The engine is dimensionless: it runs at Omega = 1 on the ratios
 g = gamma/Omega and l = lam/Omega, with time the Omega*tau of every figure
 axis.  Omega enters only where a physical time tau comes in (``kappa_grid``,
-``amplitude_grid``) and where physical roots go out (``solve_roots``).
+``amplitude_grid``, which refuse an Omega*tau that is negative or not
+finite) and where physical roots go out (``solve_roots``).
 
 Every amplitude is c(t) = U(t) c(0), with the transfer matrix
 U = [[u, -i*w], [-i*w, v]] whose entries are real functions of t; the
@@ -418,8 +419,9 @@ def _transfer_many(ratios) -> Terms:
 
     p - m vanishes at s = 0, so dropping its constant term divides it by s
     exactly.  With real numerators and exact conjugate roots a pair's
-    coefficients (a, a') fold into a + conj(a') on its root of positive
-    imaginary part: Re(a' exp(conj(s) t)) = Re(conj(a') exp(s t)).
+    coefficients (a, a') are conjugate to the bit, so they fold into
+    2a = a + conj(a') on its root of positive imaginary part:
+    Re(a' exp(conj(s) t)) = Re(conj(a') exp(s t)).
     """
     g, l = np.asarray(ratios, dtype=np.float64).reshape(-1, 2).T
     roots = np.zeros((3, len(g)), dtype=np.complex128)
@@ -444,12 +446,7 @@ def _transfer_many(ratios) -> Terms:
         coefs[:, :len(r), :c.shape[2], cells] = c
         keep[:len(r), cells] = ~(r.imag < 0)
         depth = max(depth, c.shape[2])
-    lower = roots.imag < 0
-    for j in range(3):
-        for k in range(3):
-            mate = lower[j] & (roots[k] == roots[j].conj())
-            coefs[:, k] = np.where(mate, coefs[:, k] + coefs[:, j].conj(),
-                                   coefs[:, k])
+    coefs = np.where((roots.imag > 0)[:, None], 2.0 * coefs, coefs)
     # the kept roots first, in order, and zeros after them
     order = np.argsort(~keep, axis=0, kind="stable")
     keep = np.take_along_axis(keep, order, 0)
@@ -500,17 +497,24 @@ def _apply(terms: Terms, weights: np.ndarray, t) -> list[np.ndarray]:
     return outs
 
 
+def _om_tau(params: ModelParams, tau) -> np.ndarray:
+    """Omega*tau of the physical times ``tau``; ValueError where it is
+    negative, NaN or infinite (as when it overflows)."""
+    with np.errstate(over="ignore"):
+        om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
+    ok = (om_tau >= 0.0) & (om_tau < math.inf)
+    if not ok.all():
+        raise ValueError("Omega*tau must be non-negative and finite, got "
+                         f"{om_tau[~ok].flat[0]!r}")
+    return om_tau
+
+
 def kappa_grid(params: ModelParams, tau) -> np.ndarray:
     """Charging propagator kappa = -i*w, c2 of the empty battery, on an
     array of physical times; its real part is exactly +0."""
-    om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
     return _apply(_transfer(*_ratios(params)),
-                  _weights(empty_battery_state())[1:], om_tau)[0]
-
-
-def _check_tau(tau: float) -> None:
-    if not 0 <= tau < math.inf:
-        raise ValueError(f"tau must be non-negative and finite, got {tau}")
+                  _weights(empty_battery_state())[1:],
+                  _om_tau(params, tau))[0]
 
 
 def _check_tmax(tmax: float) -> None:
@@ -519,26 +523,11 @@ def _check_tmax(tmax: float) -> None:
         raise ValueError("tmax must be positive and finite")
 
 
-def kappa_at(params: ModelParams, tau: float) -> complex:
-    """kappa(tau): amplitude reaching the battery from a full cavity."""
-    _check_tau(tau)
-    return complex(kappa_grid(params, np.float64(tau)))
-
-
 def amplitude_grid(params: ModelParams, init: InitialState,
                    tau) -> tuple[np.ndarray, np.ndarray]:
     """(c1, c2) amplitudes on an array of physical times."""
-    om_tau = params.coupling_qb_cavity * np.asarray(tau, dtype=np.float64)
-    c1, c2 = _apply(_transfer(*_ratios(params)), _weights(init), om_tau)
-    return c1, c2
-
-
-def amplitudes_at(params: ModelParams, init: InitialState,
-                  tau: float) -> tuple[complex, complex]:
-    """(c1, c2) at a single time; for the empty battery c2 = kappa * c1(0)."""
-    _check_tau(tau)
-    c1, c2 = amplitude_grid(params, init, np.float64(tau))
-    return complex(c1), complex(c2)
+    return tuple(_apply(_transfer(*_ratios(params)), _weights(init),
+                        _om_tau(params, tau)))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,7 @@ def _eval_cells(args) -> list[tuple[float, str]]:
     cells, quantity, tmax, grid = args
     params = [make_params(1.0, 1.0, g, l) for g, l in cells]
     if quantity == "nonmarkovianity":
-        return [(math.nan, "divergent") if r.divergent else
-                (r.measure, "truncated" if r.truncated else "")
+        return [(r.measure, "truncated" if r.truncated else "")
                 for k in range(0, len(params), BLP_REFINE_CELLS)
                 for r in blp_nonmarkovianity_many(
                     params[k:k + BLP_REFINE_CELLS], tmax, grid)]

@@ -1,27 +1,32 @@
+import importlib.util
 import math
+import re
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qbattery as qb
+from qbattery import cli, figures, metrics, model, oracle, propagator, sweep
 from qbattery.propagator import kappa_grid
 
 
 PUBLIC_NAMES = {
     "MEMORYLESS", "InitialState", "ModelParams", "empty_battery_state",
     "excited_battery_state", "make_params", "make_initial_state",
-    "ChargingTrajectory", "PropagatorRoots", "amplitudes_at", "kappa_at",
-    "solve_roots", "trajectory", "AmplitudeSeries", "integrate",
-    "integrate_memoryless", "MaximaReport", "NonMarkovReport",
+    "ChargingTrajectory", "amplitude_grid", "kappa_grid", "trajectory",
+    "AmplitudeSeries", "integrate", "MaximaReport", "NonMarkovReport",
     "blp_nonmarkovianity", "maximize_over_tau", "SweepResult", "SweepSpec",
     "run_sweep", "__version__",
 }
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_public_surface():
-    """The package exports exactly these 24 names, and each resolves."""
-    assert len(qb.__all__) == len(PUBLIC_NAMES) == 24
+    """The package exports exactly these 21 names, and each resolves."""
+    assert len(qb.__all__) == len(PUBLIC_NAMES) == 21
     assert set(qb.__all__) == PUBLIC_NAMES
     namespace = {}
     exec("from qbattery import *", namespace)
@@ -70,7 +75,7 @@ def test_empty_battery_state():
     assert abs(init.c1_0) ** 2 + abs(init.c2_0) ** 2 == 1.0
     # feeding it into evolution returns zero population at t=0
     p = qb.make_params(1.0, 1.0, 0.1, 0.1)
-    _, c2 = qb.amplitudes_at(p, init, 0.0)
+    _, c2 = qb.amplitude_grid(p, init, 0.0)
     assert abs(c2) ** 2 < 1e-24
 
 
@@ -78,6 +83,37 @@ def test_make_initial_state_normalization():
     qb.make_initial_state(1 / math.sqrt(2), 1j / math.sqrt(2))
     with pytest.raises(ValueError):
         qb.make_initial_state(1.0, 0.5)
+
+
+@pytest.mark.parametrize("amplitudes", [
+    (complex(math.nan, 0.0), 1.0), (complex(1.0, math.nan), 0.0),
+    (0.0, complex(math.nan, 0.0)), (1.0, complex(0.0, math.nan)),
+])
+def test_make_initial_state_rejects_nan(amplitudes):
+    """A NaN norm is not within 1e-12 of 1: NaN in either part of either
+    amplitude is refused here, not later as a population guard error."""
+    with pytest.raises(ValueError, match="not normalized"):
+        qb.make_initial_state(*amplitudes)
+
+
+def test_benchmark_boundaries_exist():
+    """Every module attribute the benchmark's workloads and tracer read
+    directly still exists, and so does each propagator and oracle boundary
+    its tracer wraps (the readers, the roots, both oracle entry points)."""
+    api = types.SimpleNamespace(cli=cli, figures=figures, metrics=metrics,
+                                model=model, oracle=oracle,
+                                propagator=propagator, sweep=sweep)
+    for name in ("workloads.py", "tracing.py"):
+        text = (PERFBENCH / name).read_text()
+        for module, attr in re.findall(r"\bapi\.(\w+)\.(\w+)", text):
+            assert hasattr(getattr(api, module), attr), (name, module, attr)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _, _ in tracing._patch_table(api):
+        if module in (propagator, oracle):
+            assert hasattr(module, attr), (module.__name__, attr)
 
 
 def test_dynamics_independent_of_omega0():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ import pytest
 import qbattery as qb
 from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
+from qbattery.oracle import integrate_memoryless
 from qbattery.propagator import (_eval_terms, _partial_fractions,
                                  _polynomials, _ratios, _roots, _transfer,
-                                 _transfer_many, amplitude_grid, kappa_grid)
+                                 _transfer_many, amplitude_grid, kappa_grid,
+                                 solve_roots)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -117,7 +120,7 @@ DEGENERACY_CELLS = (
 class TestSolveRoots:
     def test_decoupled_environment_factorization(self):
         # gamma = 0: p factors as (s + lam)(s^2 + Omega^2)
-        pr = qb.solve_roots(params(0.0, 0.7))
+        pr = solve_roots(params(0.0, 0.7))
         for want in (-0.7, 1j, -1j):
             assert min(abs(got - want) for got in pr.roots) < 1e-12
 
@@ -125,7 +128,7 @@ class TestSolveRoots:
     @pytest.mark.parametrize("lam", GRID)
     def test_residual_vieta_stability(self, gamma, lam):
         p = params(gamma, lam)
-        pr = qb.solve_roots(p)
+        pr = solve_roots(p)
         coeffs = _polynomials(*_ratios(p))[0]
         for s in pr.roots:
             assert abs(np.polyval(coeffs, s)) < 1e-10
@@ -149,7 +152,7 @@ class TestSolveRoots:
         for Omega in (1.0, 2.5, 0.03, 0.1):
             for ratio in (0.0, 0.1, 2.0, 4.0, 7.5, 100.0):
                 gamma = ratio * Omega
-                pr = qb.solve_roots(params(gamma, math.inf, Omega))
+                pr = solve_roots(params(gamma, math.inf, Omega))
                 s1, s2 = pr.roots
                 assert s1 + s2 == pytest.approx(-gamma / 2,
                                                 abs=1e-14 * gamma + 1e-15)
@@ -164,14 +167,28 @@ class TestSolveRoots:
         """``degenerate`` comes from the root clusters; a pairwise check of
         the distance relative to the larger root is the reference."""
         for gamma, lam in DEGENERACY_CELLS:
-            pr = qb.solve_roots(params(gamma, lam))
+            pr = solve_roots(params(gamma, lam))
             r = pr.roots
             pairwise = any(abs(r[i] - r[j]) < 1e-7 * max(abs(r[i]),
                                                           abs(r[j]))
                            for i in range(3) for j in range(i + 1, 3))
             assert pr.degenerate == pairwise, (gamma, lam)
-        assert any(qb.solve_roots(params(*cell)).degenerate
+        assert any(solve_roots(params(*cell)).degenerate
                    for cell in DEGENERACY_CELLS)
+
+
+def assert_tau_refused(p, tau):
+    """kappa_grid and amplitude_grid of every initial state raise
+    ValueError, and warn nothing, at the time ``tau`` alone, as a 1-element
+    array and among valid times."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for taus in (tau, [tau], [0.0, tau, 1.0]):
+            with pytest.raises(ValueError, match=r"Omega\*tau must be"):
+                kappa_grid(p, taus)
+            for init in INITS:
+                with pytest.raises(ValueError, match=r"Omega\*tau must be"):
+                    amplitude_grid(p, init, taus)
 
 
 class TestKappa:
@@ -180,17 +197,19 @@ class TestKappa:
         taus = np.linspace(0.0, 10.0, 101)
         np.testing.assert_allclose(kappa_grid(p, taus), -1j * np.sin(taus),
                                    atol=1e-12)
-        assert qb.kappa_at(p, math.pi / 2) == pytest.approx(-1j, abs=1e-12)
+        assert complex(kappa_grid(p, math.pi / 2)) == pytest.approx(
+            -1j, abs=1e-12)
 
     @pytest.mark.parametrize("gamma,lam", [(0.1, 0.1), (1.0, 5.0), (10.0, 0.5)])
     def test_kappa_zero_at_origin(self, gamma, lam):
-        assert abs(qb.kappa_at(params(gamma, lam), 0.0)) < 1e-12
+        assert abs(complex(kappa_grid(params(gamma, lam), 0.0))) < 1e-12
 
     def test_kappa_against_oracle(self):
         p = params(0.1, 0.1)
         series = qb.integrate(p, qb.empty_battery_state(), 2.0,
                               t_eval=np.array([2.0]))
-        assert qb.kappa_at(p, 2.0) == pytest.approx(series.c2[0], abs=1e-8)
+        assert complex(kappa_grid(p, 2.0)) == pytest.approx(series.c2[0],
+                                                            abs=1e-8)
 
     @pytest.mark.parametrize("gamma", GRID)
     @pytest.mark.parametrize("lam", GRID)
@@ -203,12 +222,21 @@ class TestKappa:
         # dkappa/dtau at 0 is -i*Omega
         h = 1e-6
         p = params(gamma, lam)
-        slope = (qb.kappa_at(p, h) - qb.kappa_at(p, 0.0)) / h
+        slope = complex(kappa_grid(p, h) - kappa_grid(p, 0.0)) / h
         assert slope == pytest.approx(-1j, abs=1e-5)
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            qb.kappa_at(params(0.1, 0.1), -1.0)
+        """Both readers refuse a negative time; at (0.5, 1) Omega*tau = -40
+        read a population |c2|^2 of 1.3e28 where nothing checked it."""
+        for cell, tau in (((0.1, 0.1), -1.0), ((0.5, 1.0), -40.0),
+                          ((0.1, math.inf), -1e-300)):
+            assert_tau_refused(params(*cell), tau)
+
+    def test_overflowing_omega_tau_rejected(self):
+        """A finite tau whose Omega*tau overflows is refused, and the
+        overflow of that product warns nothing."""
+        for lam in (1e299, math.inf):
+            assert_tau_refused(params(1e299, lam, 1e300), 1e10)
 
     def test_real_part_is_exactly_zero(self):
         """kappa = -i*w with w real: its real part is +0.0, with neither
@@ -238,11 +266,7 @@ class TestKappa:
     @pytest.mark.parametrize("lam", [0.5, math.inf])
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
     def test_non_finite_tau_rejected(self, tau, lam):
-        p = params(0.1, lam)
-        with pytest.raises(ValueError):
-            qb.kappa_at(p, tau)
-        with pytest.raises(ValueError):
-            qb.amplitudes_at(p, qb.empty_battery_state(), tau)
+        assert_tau_refused(params(0.1, lam), tau)
 
 
 class TestKappaMemoryless:
@@ -255,7 +279,7 @@ class TestKappaMemoryless:
     def test_critical_damping_value(self):
         # gamma = 4*Omega, Omega*tau = 1: removable R -> 0 limit
         p = params(4.0, math.inf)
-        assert qb.kappa_at(p, 1.0) == pytest.approx(
+        assert complex(kappa_grid(p, 1.0)) == pytest.approx(
             -1j * math.exp(-1.0), abs=1e-12)
 
     def test_branch_continuity_across_threshold(self):
@@ -270,17 +294,18 @@ class TestKappaMemoryless:
         peak = np.max(np.abs(kappa_grid(p, taus)) ** 2)
         assert peak == pytest.approx(0.925, abs=0.005)
 
-    def test_dispatch_from_kappa_at(self):
+    def test_dispatch_from_scalar_tau(self):
         p = params(0.3, math.inf)
-        assert qb.kappa_at(p, 2.0) == kappa_grid(p, np.array([2.0]))[0]
+        assert kappa_grid(p, 2.0) == kappa_grid(p, np.array([2.0]))[0]
 
 
 class TestAmplitudes:
     def test_empty_start_matches_kappa(self):
         p = params(0.7, 2.0)
         for tau in (0.0, 0.5, 3.0, 12.0):
-            _, c2 = qb.amplitudes_at(p, qb.empty_battery_state(), tau)
-            assert c2 == pytest.approx(qb.kappa_at(p, tau), abs=1e-12)
+            _, c2 = amplitude_grid(p, qb.empty_battery_state(), tau)
+            assert complex(c2) == pytest.approx(complex(kappa_grid(p, tau)),
+                                                abs=1e-12)
 
     def test_excited_start_rabi(self):
         p = params(0.0, 1.0)
@@ -293,7 +318,7 @@ class TestAmplitudes:
         p = params(0.1, 0.1)
         init = qb.make_initial_state(1 / math.sqrt(2), 1 / math.sqrt(2))
         series = qb.integrate(p, init, 1.0, t_eval=np.array([1.0]))
-        c1, c2 = qb.amplitudes_at(p, init, 1.0)
+        c1, c2 = map(complex, amplitude_grid(p, init, 1.0))
         assert c1 == pytest.approx(series.c1[0], abs=1e-8)
         assert c2 == pytest.approx(series.c2[0], abs=1e-8)
 
@@ -331,9 +356,9 @@ class TestAmplitudes:
     def test_memoryless_general_init_against_oracle(self):
         p = params(0.5, math.inf)
         init = qb.make_initial_state(0.6, 0.8j)
-        series = qb.integrate_memoryless(p, init, 4.0,
-                                         t_eval=np.array([4.0]))
-        c1, c2 = qb.amplitudes_at(p, init, 4.0)
+        series = integrate_memoryless(p, init, 4.0,
+                                      t_eval=np.array([4.0]))
+        c1, c2 = map(complex, amplitude_grid(p, init, 4.0))
         assert c1 == pytest.approx(series.c1[0], abs=1e-8)
         assert c2 == pytest.approx(series.c2[0], abs=1e-8)
 
@@ -422,7 +447,7 @@ class TestPoleEvaluator:
             terms = transfer(p)
             assert np.all(terms[0] != 0) and np.all(terms[0].imag >= 0)
             om = p.coupling_qb_cavity
-            roots = np.array(qb.solve_roots(p).roots) / om
+            roots = np.array(solve_roots(p).roots) / om
             assert all(np.min(np.abs(roots - s)) < 1e-7 * abs(s)
                        for s in terms[0])  # roots of p, or clusters
             for init in INITS:
@@ -434,7 +459,7 @@ class TestPoleEvaluator:
 
     def test_double_root_cell_is_confluent(self):
         p = params(*SPECIAL_CELLS[1])
-        assert qb.solve_roots(p).degenerate
+        assert solve_roots(p).degenerate
         assert transfer(p)[1][1, :, 1].any()
 
     @pytest.mark.parametrize("lam,arrays", [(0.7, 5.0), (math.inf, 5.0)])

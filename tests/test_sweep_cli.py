@@ -276,6 +276,10 @@ class TestSweep:
             SweepSpec((0.5,), (-1.0,), "stored_energy_max")
         with pytest.raises(ValueError):
             SweepSpec((0.5,), (1.0,), "bogus")
+        # so no sweep cell has gamma = 0, the one divergent BLP case
+        for gamma in (0.0, -0.0, -1.0):
+            with pytest.raises(ValueError, match="gamma/Omega values must"):
+                SweepSpec((0.5, gamma), (1.0,), "nonmarkovianity")
 
 
 class TestNonmarkovCommand:
@@ -456,8 +460,8 @@ class TestNonFiniteExpansion:
     def test_solve_roots_raises(self, gamma, lam):
         with pytest.raises(qb.propagator.NumericalGuardError,
                            match="expansion not finite"):
-            qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
-                                          float(lam)))
+            qb.propagator.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
+                                                     float(lam)))
 
 
 # ratio pairs whose companion-matrix roots are finite but wrong: relative
@@ -489,8 +493,8 @@ class TestRootResidual:
         assert "root residual" in capsys.readouterr().err
         with pytest.raises(qb.propagator.NumericalGuardError,
                            match="root residual"):
-            qb.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
-                                          float(lam)))
+            qb.propagator.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
+                                                     float(lam)))
 
     def test_wide_domain_passes(self):
         """2 000 cells log-uniform in [1e-6, 1e6] x [1e-9, 1e15], the
