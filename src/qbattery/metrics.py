@@ -388,7 +388,7 @@ def blp_nonmarkovianity_many(params_seq, tmax: float | None = None,
         ends = np.cumsum(counts)[:-1]
         for i, t, d in zip(group, np.split(crit, ends),
                            np.split(d_crit, ends)):
-            measure, intervals = 0.0, []
+            t, d, measure, intervals = t.tolist(), d.tolist(), 0.0, []
             for a, b, da, db in zip(t[:-1], t[1:], d[:-1], d[1:]):
                 if b - a > 0 and db - da > 0.0:
                     measure += db - da

@@ -12,12 +12,12 @@ charging propagator is kappa = -i*w.  In the Laplace domain u = s*m/p,
 w = m/p and v = ((p - m)/s)/p, with the cubic denominator at finite width
 p(s) = s^3 + l*s^2 + (1 + l*g/2)*s + l and the memory factor m(s) = s + l,
 or, in the flat-spectrum limit (infinite width), the quadratic
-p(s) = s^2 + g*s/2 + 1 and m(s) = 1.  The roots of p are the eigenvalues
-of its companion matrix (the quadratic's have a closed form), polished
-with two Newton steps and made exact conjugate pairs; roots closer than
-1e-7 relative to the larger of the pair form a cluster and take confluent
-partial fractions with t^k * exp(s*t) terms, as does the quadratic's
-double root at g = 4.
+p(s) = s^2 + g*s/2 + 1 and m(s) = 1.  The roots of p come from real
+arithmetic: Newton steps find the cubic's real root, which deflates it
+onto a quadratic whose closed form, like the memoryless one's, gives exact
+conjugate pairs; roots closer than 1e-7 relative to the larger of the
+pair, or three near the triple point, form a cluster and take confluent
+t^k * exp(s*t) terms, as does the quadratic's double root at g = 4.
 
 One batched partial-fraction expansion (``_transfer_many``) takes many
 ratio pairs at once and gives u, w and v of each as terms: one root per
@@ -119,7 +119,8 @@ def _check_roots(g, l, coeffs: np.ndarray, roots: np.ndarray) -> None:
     big = np.abs(roots) > 1.0
     z = np.where(big, 1.0 / np.where(big, roots, 1.0), roots)
     c = np.where(big[..., None], coeffs[..., ::-1], coeffs)
-    residual = (np.abs(_horner(c, z)) / _horner(np.abs(c), np.abs(z))).max(-1)
+    residual = (np.abs(_horner(c, z))
+                / _horner(np.abs(c), np.abs(z)).real).max(-1)
     ok = residual <= 1e-10
     _refuse(ok, g, l, f"root residual {float(residual[np.argmin(ok)])!r} "
             "above 1e-10")
@@ -155,12 +156,13 @@ def _quotient(a, b) -> np.ndarray:
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomials ``coeffs[..., k]`` (highest power first) at ``x``,
-    by np.polyval's Horner steps."""
-    y = np.zeros_like(x)
-    for k in range(coeffs.shape[-1]):
-        y = y * x + coeffs[..., k]
-    return y
+    """The real polynomials ``coeffs[..., k]`` (highest power first) at
+    ``x`` as a complex array, by np.polyval's Horner steps, each complex
+    product rounded as ``_product`` rounds it; no coefficients give 0."""
+    xr, xi, re, im = x.real, x.imag, coeffs[..., :1].sum(-1), 0.0
+    for k in range(1, coeffs.shape[-1]):
+        re, im = re * xr - im * xi + coeffs[..., k], re * xi + im * xr
+    return _complex(re, im)
 
 
 def _polyder(coeffs: np.ndarray) -> np.ndarray:
@@ -177,81 +179,90 @@ def _polynomials(g, l) -> tuple[np.ndarray, np.ndarray]:
                                np.asarray(l, dtype=np.float64))
     one = np.ones_like(g)
     if np.isinf(l).any():
-        return (np.stack([one, 0.5 * g, one], -1).astype(np.complex128),
-                one[..., None])
-    return (np.stack([one, l, 1.0 + 0.5 * l * g, l],
-                     -1).astype(np.complex128),
-            np.stack([one, l], -1))
+        return np.stack([one, 0.5 * g, one], -1), one[..., None]
+    return np.stack([one, l, 1.0 + 0.5 * l * g, l], -1), np.stack([one, l], -1)
 
 
-def _conjugate_pairs(roots: np.ndarray) -> np.ndarray:
-    """The roots of real polynomials of degree 2 or 3, along the last axis:
-    an exact conjugate pair, if any, and real roots.
-
-    The roots of least and greatest imaginary part pair up when each is
-    nearer the other's conjugate than both are to the real axis, as
-    s = (hi + conj(lo))/2 and conj(s).  From complex coefficients a pair
-    is conjugate only to roundoff, 3.6e-6 apart at the triple root.
-    """
-    by_imag = np.take_along_axis(
-        roots, np.argsort(roots.imag, axis=-1, kind="stable"), -1)
-    lo, mid, hi = by_imag[..., :1], by_imag[..., 1:-1], by_imag[..., -1:]
-    s = 0.5 * (hi + lo.conj())
-    return np.where(np.abs(hi - lo.conj()) < hi.imag - lo.imag,
-                    np.concatenate([s.conj(), mid.real, s], -1),
-                    np.concatenate([lo.real, mid.real, hi.real], -1))
+def _real_root(l, k) -> np.ndarray:
+    """The real root r in [-l, 0) of p(s) = s^3 + l*s^2 + k*s + l, by
+    Newton steps that move monotonically to it: from -l where p(-l/3) > 0,
+    p being concave left of its inflection -l/3, else from 0, p being
+    convex right of it.  A cell stops at the first iterate that fails to
+    move toward r, and only open cells step.  Where |s| > 1 a step p/p' is
+    s*q/(3q - z*q') of q(z) = z^3*p(1/z), z = 1/s, so nothing overflows."""
+    shape, l, k = l.shape, l.ravel(), k.ravel()
+    rising = 2.0 * l * l / 27.0 + 1.0 > k / 3.0  # p(-l/3) > 0
+    root = np.where(rising, -l, 0.0)
+    s, cells, l2 = root, np.arange(root.size), 2.0 * l
+    for _ in range(100):  # a cap left unmet is _check_roots' to refuse
+        z = 1.0 / np.minimum(s, -1.0)  # 1/s where |s| > 1, as s <= 0
+        new = s - np.where(
+            s < -1.0,
+            s * (((l * z + k) * z + l) * z + 1.0) / ((k * z + l2) * z + 3.0),
+            (((s + l) * s + k) * s + l) / ((3.0 * s + l2) * s + k))
+        moved = np.where(rising, new > s, new < s)  # NaN fails both
+        root[cells[moved]] = new[moved]
+        s, l, k, l2, rising, cells = (
+            x[moved] for x in (new, l, k, l2, rising, cells))
+        if not cells.size:
+            break
+    return root.reshape(shape)
 
 
 def _roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the monic p(s), coefficients along the last axis, in
-    (real, imag) order.
+    """Roots of the monic p(s), real coefficients along the last axis, in
+    (real, imag) order, in real arithmetic.
 
-    The quadratic s^2 + b*s + c (b = g/2, c = 1) has the larger root
-    -(b + sqrt(b^2 - 4c))/2 = -(g + R)/4, R = sqrt(g^2 - 16), and the other
-    c/larger.  The cubic's are the eigenvalues of the companion matrix that
-    np.roots builds, polished with two Newton steps.  Both are made exact
-    conjugate pairs (``_conjugate_pairs``), which also makes the double
-    root at g = 4 real.
+    The cubic, k = 1 + l*g/2, has a real root r in [-l, 0), as p(0) = l > 0
+    and p(-l) = -l^2*g/2 <= 0 (``_real_root``; the inflection -l/3 parts it
+    from any double root).  It deflates onto s^2 + b*s + c with c = -l/r
+    and b = l + r, or (c - k)/r where |r| > 1.  That quadratic, like the
+    memoryless s^2 + (g/2)*s + 1, has with h = b/2 the exact conjugate pair
+    -h -+ i*sqrt(c - h^2), or the real roots -(h + sign(h)*sqrt(h^2 - c))
+    and c over it, such as the double root -1 at g = 4.
     """
     if coeffs.shape[-1] == 3:
-        b, c = coeffs[..., 1], coeffs[..., 2]
-        big = -0.5 * (b + np.sqrt(b * b - 4.0 * c))
-        roots = np.stack([big, c / big], -1)
+        real, b, c = [], coeffs[..., 1], coeffs[..., 2]
     else:
-        companion = np.zeros(coeffs.shape[:-1] + (3, 3), dtype=np.complex128)
-        companion[..., 0, :] = -coeffs[..., 1:] / coeffs[..., :1]
-        companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-        roots = np.linalg.eigvals(companion)
-        coeffs = coeffs[..., None, :]
-        for _ in range(2):  # Newton polish
-            pv = _horner(coeffs, roots)
-            dv = _horner(_polyder(coeffs), roots)
-            mask = np.abs(dv) > 0
-            roots = np.where(mask, roots - pv / np.where(mask, dv, 1.0),
-                             roots)
-    roots = _conjugate_pairs(roots)
+        l, k = coeffs[..., 1], coeffs[..., 2]
+        r = _real_root(l, k)
+        c = -l / r
+        real, b = [r], np.where(np.abs(r) <= 1.0, l + r, (c - k) / r)
+    h = 0.5 * b
+    disc = h * h - c
+    pair, root = disc < 0.0, np.sqrt(np.abs(disc))
+    larger = -(h + np.copysign(root, h))
+    im = np.where(pair, root, 0.0)
+    roots = np.stack(real + [_complex(np.where(pair, -h, larger), 0.0 - im),
+                             _complex(np.where(pair, -h, c / larger), im)], -1)
     return np.take_along_axis(
         roots, np.lexsort((roots.imag, roots.real), axis=-1), -1)
 
 
 def _clusters(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clusters of roots linked by pairs closer than 1e-7 relative to the
-    larger of the two, along the last axis: (centres, multiplicities) in
-    (real, imag) order, multiplicity 0 after the last cluster.  A centre
+    larger of the two, or of three roots within eps**0.2 of their centroid
+    relative to its modulus, along the last axis: (centres, multiplicities)
+    in (real, imag) order, multiplicity 0 after the last cluster.  A centre
     is the sum of its roots in index order over their number."""
     n = roots.shape[-1]
     size = np.abs(roots)
     close = (np.abs(roots[..., :, None] - roots[..., None, :])
              < 1e-7 * np.maximum(size[..., :, None], size[..., None, :])
              ) | np.eye(n, dtype=bool)
-    linked = np.linalg.matrix_power(close.astype(int), n) > 0
+    whole = close.sum((-2, -1)) > n + 2  # two close pairs link all three
+    if n == 3:
+        # near the triple point p is x^3 + a*x + b about the centroid, a and
+        # b of one order: confluent terms err like |a| ~ spread^3, partial
+        # fractions by eps/spread^2, and the two meet at spread eps**(1/5)
+        centroid = roots.mean(-1, keepdims=True)
+        whole |= (np.abs(roots - centroid) <= np.finfo(float).eps ** 0.2
+                  * np.abs(centroid)).all(-1)
+    linked = close | whole[..., None, None]
     # a cluster sits on the row of its first root
     mults = np.where(linked.argmax(-1) == np.arange(n), linked.sum(-1), 0)
-    re = im = 0.0
-    for k in range(n):
-        re = np.where(linked[..., k], re + roots[..., k, None].real, re)
-        im = np.where(linked[..., k], im + roots[..., k, None].imag, im)
-    centres = _quotient(_complex(re, im), np.maximum(mults, 1).astype(float))
+    centres = _quotient((linked * roots[..., None, :]).sum(-1),
+                        np.maximum(mults, 1).astype(float))
     order = np.lexsort((centres.imag, centres.real, mults == 0), axis=-1)
     return (np.take_along_axis(centres, order, -1),
             np.take_along_axis(mults, order, -1))
@@ -414,8 +425,7 @@ def _transfer_many(ratios) -> Terms:
     polynomials, roots or coefficients are not finite, such as one whose
     ratios overflow them, raises ``NumericalGuardError``, its polynomials
     checked before their roots are sought; so does a cell with a finite
-    root of relative residual above 1e-10 (``_check_roots``), as the
-    companion matrix gives at gamma/Omega = 1, lambda/Omega = 1e62.
+    root of relative residual above 1e-10 (``_check_roots``).
 
     p - m vanishes at s = 0, so dropping its constant term divides it by s
     exactly.  With real numerators and exact conjugate roots a pair's

@@ -39,7 +39,7 @@ SWEEP_CSV = """\
 # flag: 0,1,boundary
 gamma_over_omega,lambda_1,lambda_inf
 1,0.6141200971094255,0.43916014081667631
-5,0.33679113573469915,0.099212565748012474
+5,0.33679113573469927,0.099212565748012474
 """
 
 FIG7A_CSV = """\
@@ -50,23 +50,23 @@ lam,stored_energy_max,ergotropy_max
 0.12589254117941673,0.99406633704599767,0.98813267409199534
 0.15848931924611134,0.99264037669627048,0.98528075339254095
 0.19952623149688797,0.99090483763882198,0.98180967527764396
-0.25118864315095801,0.98880997156935435,0.9776199431387087
-0.31622776601683794,0.98630708157317604,0.97261416314635207
-0.39810717055349731,0.98335386868175467,0.96670773736350935
-0.50118723362727235,0.97992197177763019,0.95984394355526037
-0.63095734448019325,0.97600655312107898,0.95201310624215796
+0.25118864315095801,0.98880997156935413,0.97761994313870826
+0.31622776601683794,0.98630708157317626,0.97261416314635252
+0.39810717055349731,0.98335386868175401,0.96670773736350801
+0.50118723362727235,0.97992197177763085,0.9598439435552617
+0.63095734448019325,0.9760065531210792,0.9520131062421584
 0.79432823472428149,0.97163700764935756,0.94327401529871513
-1,0.96688672999871872,0.93377345999743744
-1.2589254117941675,0.96187856715275621,0.92375713430551243
-1.584893192461114,0.9567817068147445,0.91356341362948901
-1.9952623149688797,0.95179633252731377,0.90359266505462754
-2.511886431509581,0.94712555467752757,0.89425110935505514
-3.1622776601683795,0.94294006636350458,0.88588013272700916
-3.9810717055349731,0.93934724530826352,0.87869449061652705
+1,0.96688672999871828,0.93377345999743655
+1.2589254117941675,0.96187856715275666,0.92375713430551332
+1.584893192461114,0.95678170681474428,0.91356341362948856
+1.9952623149688797,0.95179633252731388,0.90359266505462776
+2.511886431509581,0.94712555467752779,0.89425110935505558
+3.1622776601683795,0.94294006636350525,0.88588013272701049
+3.9810717055349731,0.93934724530826308,0.87869449061652616
 5.0118723362727247,0.93637778003147143,0.87275556006294286
-6.3095734448019334,0.9339953560259201,0.8679907120518402
+6.3095734448019334,0.93399535602592054,0.86799071205184108
 7.9432823472428176,0.9321222871122905,0.86424457422458101
-10,0.9306668402381999,0.8613336804763998
+10,0.93066684023819957,0.86133368047639913
 """
 
 
@@ -93,17 +93,17 @@ PANEL_SHA256 = {
         "manifest.json":
             "9f7970e71d12f7c56aca2c577eab09bb8b1294398a23381c1e4ca34885777f05",
         "nonmarkovianity_grid.csv":
-            "771bc1b9ec07c554e496958f6cfdd0df96d3c0d4a147f810940e8c24d4e51744",
+            "dce7312c65c3392d2a3d1a95eec10b265ddf1d5b50f2a374cc7d06a7c77bb490",
     },
     "fig3a": {
         "manifest.json":
             "7f811b6120791aa07d41f04cb400b9e8573ddbd2dc11ca318acb958bba551c1f",
         "stored_energy_vs_time.csv":
-            "40f522f5be1c7c6ec2c4bdb71fb31fdc7dba7b743da3c4e25c8b487fa4bb65f0",
+            "e4790e50d309816cbbf44555dbe0fdf4715ccb65d042cf23169b1f88c380b981",
     },
     "fig3b": {
         "ergotropy_vs_time.csv":
-            "6ae7cc00827f60f95a0a091b1b688f68eca69b702e4154a2ce75b2e5453b2713",
+            "c6e661238b779647629bd01f57c2e81047c13456e5dae7bfd212cb8cdcee1c99",
         "manifest.json":
             "598959f90e319599526b9a69627cf59149570a6afa947571ec3050c045bb5178",
     },
@@ -111,11 +111,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "4d5097325136afd4c42ab67ef70064e21799b4caccbcb2bd3765f687c29d1eec",
         "stored_energy_max_grid.csv":
-            "5eb4d5b720dd74de12c847a064873ce3d74a18d44c98c299a4d26febcc524f53",
+            "8ef60b85e2c4e592306c3a9ddee84f7788c6f14679fda899ce5c2eba35ecc3cb",
     },
     "fig4b": {
         "ergotropy_max_grid.csv":
-            "b9b54bb4ae6adc1d75470d427a45fc2eb9275c32b70bf307098ba75d3e8043fa",
+            "0a9c18ca6d4842a9670e45f7e555df2d49e06d922c4be8b2f88fbd4930bd0a9e",
         "manifest.json":
             "50a34eac8fdd804ef9f83b4907cd313a25b5b714aa7dd09de40ab0cf7b467823",
     },
@@ -123,11 +123,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "aa1e99e3d8e821d4b0e87b3a5ba5f22cd7ed82cd96480451500b1a673b6453f2",
         "stored_energy_vs_time.csv":
-            "a7752096533aba68828fa7272613302a05fc48f97ada1c9b4981e3b64ce7710f",
+            "7b191be5d029ea941cd93ae7332923413ef0f5e596dd3b07c2b246392abcb0a0",
     },
     "fig5b": {
         "ergotropy_vs_time.csv":
-            "69af9b37e02976db4118252b22d26551c4a7f9fe27826c6d159c703e98f9d20a",
+            "9a62418f896bb8346ccef8ecbe628e5a12f19bd67bbd07ddafd4ab3c8426b5b1",
         "manifest.json":
             "acfe651818a45e599ed4aa35554c2678072ab03741cf8a5f5071c3d19cc0d47e",
     },
@@ -135,11 +135,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "0690abfb97c20715f0f757d5bb03a9af59fabad5843c41afa012758355133116",
         "stored_energy_comparison.csv":
-            "7e676522a8ec3cccdbde782bd329b86aafcb025391de6c332c06d8ffc557ebf9",
+            "cac7f72e0d259d454974e28f724951c7724fa12a440281b8620265765c42f305",
     },
     "fig6b": {
         "ergotropy_comparison.csv":
-            "94fae70f18ff84da96dc65f5c559fa0754e846f2dc45d44f40758f5976616fab",
+            "7706343da8992de1fc98a722a07b3197d76af337b82df1959233df5e3c0b24bc",
         "manifest.json":
             "fed0bc6369dfdd7a13430cc20b7d5da508de94f53f10fd347af354ed4d14d9f3",
     },
@@ -147,15 +147,15 @@ PANEL_SHA256 = {
         "manifest.json":
             "09cd6914f13f2130849d01789152ebd22342d1f23e439123ee4f596e999ab241",
         "maxima_vs_lambda.csv":
-            "484ff9b0c3d4f825ea4a3380c4ab4c4d75a824014607237df19dd9fb410d0c87",
+            "adca9a3161ed43015d59025cb0dcc0f16f00c650758beb74466361f2a3b7289d",
     },
     "fig7b": {
         "manifest.json":
             "5096f319923dfb98d77a2a26e8ff7589fe05437211ce245c279678337895d787",
         "maxima_memoryless.csv":
-            "56bdd82b389c4e4d4bc554d0286ed6ce1f91c80dd5b43f9904eef6948f799129",
+            "c37bebcd0535ae3bd1346ce11b7a375a0e8aa71a5fa4a46ed576fd5c02db6bf7",
         "maxima_with_memory.csv":
-            "52b2eedb8d9f13028f275d37a5935b8c45075bd38b9c079a0da76c8ab16c6df8",
+            "75170880fa620f3c836b79854b7671e62ae508de450f57884ee6e6aa731783ee",
     },
 }
 

@@ -137,7 +137,7 @@ SWEEP_JSON = """\
       0.4391601408166763
     ],
     [
-      0.33679113573469915,
+      0.33679113573469927,
       0.09921256574801247
     ]
   ],

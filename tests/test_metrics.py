@@ -692,6 +692,18 @@ class TestBlpBatch:
         assert any(r.truncated for r in batch)
         assert any(r.backflow_intervals for r in batch)
 
+    def test_report_numbers_are_floats(self):
+        """The measure and each end of each interval are plain floats, as
+        every MaximaReport field is, not numpy scalars."""
+        reports = blp_nonmarkovianity_many(BLP_CELLS)
+        assert any(r.backflow_intervals for r in reports)
+        for report in reports:
+            if not report.divergent:
+                assert type(report.measure) is float
+                assert all(type(end) is float
+                           for interval in report.backflow_intervals
+                           for end in interval)
+
     def test_roundoff_at_zero_cell(self):
         p = params(3.1622776601683795, 5.011872336272722)
         got = blp_nonmarkovianity_many([params(1.0, 1.0), p], grid=4405)[1]

@@ -422,11 +422,9 @@ class TestPopulationGuard:
         assert "tmax" in capsys.readouterr().err
 
 
-# ratio pairs whose expansion overflows: the partial fractions at (1e300, 1)
-# and (1, 1e300), the cubic's coefficients at (1e200, 1e200), the quadratic's
-# roots at (1e300, inf)
-NON_FINITE_CELLS = [("1e300", "1"), ("1", "1e300"), ("1e200", "1e200"),
-                    ("1e300", "inf")]
+# ratio pairs whose expansion overflows: the cubic's coefficients at
+# (1e200, 1e200), the quadratic's roots at (1e300, inf)
+NON_FINITE_CELLS = [("1e200", "1e200"), ("1e300", "inf")]
 
 
 class TestNonFiniteExpansion:
@@ -464,37 +462,107 @@ class TestNonFiniteExpansion:
                                                      float(lam)))
 
 
-# ratio pairs whose companion-matrix roots are finite but wrong: relative
-# residuals |p(s)| / sum_k |p_k| |s|^k of 6.8e-4 at (1, 1e62) and 1.0 at the
-# other two, where the good cells reach 3.5e-16
+# ratio pairs of a width so large that each cell is memoryless to double
+# precision: the companion-matrix roots had relative residuals
+# |p(s)| / sum_k |p_k| |s|^k of 6.8e-4 at (1, 1e62) and 1.0 at (1, 1e86)
+# and (1.99e-8, 1.07e96), and their partial fractions overflowed at
+# (1, 1e300)
 WRONG_ROOT_CELLS = [("1", "1e62"), ("1", "1e86"), ("1.99e-8", "1.07e96")]
+OVERFLOW_CELL = ("1", "1e300")
+LARGE_WIDTH_CELLS = WRONG_ROOT_CELLS + [OVERFLOW_CELL]
+
+
+def json_numbers(payload):
+    """The numbers of a JSON report or table, the echoed width left out."""
+    if isinstance(payload, dict):
+        return [x for key, value in payload.items() if key != "lambda"
+                for x in json_numbers(value)]
+    if isinstance(payload, list):
+        return [x for value in payload for x in json_numbers(value)]
+    return [payload] if isinstance(payload, float) else []
+
+
+def assert_sweep_matches_memoryless(quantity, gamma, lam, capsys):
+    """The finite-width column of a sweep matches the memoryless one."""
+    assert cli.main(["sweep", "--gamma-axis", f"0.5,{gamma}",
+                     "--lambda-axis", f"{lam},inf", "--format", "json",
+                     "--quantity", quantity]) == 0
+    out, err = capsys.readouterr()
+    assert "Warning" not in err and "Traceback" not in err
+    values = np.array(json.loads(out)["values"])
+    np.testing.assert_allclose(values[:, 0], values[:, 1], rtol=1e-12)
+
+
+def assert_roots_match_memoryless(gamma, lam):
+    """The roots are -lambda/Omega and the memoryless pair."""
+    roots = qb.propagator.solve_roots(qb.make_params(
+        1.0, 1.0, float(gamma), float(lam))).roots
+    pair = qb.propagator.solve_roots(qb.make_params(
+        1.0, 1.0, float(gamma), math.inf)).roots
+    assert roots[0] == pytest.approx(-float(lam), rel=1e-15)
+    np.testing.assert_allclose(roots[1:], pair, rtol=1e-12)
 
 
 class TestRootResidual:
-    """A root whose relative residual exceeds 1e-10 is a numerical guard
-    failure (exit 4) naming the cell, with no warning and no traceback,
-    where a population of wrong roots was reported or overflowed."""
+    """Roots keep their relative residual at roundoff also at widths far
+    beyond the memoryless limit, which are answered within 1e-12 of the
+    memoryless engine, with no warning and no traceback.  A root whose
+    residual exceeds 1e-10 is refused, naming the cell."""
 
-    @pytest.mark.parametrize("gamma,lam", WRONG_ROOT_CELLS)
+    @pytest.mark.parametrize("gamma,lam", LARGE_WIDTH_CELLS)
     @pytest.mark.parametrize("argv", [
-        ["evolve", "--steps", "3"], ["maxima"], ["nonmarkov"]])
-    def test_cell_commands_exit_four(self, argv, gamma, lam, capsys):
-        assert cli.main(argv + ["--gamma", gamma, "--lambda", lam]) == 4
-        err = capsys.readouterr().err
-        assert "root residual" in err and "above 1e-10" in err
-        assert f"lambda/Omega = {float(lam)!r}" in err
-        assert "Warning" not in err and "Traceback" not in err
+        ["evolve", "--steps", "11", "--format", "json"], ["maxima"],
+        ["nonmarkov"], ["nonmarkov", "--tmax", "20", "--grid", "2001"]])
+    def test_cell_commands_match_memoryless(self, argv, gamma, lam, capsys):
+        """Every number within 1e-12 relative, or 1e-15 absolute, as w(0)
+        = 0 is a roundoff residue of cancelling terms at finite width."""
+        outs = []
+        for width in (lam, "inf"):
+            code = cli.main(argv + ["--gamma", gamma, "--lambda", width])
+            out, err = capsys.readouterr()
+            assert "Warning" not in err and "Traceback" not in err
+            outs.append((code, json_numbers(json.loads(out))))
+        (code, got), (want_code, want) = outs
+        assert code == want_code
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("gamma,lam", WRONG_ROOT_CELLS)
     def test_sweep_and_solve_roots(self, gamma, lam, capsys):
-        assert cli.main(["sweep", "--gamma-axis", f"0.5,{gamma}",
-                         "--lambda-axis", f"2,{lam}",
-                         "--quantity", "stored_energy_max"]) == 4
-        assert "root residual" in capsys.readouterr().err
-        with pytest.raises(qb.propagator.NumericalGuardError,
-                           match="root residual"):
-            qb.propagator.solve_roots(qb.make_params(1.0, 1.0, float(gamma),
-                                                     float(lam)))
+        assert_sweep_matches_memoryless("stored_energy_max", gamma, lam,
+                                        capsys)
+        assert_roots_match_memoryless(gamma, lam)
+
+    @pytest.mark.parametrize("gamma,lam", [OVERFLOW_CELL])
+    @pytest.mark.parametrize("quantity", QUANTITIES)
+    def test_sweep_matches_memoryless(self, quantity, gamma, lam, capsys):
+        assert_sweep_matches_memoryless(quantity, gamma, lam, capsys)
+
+    @pytest.mark.parametrize("gamma,lam", [OVERFLOW_CELL])
+    def test_solve_roots_match_memoryless(self, gamma, lam):
+        assert_roots_match_memoryless(gamma, lam)
+
+    def test_huge_gamma_population_is_tiny(self, capsys):
+        """At (1e300, 1) the cavity's decay freezes the exchange: every
+        population of the empty battery is below 1e-299."""
+        assert cli.main(["maxima", "--gamma", "1e300", "--lambda", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 0.0 < report["delta_e_max"] < 1e-299
+        assert cli.main(["evolve", "--gamma", "1e300", "--lambda", "1",
+                         "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        column = payload["columns"].index("population")
+        assert max(row[column] for row in payload["rows"]) < 1e-299
+
+    def test_perturbed_root_is_refused(self):
+        g, l = np.array([0.5]), np.array([2.0])
+        coeffs = propagator._polynomials(g, l)[0]
+        roots = propagator._roots(coeffs)
+        propagator._check_roots(g, l, coeffs, roots)
+        roots[0, 0] *= 1.0 + 1e-8
+        with pytest.raises(propagator.NumericalGuardError,
+                           match=r"root residual .* above 1e-10 at "
+                           r"gamma/Omega = 0\.5, lambda/Omega = 2\.0"):
+            propagator._check_roots(g, l, coeffs, roots)
 
     def test_wide_domain_passes(self):
         """2 000 cells log-uniform in [1e-6, 1e6] x [1e-9, 1e15], the
@@ -663,8 +731,8 @@ def test_non_finite_default_grid_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["evolve", "--gamma", "1", "--lambda", "1e62"], 4),
-    (["sweep", "--gamma-axis", "1", "--lambda-axis", "1e62",
+    (["evolve", "--gamma", "1e200", "--lambda", "1e200"], 4),
+    (["sweep", "--gamma-axis", "1e200", "--lambda-axis", "1e200",
       "--quantity", "stored_energy_max", "--format", "json"], 4),
     (["evolve", "--gamma", "1", "--lambda", "1", "--steps", "1"], 2),
 ])
