@@ -42,8 +42,8 @@ import numpy as np
 from .model import (InitialState, ModelParams, empty_battery_state,
                     excited_battery_state)
 from .propagator import (Terms, _apply, _check_tmax, _clipped_population,
-                         _eval_terms, _qubit_ergotropy, _ratios, _select,
-                         _transfer_many, _weights)
+                         _derivative, _eval_terms, _qubit_ergotropy, _ratios,
+                         _select, _transfer_many, _weights)
 
 BLP_SCAN_SPACING = 1e-3   # default scan spacing, in Omega*tau
 BLP_DEFAULT_TMAX = 200.0  # default horizon, in Omega*tau
@@ -92,8 +92,9 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     Each bracket is refined on its own by safeguarded Newton steps on the
     exact slope f = d|c2|^2/dt = 2 Im(conj(c2) c1), with f' = 2 (|c1|^2 +
     Im(conj(c2) c1')) and c1' = c1_0 u' - i c2_0 u (U's entries obey w' = u
-    and v' = -w): a step reads (u, w, v, u') in one ``_eval_terms`` call
-    for every open bracket, the first at the midpoints.  The sign of f at
+    and v' = -w), u' the derivative of u's terms (``_derivative``): a step
+    reads (u, w, v, u') in one ``_eval_terms`` call for every open
+    bracket, the first at the midpoints.  The sign of f at
     a point moves the end of its side (``rising_at_a``: f > 0 on the left
     end's side).  A step is at least tol = 2 ulp + delta/|f'|, delta an
     estimate of the roundoff of f from the terms' envelope, so that a
@@ -117,9 +118,7 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     either way).  A zero-width bracket [t, t] so returns t at its one read.
     """
     roots, coefs = terms
-    u = coefs[0]
-    du = u * roots[:, None]  # u' = sum of (a s t^p + p a t^(p-1)) e^(s t)
-    du[:, :-1] += u[:, 1:] * np.arange(1, u.shape[1])[:, None]
+    du = _derivative(roots, coefs[0])
     # rows c1, c2 and c1' over the entries (u, w, v, u')
     weights = np.zeros((3, 4), dtype=np.complex128)
     weights[:2, :3] = _weights(init)

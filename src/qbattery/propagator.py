@@ -12,16 +12,20 @@ charging propagator is kappa = -i*w.  In the Laplace domain u = s*m/p,
 w = m/p and v = ((p - m)/s)/p, with the cubic denominator at finite width
 p(s) = s^3 + l*s^2 + (1 + l*g/2)*s + l and the memory factor m(s) = s + l,
 or, in the flat-spectrum limit (infinite width), the quadratic
-p(s) = s^2 + g*s/2 + 1 and m(s) = 1.  The roots of p come from real
-arithmetic: Newton steps find the cubic's real root, which deflates it
-onto a quadratic whose closed form, like the memoryless one's, gives exact
-conjugate pairs; roots closer than 1e-7 relative to the larger of the
-pair, or three near the triple point, form a cluster and take confluent
-t^k * exp(s*t) terms, as does the quadratic's double root at g = 4.
+p(s) = s^2 + g*s/2 + 1 and m(s) = 1.  So each entry is an operator in
+d/dt on one impulse response x = L^-1[1/p]: w = m(d/dt) x, u = w' and
+v = u + k1*x, k1 = l*g/2 (g/2 when memoryless) the s^1 coefficient of
+p - m.  The roots of p come from real arithmetic: Newton steps find the
+cubic's real root, which deflates it onto a quadratic whose closed form,
+like the memoryless one's, gives exact conjugate pairs; roots closer than
+1e-7 relative to the larger of the pair, or three near the triple point,
+form a cluster and take confluent t^k * exp(s*t) terms, as does the
+quadratic's double root at g = 4.
 
-One batched partial-fraction expansion (``_transfer_many``) takes many
-ratio pairs at once and gives u, w and v of each as terms: one root per
-real root, cluster or conjugate pair, and each entry the sum of
+One batched partial-fraction expansion of 1/p (``_transfer_many``) takes
+many ratio pairs at once and gives x, and so u, w and v, of each as
+terms, each derivative one map of the terms (``_derivative``): one root
+per real root, cluster or conjugate pair, and each entry the sum of
 Re(coef * t**power * exp(root*t)).  The cells' terms stack along a
 trailing axis, and each cell has the bytes of its one-cell expansion
 (``_transfer``, cached, so cells that differ only in Omega or in the
@@ -157,17 +161,12 @@ def _quotient(a, b) -> np.ndarray:
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The real polynomials ``coeffs[..., k]`` (highest power first) at
-    ``x`` as a complex array, by np.polyval's Horner steps, each complex
-    product rounded as ``_product`` rounds it; no coefficients give 0."""
+    ``x`` as a complex array, for ``_check_roots``: np.polyval's Horner
+    steps, each complex product rounded as ``_product`` rounds it."""
     xr, xi, re, im = x.real, x.imag, coeffs[..., :1].sum(-1), 0.0
     for k in range(1, coeffs.shape[-1]):
         re, im = re * xr - im * xi + coeffs[..., k], re * xi + im * xr
     return _complex(re, im)
-
-
-def _polyder(coeffs: np.ndarray) -> np.ndarray:
-    """np.polyder along the last axis."""
-    return coeffs[..., :-1] * np.arange(coeffs.shape[-1] - 1, 0, -1)
 
 
 def _polynomials(g, l) -> tuple[np.ndarray, np.ndarray]:
@@ -268,68 +267,66 @@ def _clusters(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.take_along_axis(mults, order, -1))
 
 
-def _partial_fractions(nums, roots: np.ndarray) -> Terms:
-    """Terms of the inverse Laplace transforms of N_k(s) / prod_j (s - s_j),
-    one entry per numerator N_k in ``nums``, one root per cluster: the
-    entries are the real parts of the transforms.  Roots and numerator
-    coefficients lie along the last axis; leading axes are cells, which the
-    terms stack along trailing axes, each cell's clusters first and zeros
-    after them.
+def _partial_fractions(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Terms (roots, coefs[root, power]) of the impulse response x, the
+    inverse Laplace transform of 1 / prod_j (s - s_j), one root per
+    cluster.  Roots lie along the last axis; leading axes are cells, which
+    the terms stack along trailing axes, each cell's clusters first and
+    zeros after them.
 
-    A cluster of roots takes the confluent terms t**k * exp(s*t), from
-    derivatives of the reduced numerator q(s) = N(s) / prod_other(s - s_k).
-    R(s0) = prod (s0 - r_k) and its log-derivative sums are evaluated from
-    the factors directly: expanded coefficients lose precision badly for
-    nearly-coincident roots.  Cells of one cluster pattern are expanded
-    together, each with the roundings of scalar complex arithmetic
-    (``_product``, ``_quotient``, np.polyval's Horner steps) that the
-    goldens pin.
+    A cluster of m roots at s0 takes the confluent terms t**k * exp(s0*t),
+    the coefficient of t**(m-1-r) being q^(r)(s0) / (r! (m-1-r)!) with
+    q = 1/R, R(s) = prod (s - s_k) over the other roots: q = 1/R(s0),
+    q' = -q*S1 and q'' = q*(S1^2 + S2), S1 and S2 the sums of 1/d and 1/d^2
+    over the factors d = s0 - s_k, evaluated from the factors directly, as
+    expanded coefficients lose precision badly for nearly-coincident roots.
+    Cells of one cluster pattern are expanded together, each with the
+    roundings of scalar complex arithmetic (``_product``, ``_quotient``)
+    that the goldens pin.
     """
     lead = roots.shape[:-1]
     roots = roots.reshape(-1, roots.shape[-1])
-    nums = [np.broadcast_to(num, lead + np.shape(num)[-1:]).reshape(
-        len(roots), -1) for num in nums]
     centres, mults = _clusters(roots)
     out_roots = np.zeros(((mults > 0).sum(-1).max(initial=0), len(roots)),
                          dtype=np.complex128)
-    coefs = np.zeros((len(nums), len(out_roots), mults.max(initial=0),
-                      len(roots)), dtype=np.complex128)
+    coefs = np.zeros((len(out_roots), mults.max(initial=0), len(roots)),
+                     dtype=np.complex128)
     patterns, of_cell = np.unique(mults, axis=0, return_inverse=True)
     for p, pattern in enumerate(patterns):
         cells = np.flatnonzero(of_cell.ravel() == p)
         ms = [int(m) for m in pattern if m]
         c = np.ascontiguousarray(centres[cells, :len(ms)].T)
         out_roots[:len(ms), cells] = c
-        group = [num[cells] for num in nums]
         for j, m in enumerate(ms):
             d = c[j] - c[[k for k, mk in enumerate(ms) if k != j
                           for _ in range(mk)]]
-            r0 = (d[0] if len(d) == 1 else _product(*d) if len(d)
-                  else np.ones_like(c[j]))
-            if m >= 2:  # R'(s0) = r1 and R''(s0) = r2
+            qd = [_quotient(1.0, d[0] if len(d) == 1 else _product(*d)
+                            if len(d) else np.ones_like(c[j]))]
+            if m >= 2:
                 zero = np.zeros_like(c[j])
                 sum1 = sum(_quotient(1.0, d), zero)
+                qd.append(-_product(qd[0], sum1))
+            if m >= 3:
                 # sums from 0, and squares as 1 * (d * d), as Python forms them
                 sum2 = sum(_quotient(1.0, _product(1.0, _product(d, d))),
                            zero)
-                r1 = _product(r0, sum1)
-                r2 = _product(r0, _product(sum1, sum1) - sum2)
-            for k, num in enumerate(group):
-                qd = [_horner(num, c[j]) / r0]
-                if m >= 2:
-                    n1 = _horner(_polyder(num), c[j])
-                    qd.append((n1 - _product(qd[0], r1)) / r0)
-                if m >= 3:
-                    n2 = _horner(_polyder(_polyder(num)), c[j])
-                    qd.append((n2 - _product(_product(2.0, qd[1]), r1)
-                               - _product(qd[0], r2)) / r0)
-                for r, q in enumerate(qd):
-                    # coefficient of 1/(s-s0)^(m-r) is q^(r)(s0)/r!
-                    power = m - r - 1
-                    coefs[k, j, power, cells] = (q / math.factorial(r)
-                                                 / math.factorial(power))
+                qd.append(_product(qd[0], _product(sum1, sum1) + sum2))
+            for r, q in enumerate(qd):
+                power = m - r - 1
+                coefs[j, power, cells] = (q / math.factorial(r)
+                                          / math.factorial(power))
     return (out_roots.reshape(out_roots.shape[:1] + lead),
-            coefs.reshape(coefs.shape[:3] + lead))
+            coefs.reshape(coefs.shape[:2] + lead))
+
+
+def _derivative(roots: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """Coefficients of the time derivative of the terms (roots[root, cell],
+    coefs[..., root, power, cell]): each term a*t**k*exp(s*t) gives
+    s*a*t**k + k*a*t**(k-1), s*a formed by ``_product``."""
+    out = _product(roots[:, None], coefs)
+    out[..., :-1, :] += coefs[..., 1:, :] * np.arange(
+        1.0, coefs.shape[-2])[:, None]
+    return out
 
 
 # each cell's outer product of a row and a column part: one rounded product
@@ -427,10 +424,10 @@ def _transfer_many(ratios) -> Terms:
     checked before their roots are sought; so does a cell with a finite
     root of relative residual above 1e-10 (``_check_roots``).
 
-    p - m vanishes at s = 0, so dropping its constant term divides it by s
-    exactly.  With real numerators and exact conjugate roots a pair's
-    coefficients (a, a') are conjugate to the bit, so they fold into
-    2a = a + conj(a') on its root of positive imaginary part:
+    u, w and v come from the terms of x = L^-1[1/p], w by Horner in the
+    operator m(d/dt).  With exact conjugate roots a pair's coefficients
+    (a, a') of x, and so of u, w and v, are conjugate to the bit, so they
+    fold into 2a = a + conj(a') on its root of positive imaginary part:
     Re(a' exp(conj(s) t)) = Re(conj(a') exp(s t)).
     """
     g, l = np.asarray(ratios, dtype=np.float64).reshape(-1, 2).T
@@ -444,12 +441,14 @@ def _transfer_many(ratios) -> Terms:
         with np.errstate(all="ignore"):
             p, m = _polynomials(g[cells], l[cells])
             _check_finite(g[cells], l[cells], p.T)
-            p_minus_m = p.copy()
-            p_minus_m[:, -m.shape[1]:] -= m
             roots_p = _roots(p)
-            # the numerators s*m, m and (p - m)/s of u, w and v
-            r, c = _partial_fractions(
-                (np.pad(m, ((0, 0), (0, 1))), m, p_minus_m[:, :-1]), roots_p)
+            r, x = _partial_fractions(roots_p)
+            w = x  # w = m(d/dt) x by Horner in the operator, m monic
+            for coef in m.T[1:]:
+                w = _derivative(r, w) + coef * x
+            u = _derivative(r, w)
+            k1 = p[:, -2] - (m[:, -2] if m.shape[1] > 1 else 0.0)
+            c = np.stack([u, w, u + k1 * x])
             _check_finite(g[cells], l[cells], r, c)
             _check_roots(g[cells], l[cells], p, roots_p)
         roots[:len(r), cells] = r

@@ -22,11 +22,11 @@ EVOLVE_CSV = """\
 # steps=6
 Omega_tau,re_kappa,im_kappa,population,stored_energy,ergotropy
 0,0,0,0,0,0
-1,0,-0.84073734097958219,0.70683927651741829,0.70683927651741829,0.41367855303483658
-2,0,-0.90519086952620642,0.81937051027360963,0.81937051027360963,0.63874102054721926
-3,0,-0.1341920710880222,0.018007511942892802,0.018007511942892802,0
+1,0,-0.8407373409795823,0.7068392765174184,0.7068392765174184,0.4136785530348368
+2,0,-0.90519086952620653,0.81937051027360985,0.81937051027360985,0.63874102054721971
+3,0,-0.13419207108802222,0.018007511942892809,0.018007511942892809,0
 4,0,0.75999472489891773,0.57759198187418159,0.57759198187418159,0.15518396374836319
-5,0,0.951709231969048,0.90575046221511524,0.90575046221511524,0.81150092443023047
+5,0,0.95170923196904811,0.90575046221511546,0.90575046221511546,0.81150092443023092
 """
 
 SWEEP_CSV = """\
@@ -38,7 +38,7 @@ SWEEP_CSV = """\
 # flag: 0,0,boundary
 # flag: 0,1,boundary
 gamma_over_omega,lambda_1,lambda_inf
-1,0.6141200971094255,0.43916014081667631
+1,0.61412009710942539,0.43916014081667631
 5,0.33679113573469927,0.099212565748012474
 """
 
@@ -46,21 +46,21 @@ FIG7A_CSV = """\
 # figure=fig7a
 # tool_version=0.1.0
 lam,stored_energy_max,ergotropy_max
-0.10000000000000001,0.99523009610636348,0.99046019221272696
-0.12589254117941673,0.99406633704599767,0.98813267409199534
+0.10000000000000001,0.9952300961063637,0.99046019221272741
+0.12589254117941673,0.99406633704599745,0.9881326740919949
 0.15848931924611134,0.99264037669627048,0.98528075339254095
 0.19952623149688797,0.99090483763882198,0.98180967527764396
 0.25118864315095801,0.98880997156935413,0.97761994313870826
-0.31622776601683794,0.98630708157317626,0.97261416314635252
-0.39810717055349731,0.98335386868175401,0.96670773736350801
-0.50118723362727235,0.97992197177763085,0.9598439435552617
+0.31622776601683794,0.98630708157317581,0.97261416314635163
+0.39810717055349731,0.98335386868175423,0.96670773736350846
+0.50118723362727235,0.97992197177763107,0.95984394355526215
 0.63095734448019325,0.9760065531210792,0.9520131062421584
 0.79432823472428149,0.97163700764935756,0.94327401529871513
-1,0.96688672999871828,0.93377345999743655
-1.2589254117941675,0.96187856715275666,0.92375713430551332
-1.584893192461114,0.95678170681474428,0.91356341362948856
-1.9952623149688797,0.95179633252731388,0.90359266505462776
-2.511886431509581,0.94712555467752779,0.89425110935505558
+1,0.96688672999871872,0.93377345999743744
+1.2589254117941675,0.96187856715275621,0.92375713430551243
+1.584893192461114,0.95678170681474473,0.91356341362948945
+1.9952623149688797,0.95179633252731355,0.9035926650546271
+2.511886431509581,0.94712555467752713,0.89425110935505425
 3.1622776601683795,0.94294006636350525,0.88588013272701049
 3.9810717055349731,0.93934724530826308,0.87869449061652616
 5.0118723362727247,0.93637778003147143,0.87275556006294286
@@ -93,17 +93,17 @@ PANEL_SHA256 = {
         "manifest.json":
             "9f7970e71d12f7c56aca2c577eab09bb8b1294398a23381c1e4ca34885777f05",
         "nonmarkovianity_grid.csv":
-            "dce7312c65c3392d2a3d1a95eec10b265ddf1d5b50f2a374cc7d06a7c77bb490",
+            "b094808934999408e7a80fb6be8dcae8275c9979daf54e53890011588d515df5",
     },
     "fig3a": {
         "manifest.json":
             "7f811b6120791aa07d41f04cb400b9e8573ddbd2dc11ca318acb958bba551c1f",
         "stored_energy_vs_time.csv":
-            "e4790e50d309816cbbf44555dbe0fdf4715ccb65d042cf23169b1f88c380b981",
+            "59057ca9396489d49b493bd737150e78ba3924f80c4cfdf760ed3c41d864155c",
     },
     "fig3b": {
         "ergotropy_vs_time.csv":
-            "c6e661238b779647629bd01f57c2e81047c13456e5dae7bfd212cb8cdcee1c99",
+            "d02024ddd19dfffba12135a1abb1987a00dfd5ffb0b8f04382172357a01dc27e",
         "manifest.json":
             "598959f90e319599526b9a69627cf59149570a6afa947571ec3050c045bb5178",
     },
@@ -111,11 +111,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "4d5097325136afd4c42ab67ef70064e21799b4caccbcb2bd3765f687c29d1eec",
         "stored_energy_max_grid.csv":
-            "8ef60b85e2c4e592306c3a9ddee84f7788c6f14679fda899ce5c2eba35ecc3cb",
+            "53fc346b126b3c528dc807fa56b537e3abc0d82e8c435e1ad77a33b3efe6a3a9",
     },
     "fig4b": {
         "ergotropy_max_grid.csv":
-            "0a9c18ca6d4842a9670e45f7e555df2d49e06d922c4be8b2f88fbd4930bd0a9e",
+            "8134ff377b4452a7c9372eaa67e50ee8c9eeae22689ffc437fc432148c36ee86",
         "manifest.json":
             "50a34eac8fdd804ef9f83b4907cd313a25b5b714aa7dd09de40ab0cf7b467823",
     },
@@ -135,11 +135,11 @@ PANEL_SHA256 = {
         "manifest.json":
             "0690abfb97c20715f0f757d5bb03a9af59fabad5843c41afa012758355133116",
         "stored_energy_comparison.csv":
-            "cac7f72e0d259d454974e28f724951c7724fa12a440281b8620265765c42f305",
+            "550588d07ec9533a05b0f210e425fc43f4be845d4884f1073285d374ffce087b",
     },
     "fig6b": {
         "ergotropy_comparison.csv":
-            "7706343da8992de1fc98a722a07b3197d76af337b82df1959233df5e3c0b24bc",
+            "1c91da1db3e5dd80947116aaf0cbc5302a415b21051e4ebd7c00c0a50ce2e9c3",
         "manifest.json":
             "fed0bc6369dfdd7a13430cc20b7d5da508de94f53f10fd347af354ed4d14d9f3",
     },
@@ -147,7 +147,7 @@ PANEL_SHA256 = {
         "manifest.json":
             "09cd6914f13f2130849d01789152ebd22342d1f23e439123ee4f596e999ab241",
         "maxima_vs_lambda.csv":
-            "adca9a3161ed43015d59025cb0dcc0f16f00c650758beb74466361f2a3b7289d",
+            "4421ccadee0be1b4b4ed4e9adf98474e8fa02d6ccd4dc32b015235f58ec548ce",
     },
     "fig7b": {
         "manifest.json":
@@ -155,7 +155,7 @@ PANEL_SHA256 = {
         "maxima_memoryless.csv":
             "c37bebcd0535ae3bd1346ce11b7a375a0e8aa71a5fa4a46ed576fd5c02db6bf7",
         "maxima_with_memory.csv":
-            "75170880fa620f3c836b79854b7671e62ae508de450f57884ee6e6aa731783ee",
+            "0a3fbeb56185cd7c3c14cfca794217ce816ff530f368e9885600cb1cfd064872",
     },
 }
 

@@ -63,10 +63,10 @@ EVOLVE_JSON = """\
     [
       5.0,
       0.0,
-      0.951709231969048,
-      0.9057504622151152,
-      0.9057504622151152,
-      0.8115009244302305
+      0.9517092319690481,
+      0.9057504622151155,
+      0.9057504622151155,
+      0.8115009244302309
     ]
   ]
 }"""
@@ -133,7 +133,7 @@ SWEEP_JSON = """\
   "grid": null,
   "values": [
     [
-      0.6141200971094255,
+      0.6141200971094254,
       0.4391601408166763
     ],
     [

@@ -480,8 +480,10 @@ def close_report(got, want, value=1e-14, tau=1e-14):
 
 
 # memoryless (gamma = 4 Omega is the quadratic's double root, confluent
-# terms), the triple root, a double root, lambda/Omega = 1e7, and cells at
-# Omega != 1, where the slope -i*Omega*c1 scales
+# terms), the triple root, a near-double root whose computed pair clusters
+# (its true roots lie 1.0497e-7 apart relative, above the 1e-7 pair rule),
+# lambda/Omega = 1e7, and cells at Omega != 1, where the slope -i*Omega*c1
+# scales
 TRIPLE_ROOT_CELL = params(16 * math.sqrt(3) / 9, 3 * math.sqrt(3))
 BATCH_CELLS = (
     [params(g, math.inf) for g in (0.1, 2.0, 4.0, 7.5)]
@@ -665,8 +667,9 @@ def close_blp(got, want):
 
 
 # memoryless on both sides of gamma = 4 Omega, gamma = 0 (divergent) among
-# live cells, the triple root, a double root, Omega != 1, lambda/Omega = 1e7
-# and a cell truncated at the default horizon
+# live cells, the triple root, a cell whose computed pair clusters though its
+# true roots lie 1.0497e-7 apart relative (above the 1e-7 pair rule),
+# lambda/Omega = 1e7 and a cell truncated at the default horizon
 BLP_CELLS = (
     [params(2.0, math.inf), params(0.0, 1.0), params(5.0, math.inf),
      TRIPLE_ROOT_CELL, params(3.2406446189062073, 6.0), params(0.1, 1e7),

@@ -10,10 +10,10 @@ import qbattery as qb
 from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
 from qbattery.oracle import integrate_memoryless
-from qbattery.propagator import (_eval_terms, _partial_fractions,
-                                 _polynomials, _ratios, _roots, _transfer,
-                                 _transfer_many, amplitude_grid, kappa_grid,
-                                 solve_roots)
+from qbattery.propagator import (_derivative, _eval_terms,
+                                 _partial_fractions, _polynomials, _ratios,
+                                 _roots, _transfer, _transfer_many,
+                                 amplitude_grid, kappa_grid, solve_roots)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -371,19 +371,18 @@ class TestAmplitudes:
 
 
 def re_im(terms):
-    """Terms whose entries are the real and then the imaginary parts of
-    the outputs of ``terms``: Im(f) = Re(-i f)."""
+    """Terms of two entries, the real and the imaginary part of the one
+    output of ``terms`` (coefs[root, power]): Im(f) = Re(-i f)."""
     roots, coefs = terms
-    return roots, np.concatenate([coefs, -1j * coefs])
+    return roots, np.stack([coefs, -1j * coefs])
 
 
 class TestConfluentExpansion:
     def test_double_root_matches_perturbed_simple(self):
-        num = np.array([2.0, -0.5])
         a, b = -0.3 + 0.4j, -1.1 + 0.0j
         eps = 1e-6
-        exact = re_im(_partial_fractions((num,), np.array([a, a, b])))
-        nearby = re_im(_partial_fractions((num,), np.array([a, a + eps, b])))
+        exact = re_im(_partial_fractions(np.array([a, a, b])))
+        nearby = re_im(_partial_fractions(np.array([a, a + eps, b])))
         t = np.linspace(0.0, 5.0, 50)
         np.testing.assert_allclose(_eval_terms(exact, t),
                                    _eval_terms(nearby, t), atol=1e-4)
@@ -393,12 +392,10 @@ class TestConfluentExpansion:
                                                          k).tobytes()
 
     def test_triple_root_matches_perturbed_simple(self):
-        num = np.array([1.0, 0.5])
         a = -0.2 + 0.1j
         eps = 1e-5
-        exact = re_im(_partial_fractions((num,), np.array([a, a, a])))
-        nearby = re_im(_partial_fractions((num,),
-                                          np.array([a, a + eps, a - eps])))
+        exact = re_im(_partial_fractions(np.array([a, a, a])))
+        nearby = re_im(_partial_fractions(np.array([a, a + eps, a - eps])))
         t = np.linspace(0.0, 4.0, 40)
         np.testing.assert_allclose(_eval_terms(exact, t),
                                    _eval_terms(nearby, t), atol=1e-4)
@@ -411,8 +408,10 @@ class TestConfluentExpansion:
 SEEDED_CELLS = [tuple(float(v) for v in cell) for cell in np.exp(
     np.random.default_rng(20240817).uniform(
         np.log([1e-3, 1e-3]), np.log([20.0, 100.0]), size=(50, 2)))]
-# gamma, lambda: the triple root of the cubic, a zero-discriminant point
-# (double root, confluent terms) and two extreme widths
+# gamma, lambda: the triple root of the cubic, a cell whose pair clusters
+# (confluent terms) and two extreme widths.  That cell is near the
+# double-root curve, not on it: its true roots lie 1.0497e-7 apart relative,
+# above the 1e-7 pair rule, but the computed pair lands 9.89e-8 apart
 SPECIAL_CELLS = [(16 * math.sqrt(3) / 9, 3 * math.sqrt(3)),
                  (3.2406446189062073, 6.0), (0.1, 1e7), (0.1, 1e9)]
 
@@ -439,12 +438,13 @@ class TestPoleEvaluator:
                     assert amp.tobytes() == ref.tobytes()
 
     def test_no_zero_root_in_c2_poles(self):
-        """v's numerator is divided by s exactly, so the terms have the
-        roots of p alone: no zero root, also at a small Omega where a
-        cancelled 1/s pole used to keep a roundoff coefficient, one root
-        per real root or conjugate pair (or cluster: a pair closer than
-        1e-7, or the triple point's three roots within eps**(1/5) of their
-        centre), and the values still match the per-(root, power) loop."""
+        """v = u + k1*x is built from x = L^-1[1/p], not expanded over
+        s*p, so the terms have the roots of p alone: no zero root, also at
+        a small Omega where a cancelled 1/s pole would keep a roundoff
+        coefficient, one root per real root or conjugate pair (or cluster:
+        a pair closer than 1e-7, or the triple point's three roots within
+        eps**(1/5) of their centre), and the values still match the
+        per-(root, power) loop."""
         tau = np.linspace(0.0, 50.0, 2001)
         om = 0.003265088842593968
         cells = [params(gamma, lam) for gamma, lam
@@ -499,13 +499,6 @@ NORM_CELLS = [(float(g), float(lam)) for g, lam in zip(
         np.log([[1e-3] * 320, [1e-9] * 320]),
         np.log([[1e3] * 320, [1e15] * 320]))))] + [
     (g, math.inf) for g in np.logspace(-3, 3, 20)]
-
-
-def numerators(g, l):
-    """The numerators of u, w and v over p, as ``_transfer`` expands them."""
-    coeffs, memory = _polynomials(g, l)
-    return (np.polymul([1.0, 0.0], memory), memory,
-            np.polysub(coeffs, memory)[:-1])
 
 
 def grid_read(terms, tmax, n):
@@ -592,17 +585,25 @@ class TestRealParts:
                 assert stacked[k][c].tobytes() == want, (cell, k)
 
     def test_cubic_pair_is_one_term(self):
-        """The pair's coefficients (a, a') fold into a + conj(a') on the
-        root of positive imaginary part, its mate's exact conjugate."""
-        roots, coefs = _partial_fractions(numerators(0.1, 0.1),
-                                          _roots(_polynomials(0.1, 0.1)[0]))
+        """The pair's coefficients (a, a') of x = L^-1[1/p] are exact
+        conjugates, and so are those of u, w and v built from x: each folds
+        into a + conj(a') on the root of positive imaginary part, its
+        mate's exact conjugate."""
+        p = _polynomials(0.1, 0.1)[0]  # s^3 + l s^2 + k s + l
+        roots, x = _partial_fractions(_roots(p)[None])  # one cell
+        s = roots[:, 0]
         terms = _transfer(0.1, 0.1)
-        assert len(roots) == 3 and len(terms[0]) == 2
-        lower, upper = np.argsort(roots.imag)[[0, 2]]
-        assert roots[upper] == roots[lower].conjugate() != roots[upper].real
-        j = list(terms[0]).index(roots[upper])
-        np.testing.assert_array_equal(
-            terms[1][:, j], coefs[:, upper] + coefs[:, lower].conj())
+        assert len(s) == 3 and len(terms[0]) == 2
+        lower, upper = np.argsort(s.imag)[[0, 2]]
+        assert s[upper] == s[lower].conjugate() != s[upper].real
+        np.testing.assert_array_equal(x[upper], x[lower].conj())
+        w = _derivative(roots, x) + 0.1 * x  # (s + l)/p
+        u = _derivative(roots, w)  # s (s + l)/p
+        v = u + (p[2] - 1.0) * x  # (p - s - l)/(s p) = (s (s + l) + k - 1)/p
+        j = list(terms[0]).index(s[upper])
+        for k, entry in enumerate((u, w, v)):
+            np.testing.assert_array_equal(
+                terms[1][k, j], (entry[upper] + entry[lower].conj())[..., 0])
 
     def test_three_real_roots_are_three_terms(self):
         roots, _ = _transfer(7.5, 100.0)
@@ -765,6 +766,51 @@ class TestBatchedExpansion:
         assert _transfer(*double_root_cell(-2.0))[1].shape == (3, 2, 2)
         roots, coefs = _transfer_many([])
         assert roots.shape == (0, 0) and coefs.shape == (3, 0, 0, 0)
+
+
+# the figure axes with an inf column at 1e-13; at 5e-10, where partial
+# fractions cancel: the double-root curve, the triple point and points
+# 1e-12 ... 1e-3 from it, and the memoryless double root and points near it.
+# On the curve at r = -1.7699, 0.04 from the triple point's -sqrt(3), the
+# computed pair lies 1.5e-7 apart relative, just outside the 1e-7 pair
+# rule, so two simple terms cancel coefficients of 2e8: 1e-7 there
+ALGEBRA_CELLS = (
+    [((g, lam), 1e-13) for g in GRID_AXIS for lam in GRID_AXIS + (math.inf,)]
+    + [(double_root_cell(r), 1e-7 if abs(r + 1.77) < 0.01 else 5e-10)
+       for r in np.linspace(-6.0, -1.001, 40)]
+    + [((TRIPLE_ROOT[0] * (1 + d), TRIPLE_ROOT[1]), 5e-10) for d in
+       [0.0] + [s * 10.0 ** -e for e in range(3, 13) for s in (1, -1)]]
+    + [((4.0 * (1 + d), math.inf), 5e-10) for d in (0.0, 1e-9, -1e-9)])
+
+
+class TestTransferAlgebra:
+    """u, w and v come from one impulse response x = L^-1[1/p], yet U =
+    [[u, -i*w], [-i*w, v]] must obey U(0) = I and v' = -w, which hold only
+    where x solves p(d/dt) x = 0 (v' + w = p(d/dt) x): not by construction
+    of the terms."""
+
+    cells, bounds = zip(*ALGEBRA_CELLS)
+
+    def test_identity_at_zero(self):
+        """u(0) = v(0) = 1 and w(0) = 0: the sums of the power-0
+        coefficients."""
+        roots, coefs = _transfer_many(self.cells)
+        at_zero = coefs[:, :, 0].real.sum(1)
+        worst = np.abs(at_zero - np.array([[1.0], [0.0], [1.0]])).max(0)
+        assert np.all(worst <= self.bounds), (
+            self.cells[np.argmax(worst / self.bounds)])
+
+    def test_v_prime_is_minus_w(self):
+        """v' from ``_derivative`` against -w on Omega*tau in [0.01, 20]:
+        at t > 0, as a root of size 1e86 carries a roundoff coefficient
+        that its exponential sends to exactly 0 there."""
+        roots, coefs = _transfer_many(self.cells)
+        dv = _derivative(roots, coefs[2])
+        t = np.linspace(0.01, 20.0, 2000)
+        for i, (cell, bound) in enumerate(ALGEBRA_CELLS):
+            got, w = _eval_terms(
+                (roots[:, i], np.stack([dv[..., i], coefs[1, ..., i]])), t)
+            assert np.max(np.abs(got + w)) <= bound, cell
 
 
 class TestOracleEquivalence:
