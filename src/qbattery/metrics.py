@@ -19,8 +19,11 @@ evaluator (``propagator._eval_terms``), a block of rows at a time.  A BLP
 scan takes one cell at a time and reads a coarse subset of its grid first,
 then every point of the intervals where a bound on the slopes of w and v
 does not prove that neither changes sign: on the figure axes about 6 % of
-a 2e5-point grid.  The charging scans of ``MAXIMA_SCAN_CELLS`` cells share
-one read, into buffers that every pass reuses.
+a 2e5-point grid.  A charging scan reads its cells from t = 0 in spans
+of 1, 2, 4, ... rows, many cells to a read, into buffers that every read
+reuses, and drops a cell once a bound on the envelope of its terms shows
+that the rest of its horizon lies below its largest sample: on the figure
+axes at the default horizon about 6 % of the grid for the empty battery.
 Both searches expand a batch of cells once (``propagator._transfer_many``)
 and refine the extrema they bracket on that one stack of terms
 (``_refine``): safeguarded Newton steps on the exact slope of |c2|^2, each
@@ -56,8 +59,9 @@ BLP_SKIP_SLACK = 1e-9     # relative margin of the proof that skips points
 BLP_MAX_GRID = 1 << 32    # most points of a BLP scan (a minute a cell)
 _GRID_BLOCK = 1 << 14     # grid points a scan reads at a time
 _EPS = np.finfo(np.float64).eps
-# cells whose charging-optimum scans fill one block
-MAXIMA_SCAN_CELLS = _GRID_BLOCK // MAXIMA_SCAN_POINTS
+# most cells of one read of a charging scan, which keeps its per-cell
+# temporaries small: 8 rows of that many cells fill a block
+_SCAN_READ_CELLS = _GRID_BLOCK // (8 * math.isqrt(MAXIMA_SCAN_POINTS))
 
 
 @dataclass(frozen=True)
@@ -419,31 +423,73 @@ def blp_nonmarkovianity(params: ModelParams, tmax: float | None = None,
 
 def _scan_peaks(terms: Terms, init: InitialState, tmax: float) -> np.ndarray:
     """Index of the largest population |c2|^2 of each cell of the stack
-    ``terms`` on np.linspace(0, tmax, MAXIMA_SCAN_POINTS),
-    ``MAXIMA_SCAN_CELLS`` cells to a pass, all into one set of buffers, so
-    that memory does not grow with the stack nor churn from pass to pass;
-    a population outside [0, 1] raises ``NumericalGuardError``."""
+    ``terms`` on np.linspace(0, tmax, MAXIMA_SCAN_POINTS); a population
+    outside [0, 1] raises ``NumericalGuardError``.
+
+    The grid is laid out in rows of b = isqrt(MAXIMA_SCAN_POINTS) points
+    and read from 0 in spans of 1, 2, 4, ... rows.  After each span a cell
+    is done when a bound on |c2|^2 over the rest of the horizon [t, T] (t
+    the start of the next unread row, T = tmax) lies below its largest
+    sample so far.  Each term a_jp t^p e^(s_j t) of an entry is at most
+    |a_jp| T^p e^max(Re s_j t, Re s_j T) there; their sum weighted by the
+    |weights| of c2, times 1 + ``BLP_SKIP_SLACK`` (1 + max|s_j| T) for the
+    evaluator's roundoff (the rule of ``_sign_kept``), squared, is the
+    bound, and a NaN or infinite one leaves the cell reading.  So every
+    point skipped lies below one that was read, and the index is that of a
+    read of every point, each read point with the bytes of a read of the
+    whole grid.  A read holds at most ``_SCAN_READ_CELLS`` cells and
+    ``_GRID_BLOCK`` points, all into one set of buffers, so that memory
+    does not grow with the stack nor churn from read to read."""
     n = MAXIMA_SCAN_POINTS
     b = math.isqrt(n)
-    rows, cols, h = np.arange(0, n, b), np.arange(b), tmax / (n - 1)
+    starts, cols, h = np.arange(0, n, b), np.arange(b), tmax / (n - 1)
     weights = _weights(init)[1]
     used = np.flatnonzero(weights)
-    peaks = np.empty(terms[0].shape[1], dtype=int)
-    # one set of buffers for every pass: the evaluator's and c2
-    size = min(len(peaks), MAXIMA_SCAN_CELLS), len(rows) * b
-    work = np.empty((len(used) + 2) * math.prod(size))
-    c2 = np.empty(size, dtype=np.complex128)
-    for k in range(0, len(peaks), MAXIMA_SCAN_CELLS):
-        roots, coefs = _select(terms, slice(k, k + MAXIMA_SCAN_CELLS))
-        m = roots.shape[1]
-        entries = _eval_terms((roots, coefs[used]), rows, cols, h, work)
-        # c2 = weights @ entries, as _apply sums it but for the signs of
-        # zeros, which |c2| drops
-        np.multiply(weights[used[0]], entries[0].reshape(m, -1), out=c2[:m])
-        for weight, entry in zip(weights[used[1:]], entries[1:]):
-            c2[:m] += weight * entry.reshape(m, -1)
-        peaks[k:k + m] = np.argmax(
-            _clipped_population(np.abs(c2[:m, :n]) ** 2), -1)
+    roots, coefs = terms[0], terms[1][used]
+    weights = weights[used]
+    # the bound of |c2| on [t, T] is sum_j env_j e^max(Re s_j t, Re s_j T)
+    with np.errstate(all="ignore"):
+        size = np.tensordot(np.abs(weights), np.abs(coefs), 1)
+        env = (size * (tmax ** np.arange(size.shape[1]))[:, None]).sum(1)
+        env *= 1.0 + BLP_SKIP_SLACK * (
+            1.0 + np.abs(roots).max(0, initial=0.0) * tmax)
+    cells = roots.shape[1]
+    peaks = np.zeros(cells, dtype=np.intp)
+    best = np.full(cells, -np.inf)
+    live = np.arange(cells)
+    # one set of buffers for every read: the evaluator's and c2
+    block_rows = _GRID_BLOCK // b
+    points = min(cells * len(starts), block_rows) * b
+    work = np.empty((len(used) + 2) * points)
+    c2 = np.empty(points, dtype=np.complex128)
+    r0, span = 0, 1
+    while len(live) and r0 < len(starts):
+        rows = starts[r0:r0 + span]
+        stop = min(n - rows[0], len(rows) * b)  # the grid's points in rows
+        step = min(_SCAN_READ_CELLS, block_rows // len(rows))
+        for k in range(0, len(live), step):
+            ids = live[k:k + step]
+            m = len(ids)
+            entries = _eval_terms(_select((roots, coefs), ids), rows, cols,
+                                  h, work)
+            # c2 = weights @ entries, as _apply sums it but for the signs of
+            # zeros, which |c2| drops
+            out = c2[:m * len(rows) * b].reshape(m, -1)
+            np.multiply(weights[0], entries[0].reshape(m, -1), out=out)
+            for weight, entry in zip(weights[1:], entries[1:]):
+                out += weight * entry.reshape(m, -1)
+            pop = _clipped_population(np.abs(out[:, :stop]) ** 2)
+            top = np.argmax(pop, -1)
+            value = pop[np.arange(m), top]
+            up = value > best[ids]  # the first of equal samples stays
+            best[ids[up]], peaks[ids[up]] = value[up], rows[0] + top[up]
+        r0, span = r0 + len(rows), 2 * span
+        if r0 < len(starts):
+            t, s = r0 * b * h, roots[:, live].real
+            with np.errstate(all="ignore"):
+                bound = (env[:, live] * np.exp(np.maximum(s * t, s * tmax))
+                         ).sum(0) ** 2
+            live = live[~(bound < best[live])]
     return peaks
 
 
@@ -451,11 +497,13 @@ def maximize_over_tau_many(params_seq, init: InitialState | None = None,
                            tmax: float | None = None) -> list[MaximaReport]:
     """``maximize_over_tau`` for many cells, one report per cell.
 
-    The cells are expanded together, scanned ``MAXIMA_SCAN_CELLS`` at a
-    time in one blocked pass each (``_scan_peaks``), and the brackets of
-    all cells, with each cell's ends 0 and tmax as zero-width brackets, are
-    then refined together by ``_refine`` on the same stack of terms; a
-    cell's report does not depend on its batch.
+    The cells are expanded together and scanned together on the blocked
+    grid in spans of rows that double in length, each cell until an
+    envelope bound proves that the rest of its horizon lies below its
+    largest sample (``_scan_peaks``); the brackets of all cells, with each
+    cell's ends 0 and tmax as zero-width brackets, are then refined
+    together by ``_refine`` on the same stack of terms.  A cell's report
+    does not depend on its batch.
     """
     if init is None:
         init = empty_battery_state()
@@ -491,7 +539,10 @@ def maximize_over_tau(params: ModelParams, init: InitialState | None = None,
 
     Coarse scan of the population |c2|^2 on a 2000-point grid over
     [0, tmax] in Omega*tau, read in rows as the BLP scan reads its grid,
-    then safeguarded Newton steps in the bracket around the largest sample
+    from 0 in spans of 1, 2, 4, ... rows until a bound on the envelope of
+    the terms proves that the rest of the grid lies below the largest
+    sample read (so the sample is that of a read of every point), then
+    safeguarded Newton steps in the bracket around the largest sample
     on d|c2|^2/dt = 2 Re(conj(c2) (-i c1)) and its exact derivative, by the
     ``_refine`` that also finds the BLP extrema: Omega*tau is found to a
     sign change of that slope within a few ulps or within its roundoff,

@@ -556,10 +556,51 @@ class TestMaximizeBatch:
             maximize_over_tau_many([params(0.5, 0.5)], tmax=tmax)
 
 
+def scan_peaks_reference(terms, init, tmax):
+    """The charging scan of every point: c2 of eight cells at a time on
+    the whole blocked grid, one ``_eval_terms`` read each, and the first
+    index of the largest guarded population of each cell; the indices the
+    pruned ``_scan_peaks`` must return."""
+    n = metrics.MAXIMA_SCAN_POINTS
+    b = math.isqrt(n)
+    rows, cols, h = np.arange(0, n, b), np.arange(b), tmax / (n - 1)
+    weights = propagator._weights(init)[1]
+    used = np.flatnonzero(weights)
+    peaks = np.empty(terms[0].shape[1], dtype=int)
+    for k in range(0, len(peaks), 8):
+        roots, coefs = propagator._select(terms, slice(k, k + 8))
+        m = roots.shape[1]
+        entries = propagator._eval_terms((roots, coefs[used]), rows, cols, h)
+        c2 = weights[used[0]] * entries[0].reshape(m, -1)
+        for weight, entry in zip(weights[used[1:]], entries[1:]):
+            c2 += weight * entry.reshape(m, -1)
+        peaks[k:k + m] = np.argmax(
+            _clipped_population(np.abs(c2[:, :n]) ** 2), -1)
+    return peaks
+
+
+def scan_reads(monkeypatch):
+    """The grid reads of the charging scan as they happen: for each, its
+    first row start and the number of points it fills."""
+    reads = []
+    eval_terms = metrics._eval_terms
+
+    def counting(terms, t, cols=None, h=None, work=None):
+        entries = eval_terms(terms, t, cols, h, work)
+        if cols is not None:
+            reads.append((int(t[0]), entries[0].size))
+        return entries
+
+    monkeypatch.setattr(metrics, "_eval_terms", counting)
+    return reads
+
+
 class TestMaximizeScan:
-    """The scan reads c2 of a stack of cells on the blocked grid, a chunk
-    of cells to a pass, and finds the largest sample of a pointwise
-    np.linspace scan of each cell, so every report keeps its bytes."""
+    """The scan reads c2 of a stack of cells on the blocked grid from 0 in
+    spans of rows that double in length, drops each cell once a bound
+    proves the rest of its horizon lies below its largest sample, and
+    finds the largest sample of a pointwise np.linspace scan of each cell,
+    so every report keeps its bytes."""
 
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
     def test_peak_matches_pointwise_scan_on_figure_axes(self, init):
@@ -577,24 +618,63 @@ class TestMaximizeScan:
                 mismatches.append(cell)
         assert mismatches == []
 
+    @pytest.mark.parametrize("tmax", [5.0, 50.0, 500.0])
     @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
-    def test_bytes_match_one_cell_batches_across_scan_chunks(self, init):
-        """BATCH_CELLS rotated and repeated over three scan chunks and a
-        partial fourth: the memoryless double root, the triple root,
-        gamma = 0 and Omega != 1 cells sit in several chunks and at
-        several places in a chunk."""
-        size = metrics.MAXIMA_SCAN_CELLS
+    def test_peak_matches_scan_of_every_point(self, init, tmax):
+        """The wide domain, the exceptional cells, the figure axes and two
+        cells of huge width, at the horizons where the scan reads most (5)
+        and least (500)."""
+        init = qb.empty_battery_state() if init is None else init
+        cells = ([propagator._ratios(p) for p in WIDE_REFINE_CELLS]
+                 + EXCEPTIONAL_SCAN_CELLS
+                 + [(g, lam) for g in GRID_AXIS
+                    for lam in GRID_AXIS + (math.inf,)]
+                 + [(0.5, 1e300), (1.0, 1e62)])
+        terms = _transfer_many(cells)
+        got = metrics._scan_peaks(terms, init, tmax)
+        want = scan_peaks_reference(terms, init, tmax)
+        assert [c for c, x, y in zip(cells, got, want) if x != y] == []
+
+    @pytest.mark.parametrize("init", [qb.empty_battery_state(),
+                                      qb.excited_battery_state()],
+                             ids=["empty", "excited"])
+    def test_figure_axes_read_an_eighth_of_the_grid(self, init,
+                                                    monkeypatch):
+        """Over the 462 GRID_AXIS x (GRID_AXIS + inf) cells at the default
+        horizon the evaluator fills at most 1/8 of the points of their
+        scans: the optimum is the first peak, and |c2|^2 decays after it."""
+        cells = [(g, lam) for g in GRID_AXIS
+                 for lam in GRID_AXIS + (math.inf,)]
+        reads = scan_reads(monkeypatch)
+        metrics._scan_peaks(_transfer_many(cells), init, 50.0)
+        filled = sum(size for _, size in reads)
+        assert filled <= len(cells) * metrics.MAXIMA_SCAN_POINTS / 8
+
+    @pytest.mark.parametrize("init", BATCH_INITS.values(), ids=BATCH_INITS)
+    def test_bytes_match_one_cell_batches_across_scan_chunks(
+            self, init, monkeypatch):
+        """BATCH_CELLS rotated and repeated over three reads of the first
+        span and a partial fourth, and over more than one read of some
+        later span: the memoryless double root, the triple root, gamma = 0
+        and Omega != 1 cells sit in several reads and at several places in
+        a read."""
+        size = metrics._SCAN_READ_CELLS
         cells = [BATCH_CELLS[(k + 5) % len(BATCH_CELLS)]
                  for k in range(3 * size + size // 2)]
-        assert len(cells) % size and all(p in cells for p in BATCH_CELLS)
+        assert all(p in cells for p in BATCH_CELLS)
+        reads = scan_reads(monkeypatch)
         batch = maximize_over_tau_many(cells, init)
+        spans = [start for start, _ in reads]
+        assert spans.count(0) == 4
+        assert any(spans.count(start) > 1 for start in set(spans) - {0})
         assert len(batch) == len(cells)
         for p, got in zip(cells, batch):
             assert same_report(got, maximize_over_tau_many([p], init)[0]), p
 
     def test_peak_memory(self):
-        """The 441 figure cells in one call: one chunk of cells is scanned
-        at a time, so the traced peak stays under 1.5 MB."""
+        """The 441 figure cells in one call: a read holds at most
+        ``_SCAN_READ_CELLS`` cells of a span and one block of points, in
+        buffers every read reuses, so the traced peak stays under 1.5 MB."""
         cells = [params(g, lam) for g in GRID_AXIS for lam in GRID_AXIS]
         assert traced_peak(maximize_over_tau_many, cells) <= 1.5e6
 

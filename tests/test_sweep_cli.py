@@ -407,11 +407,57 @@ class TestPopulationGuard:
 
     def test_sweep_over_several_scan_chunks_exits_four(self, inflated_terms,
                                                        capsys):
-        """20 inflated cells, one batch of more than two scan chunks."""
-        assert 20 > 2 * metrics.MAXIMA_SCAN_CELLS
-        assert cli.main(["sweep", "--gamma-axis", "0.1,0.2,0.5,1,2",
+        """96 inflated cells, one batch of more than two reads of the
+        scan's first span."""
+        gammas = ",".join(f"{0.1 * 1.25 ** k:.6g}" for k in range(24))
+        assert 96 > 2 * metrics._SCAN_READ_CELLS
+        assert cli.main(["sweep", "--gamma-axis", gammas,
                          "--lambda-axis", "0.3,1,5,inf",
                          "--quantity", "stored_energy_max"]) == 4
+        assert "population outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.fixture
+    def late_terms(self, monkeypatch):
+        """Each cell's slowest-decaying root raised by 1 and its
+        coefficients scaled by e^-40: that term grows, equals the true one
+        at Omega*tau = 40 and is e^10 times it at 50."""
+        def late(expand):
+            def grown(*args):
+                roots, coefs = expand(*args)  # one cell, or a stack
+                slow = np.where(coefs.any((0, 2)), roots.real,
+                                -math.inf).argmax(0)
+                grow = np.arange(len(roots)).reshape(
+                    (-1,) + (1,) * (roots.ndim - 1)) == slow
+                return roots + grow, np.where(
+                    grow[:, None], coefs * math.exp(-40.0), coefs)
+            return grown
+
+        monkeypatch.setattr(propagator, "_transfer",
+                            late(propagator._transfer))
+        monkeypatch.setattr(metrics, "_transfer_many",
+                            late(metrics._transfer_many))
+
+    def test_population_above_one_after_thirty_exits_four(self, late_terms,
+                                                         capsys):
+        """|c2|^2 stays below 1 up to Omega*tau 30 and leaves [0, 1] only
+        after it, long after the first peak: the scan's bound on the rest
+        of the horizon takes growing terms at T, so the scan itself reads
+        on to the points the guard rejects, not only the search's read at
+        tmax."""
+        taus = np.linspace(0.0, 50.0, metrics.MAXIMA_SCAN_POINTS)
+        cells = [(20.0, 5.0), (20.0, math.inf), (50.0, 5.0),
+                 (50.0, math.inf)]
+        for g, lam in cells:
+            _, c2 = propagator.amplitude_grid(
+                qb.make_params(1.0, 1.0, g, lam), qb.empty_battery_state(),
+                taus)
+            pop = np.abs(c2) ** 2
+            assert pop[taus <= 30.0].max() < 1.0 < pop.max(), (g, lam)
+        with pytest.raises(propagator.NumericalGuardError):
+            metrics._scan_peaks(metrics._transfer_many(cells),
+                                qb.empty_battery_state(), 50.0)
+        assert cli.main(["sweep", "--gamma-axis", "20,50", "--lambda-axis",
+                         "5,inf", "--quantity", "stored_energy_max"]) == 4
         assert "population outside [0, 1]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["evolve", "maxima"])
