@@ -1,11 +1,12 @@
 """Command-line front end: evolve, sweep, maxima, nonmarkov, figure.
 
-Exit codes: 0 ok, 2 usage error, 3 I/O error, 4 numerical guard triggered
-(divergent or truncated backflow measure, a computed population outside
-[0, 1], an expansion that is not finite, or a root whose relative residual
-|p(s)| / sum_k |p_k| |s|^k exceeds 1e-10).  Times on the command line are
-the dimensionless Omega*tau used on every figure axis, and --gamma and
---lambda are ratios to Omega, so no command takes Omega itself.
+Exit codes: 0 ok, 2 usage error (also an output too large for memory),
+3 I/O error, 4 numerical guard triggered (divergent or truncated backflow
+measure, a computed population outside [0, 1], an expansion that is not
+finite, or a root whose relative residual |p(s)| / sum_k |p_k| |s|^k
+exceeds 1e-10).  Times on the command line are the dimensionless
+Omega*tau used on every figure axis, and --gamma and --lambda are ratios
+to Omega, so no command takes Omega itself.
 Environment variables are never consulted; precedence is flags > config
 file > defaults.
 """
@@ -294,8 +295,8 @@ def main(argv=None) -> int:
     except NumericalGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

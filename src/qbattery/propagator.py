@@ -23,17 +23,18 @@ form a cluster and take confluent t^k * exp(s*t) terms, as does the
 quadratic's double root at g = 4.
 
 One batched partial-fraction expansion of 1/p (``_transfer_many``) takes
-many ratio pairs at once and gives x, and so u, w and v, of each as
-terms, each derivative one map of the terms (``_derivative``): one root
-per real root, cluster or conjugate pair, and each entry the sum of
-Re(coef * t**power * exp(root*t)).  The cells' terms stack along a
-trailing axis, and each cell has the bytes of its one-cell expansion
-(``_transfer``, cached, so cells that differ only in Omega or in the
-initial state share it).  One evaluator (``_eval_terms``) reads them: at
-any array of times, one exponential per root, so the searches of
-``metrics`` read each open bracket of a stack at one time point; or at
-the points (r + k)*h of a uniform grid, one exponential per row start r
-and per column offset k, as the scans of ``metrics`` read it.  Every
+many ratio pairs at once and gives x, and so u, w and v, of each as terms,
+each derivative one map of the terms (``_derivative``): one root per real
+root, cluster or conjugate pair, and each entry the sum of Re(coef *
+t**power * exp(root*t)).  The cells' terms stack along a trailing axis,
+and each cell has the bytes of its one-cell expansion (``_transfer``,
+cached, so cells that differ only in Omega or in the initial state share
+it).  One evaluator (``_eval_terms``) reads them: at any array of times,
+one exponential per root, so the searches of ``metrics`` read each open
+bracket of a stack at one time point; or at the points (r + k)*h of a
+uniform grid, one exponential per row start r and per column offset k, as
+the scans of ``metrics`` read it.  One envelope (``_envelope``) bounds
+them on an interval: every bound the searches of ``metrics`` prove.  Every
 population the package reads passes one guard, here below its readers
 (``_clipped_population``): |c2|^2 outside [0, 1] beyond roundoff, NaN
 included, raises ``NumericalGuardError`` (exit 4); the rest is clipped.
@@ -394,6 +395,21 @@ def _eval_terms(terms: Terms, t, cols=None, h=None,
                 del term  # keep at most one product alive beside e
         del e  # free this root's exponential before the next one
     return outs
+
+
+def _envelope(terms: Terms, t_a, t_b) -> np.ndarray:
+    """sum_jp |a_jp| t_b^p e^max(Re s_j t_a, Re s_j t_b) per entry of
+    ``terms``, times broadcast against the roots' trailing axes: a bound
+    on the entry over [t_a, t_b] that needs t_a >= 0, for which it covers
+    confluent powers t^p and a conjugate pair folded into 2a on one root,
+    |Re(2a e^(st))| <= 2|a| e^(Re s t).  Overflows come out as they are."""
+    roots, coefs = terms
+    size = np.abs(coefs[:, :, -1])
+    with np.errstate(all="ignore"):
+        for power in range(coefs.shape[2] - 2, -1, -1):
+            size = size * t_b + np.abs(coefs[:, :, power])
+        s = roots.real
+        return (size * np.exp(np.maximum(s * t_a, s * t_b))).sum(1)
 
 
 def solve_roots(params: ModelParams) -> PropagatorRoots:

@@ -636,13 +636,17 @@ class TestMaximizeScan:
         assert [c for c, x, y in zip(cells, got, want) if x != y] == []
 
     @pytest.mark.parametrize("init", [qb.empty_battery_state(),
-                                      qb.excited_battery_state()],
-                             ids=["empty", "excited"])
+                                      qb.excited_battery_state(),
+                                      BATCH_INITS["general"]],
+                             ids=["empty", "excited", "general"])
     def test_figure_axes_read_an_eighth_of_the_grid(self, init,
                                                     monkeypatch):
         """Over the 462 GRID_AXIS x (GRID_AXIS + inf) cells at the default
         horizon the evaluator fills at most 1/8 of the points of their
-        scans: the optimum is the first peak, and |c2|^2 decays after it."""
+        scans: the optimum is the first peak, and |c2|^2 decays after it.
+        For the general state the bound is that of Im c2 = -0.6 w + 0.8 v,
+        whose terms cancel, not of 0.6 |w| + 0.8 |v|, which can reach 1.4
+        where |c2| <= 1 and kept 37.8 % of the grid reading."""
         cells = [(g, lam) for g in GRID_AXIS
                  for lam in GRID_AXIS + (math.inf,)]
         reads = scan_reads(monkeypatch)

@@ -10,10 +10,11 @@ import qbattery as qb
 from qbattery.figures import GRID_AXIS
 from qbattery.model import excited_battery_state
 from qbattery.oracle import integrate_memoryless
-from qbattery.propagator import (_derivative, _eval_terms,
-                                 _partial_fractions, _polynomials, _ratios,
-                                 _roots, _transfer, _transfer_many,
-                                 amplitude_grid, kappa_grid, solve_roots)
+from qbattery.propagator import (_apply, _derivative, _envelope,
+                                 _eval_terms, _partial_fractions,
+                                 _polynomials, _ratios, _roots, _transfer,
+                                 _transfer_many, _weights, amplitude_grid,
+                                 kappa_grid, solve_roots)
 
 GRID = [0.1, 0.5, 1.0, 5.0, 10.0, 50.0]
 
@@ -108,6 +109,7 @@ def double_root_cell(r):
     return 2 * (r * r + 2 * r * q - 1) / lam, lam
 
 
+EPS = np.finfo(float).eps
 TRIPLE_ROOT = (16 * math.sqrt(3) / 9, 3 * math.sqrt(3))
 # three roots this close to their centroid, relative to it, form one cluster
 TRIPLE_RADIUS = np.finfo(float).eps ** 0.2
@@ -766,6 +768,72 @@ class TestBatchedExpansion:
         assert _transfer(*double_root_cell(-2.0))[1].shape == (3, 2, 2)
         roots, coefs = _transfer_many([])
         assert roots.shape == (0, 0) and coefs.shape == (3, 0, 0, 0)
+
+
+class TestEnvelope:
+    """``_envelope`` bounds each entry of a stack of terms on an interval,
+    sum_jp |a_jp| t_b^p e^max(Re s_j t_a, Re s_j t_b): the one bound by
+    which the searches of ``metrics`` skip points.  BATCH_CELLS hold
+    confluent terms (the triple point, the memoryless double root), folded
+    conjugate pairs and cells padded with zeros."""
+
+    # zero-width intervals and ones from t = 0 among them
+    intervals = [(0.0, 0.0), (0.0, 0.3), (0.0, 50.0), (1.7, 1.7),
+                 (2.0, 9.0), (20.0, 50.0), (50.0, 50.0)]
+
+    @staticmethod
+    def within(values, envelope, scale):
+        """|values| at most the envelope, beyond the evaluator's roundoff:
+        8 ulps of ``scale``, the envelope of the sizes of the terms that
+        were summed.  The bound is tight: at t = 0 and where one term
+        dominates, |u| and |v| reach it."""
+        return np.all(np.abs(values) <= envelope + 8.0 * EPS * scale)
+
+    @pytest.mark.parametrize("t_a, t_b", intervals)
+    def test_entries_lie_within(self, t_a, t_b):
+        """u, w and v read pointwise at 64 times of [t_a, t_b], each cell
+        at its own times."""
+        terms = _transfer_many(BATCH_CELLS)
+        t = np.linspace(t_a, t_b, 64)[:, None] + np.zeros(len(BATCH_CELLS))
+        envelope = _envelope(terms, t_a, t_b)
+        for entry, bound in zip(_eval_terms(terms, t), envelope):
+            assert self.within(entry, bound, bound)
+
+    @pytest.mark.parametrize("t_a, t_b", intervals)
+    @pytest.mark.parametrize("init", [
+        qb.make_initial_state(0.6, 0.8j),  # Re c2 = 0
+        qb.make_initial_state(0.6, 0.48 + 0.64j)], ids=["general", "complex"])
+    def test_parts_of_c2_lie_within(self, init, t_a, t_b):
+        """Re c2 and Im c2, read as the complex c2 = weights @ (u, w, v),
+        within the envelopes of the rows of terms weighted by the real and
+        by the imaginary parts of the weights, the charging scan's rows."""
+        roots, coefs = terms = _transfer_many(BATCH_CELLS)
+        t = np.linspace(t_a, t_b, 64)[:, None] + np.zeros(len(BATCH_CELLS))
+        weights = _weights(init)[1]
+        c2 = _apply(terms, weights[None], t)[0]
+        rows = np.stack([np.tensordot(part, coefs, 1)
+                         for part in (weights.real, weights.imag)])
+        sizes = np.tensordot(np.abs(weights), np.abs(coefs), 1)[None]
+        scale = _envelope((roots, sizes), t_a, t_b)[0]
+        for part, bound in zip((c2.real, c2.imag),
+                               _envelope((roots, rows), t_a, t_b)):
+            assert self.within(part, bound, scale)
+
+    @pytest.mark.parametrize("root, coef, power, t_a, t_b", [
+        (-0.3 + 2j, 1.5 - 2j, 2, 1.0, 3.0),  # decaying: e^(Re s t_a)
+        (0.2 + 0j, -3.0 + 0j, 1, 2.0, 5.0),  # growing: e^(Re s t_b)
+        (-1.0 + 0j, 0.5 + 0j, 0, 0.0, 0.0),
+        (-2.0 + 1j, 1j, 1, 4.0, 4.0)])
+    def test_one_term_is_its_own_bound(self, root, coef, power, t_a, t_b):
+        """For one term a t^p e^(s t) the envelope is |a| t_b^p
+        e^max(Re s t_a, Re s t_b), and 0 for an entry without terms."""
+        coefs = np.zeros((2, 1, 3), dtype=np.complex128)
+        coefs[1, 0, power] = coef
+        got = _envelope((np.array([root]), coefs), t_a, t_b)
+        want = abs(coef) * t_b ** power * math.exp(
+            max(root.real * t_a, root.real * t_b))
+        assert got[0] == 0.0
+        assert got[1] == pytest.approx(want, rel=4 * EPS, abs=0.0)
 
 
 # the figure axes with an inf column at 1e-13; at 5e-10, where partial

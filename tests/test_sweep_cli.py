@@ -776,18 +776,29 @@ def test_non_finite_default_grid_is_usage_error(argv, capsys):
     assert "--grid" in capsys.readouterr().err
 
 
+# outputs of 1e14 points (728 TiB): more than any address space holds
+TOO_LARGE = [
+    ["evolve", "--gamma", "1", "--lambda", "1", "--steps", str(10 ** 14)],
+    ["sweep", "--gamma-axis", f"1:2:{10 ** 14}", "--lambda-axis", "1",
+     "--quantity", "stored_energy_max"]]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["evolve", "--gamma", "1e200", "--lambda", "1e200"], 4),
     (["sweep", "--gamma-axis", "1e200", "--lambda-axis", "1e200",
       "--quantity", "stored_energy_max", "--format", "json"], 4),
     (["evolve", "--gamma", "1", "--lambda", "1", "--steps", "1"], 2),
-])
+] + [(argv, 2) for argv in TOO_LARGE])
 def test_refused_command_leaves_no_file(tmp_path, argv, code, capsys):
-    """Every check that can refuse a command runs before --out is
-    opened."""
+    """Every check that can refuse a command runs before --out is opened
+    and says why in one error line, also where numpy refuses to allocate
+    an output at once (an uncaught MemoryError once ended in a
+    traceback)."""
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == code
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
