@@ -138,12 +138,14 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
 
     n = len(a)
     t_out, pop_out = np.empty(n), np.empty(n)
-    # the state of each open bracket: its index, cell and kind of extremum
-    # (the sign of f' there); its ends (lo, hi), whether each was read, the
-    # population there and its tol if its Newton step was within it; the
-    # next point and the last two moves
+    # the state of each open bracket: its index, the terms and term sizes
+    # of its cell (gathered once) and its kind of extremum (the sign of f'
+    # there); its ends (lo, hi), whether each was read, the population
+    # there and its tol if its Newton step was within it; the next point
+    # and the last two moves
     index = np.arange(n)
     cell = index if cells is None else np.asarray(cells)
+    (r, c), sizes = _select(stack, cell), sizes[..., cell]
     kind = np.where(rising_at_a, -1.0, np.ones(n))
     ends = np.array((a, b), dtype=np.float64)
     read = np.zeros((2, n), dtype=bool)
@@ -152,13 +154,12 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
     count = 0
     while len(x):
         count += 1
-        r, c = _select(stack, cell)
         c1, c2, d1 = _apply((r, c), weights, x)
         pop = np.abs(c2) ** 2
         c1_sq = c1.real ** 2 + c1.imag ** 2
         f = 2.0 * (c2.real * c1.imag - c2.imag * c1.real)
         fp = 2.0 * (c1_sq + c2.real * d1.imag - c2.imag * d1.real)
-        e0, e1 = _envelope((r, sizes[..., cell]), x, x)
+        e0, e1 = _envelope((r, sizes), x, x)
         with np.errstate(all="ignore"):
             delta = _EPS * (e0 + x * e1) * (np.sqrt(c1_sq) + np.sqrt(pop))
             dx = -f / fp
@@ -200,7 +201,8 @@ def _refine(terms: Terms, init: InitialState, a: np.ndarray, b: np.ndarray,
         x = nxt
         if done.any():
             keep = np.flatnonzero(~done)
-            index, cell, kind, x = (v[keep] for v in (index, cell, kind, x))
+            index, kind, x = (v[keep] for v in (index, kind, x))
+            (r, c), sizes = _select((r, c), keep), sizes[..., keep]
             ends, read, pops, tols, steps = (
                 v[:, keep] for v in (ends, read, pops, tols, steps))
     return t_out, _clipped_population(pop_out)

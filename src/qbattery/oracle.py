@@ -20,8 +20,13 @@ Both systems are integrated by adaptive Dormand-Prince 5(4).  Because the
 generator M is constant, each step's new state and error estimate are fixed
 polynomials in hM applied to y: one (2d x d) step matrix, built from the
 weighted powers of M / ||M||_inf (precomputed once per call and normalised so
-that none overflows) and applied to y in a single product.  A step spanning a
-whole output gap reuses that gap's matrix.
+that none overflows) and applied to y in a single product.  A run of steps
+that each span a whole output gap, inside DOPRI5's stability region, is
+taken as one array operation per block of up to 64 outputs: the block's
+step matrices in one product, its states by a parallel-prefix product
+(Hillis & Steele, CACM 29, 1986), and its error norms, acceptances and step
+factors as arrays, keeping the steps up to the first that the one-step
+loop would decide otherwise.
 
 This module is the reference the analytic propagator is checked against; it
 shares no code with the partial-fraction inversion.
@@ -39,10 +44,15 @@ from .model import InitialState, ModelParams
 DEFAULT_TOL = 1e-10
 # Largest rho*T integrated, rho the spectral radius of the generator and T
 # the horizon: explicit DOPRI5 takes at least rho*T/3.3 steps (its stability
-# interval), about 2 to 3 us of work per unit of rho*T on one core of a 2-vCPU
-# x86 box (lambda/Omega = 2000 over Omega*tau = 50), so about 2 to 3 s at
+# interval), about 2 us of work per unit of rho*T on one core of a 2-vCPU
+# x86 box (2.0 to 2.1 us at lambda/Omega = 2000 over Omega*tau = 50, where
+# every step is shorter than an output gap and runs alone), so about 2 s at
 # this bound.
 STIFFNESS_BUDGET = 1e6
+# Most outputs of a whole-gap run taken in one block by ``_whole_gaps``.  A
+# block holds about 1.8 kB per output: a 1001-point call peaks at about
+# 170 kB, and at about 280 kB with 128.
+_BLOCK = 64
 
 # Dormand-Prince 5(4) tableau: stage coefficients, 5th-order weights, and
 # 5th-order minus embedded 4th-order weights over all seven stages.
@@ -117,6 +127,12 @@ def system_matrix(params: ModelParams) -> np.ndarray:
     ], dtype=np.complex128)
 
 
+def _factor(errnorm: float) -> float:
+    """The step-size factor after a step of RMS error norm ``errnorm``."""
+    return (5.0 if errnorm == 0.0
+            else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
+
+
 def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
                  rtol: float, atol: float) -> np.ndarray:
     """Dormand-Prince 5(4) integration of the linear system y' = m @ y.
@@ -125,23 +141,25 @@ def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
     applied to y: its first d rows give the new state, its last d the
     embedded error estimate.  Row p of ``weighted`` holds ``_W[:, p]`` times
     (m / ||m||_inf)^p, p = 0..7, flattened once per call, so none overflows;
-    the step matrix is ``((h ||m||_inf)**p @ weighted).reshape(2d, d)``.  A
-    step that spans a whole gap of ``t_eval`` takes its matrix from a
-    per-call dict keyed by the step size, since output grids repeat few
-    distinct gaps; other step sizes are not kept.  The error norm is taken
-    on Python floats.  ``t_eval`` must be sorted ascending, starting at
-    >= 0; steps land exactly on each requested output time, so no
-    interpolation error is introduced.  Returns an array of shape
-    (len(t_eval), dim).  A non-finite generator or initial state, or a run
-    whose rho*T exceeds ``STIFFNESS_BUDGET``, raises ValueError before the
-    first step.
+    the step matrix is ``((h ||m||_inf)**p @ weighted).reshape(2d, d)``.
+    A step that spans a whole gap of ``t_eval`` within the stability limit
+    (``_stable_step``) starts a run of such steps, taken by ``_whole_gaps``
+    in blocks of 16, 32, then ``_BLOCK`` outputs while the run goes on.
+    Every other step is taken alone, its error norm on Python floats.  The
+    blocks make the loop's decisions, and their states move by roundoff
+    only.  ``t_eval`` must be sorted ascending, starting at >= 0; steps
+    land exactly on each requested output time, so no interpolation error
+    is introduced.  Returns an array of shape (len(t_eval), dim).  A
+    non-finite generator or initial state, or a run whose rho*T exceeds
+    ``STIFFNESS_BUDGET``, raises ValueError before the first step.
     """
     mnorm = np.abs(m).sum(axis=1).max()
     if not math.isfinite(mnorm):
         raise ValueError("system matrix is not finite")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state is not finite")
-    stiffness = np.abs(np.linalg.eigvals(m)).max() * t_eval[-1]
+    eig = np.linalg.eigvals(m)
+    stiffness = np.abs(eig).max() * t_eval[-1]
     if stiffness > STIFFNESS_BUDGET:
         raise ValueError(f"too stiff to integrate: spectral radius times "
                          f"horizon is {stiffness:.3g}, above "
@@ -150,24 +168,32 @@ def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
     mpow = np.stack([np.linalg.matrix_power(m / mnorm, p) for p in _POWERS])
     weighted = (_W.T[:, :, None, None] * mpow[:, None]).reshape(
         _POWERS.size, 2 * dim * dim)
-    gaps = {}  # whole-gap step size -> step matrix
+    stable = _stable_step(eig)
     out = np.empty((t_eval.size, dim), np.complex128)
     t = 0.0
     y = y0.copy()
     ay = np.abs(y).tolist()
     h = 0.01 / mnorm  # initial step from the matrix scale
-    for idx, tt in enumerate(t_eval):
-        start = t
+    idx, block = 0, _BLOCK // 4
+    while idx < t_eval.size:
+        tt = t_eval[idx]
+        if t + h > tt and t < tt - 1e-14 * (1.0 + tt) and tt - t <= stable:
+            tts = t_eval[idx:idx + block]  # a run of whole-gap steps
+            ys, t, h = _whole_gaps(weighted, mnorm, stable, y, t, tts, rtol,
+                                   atol)
+            if len(ys):
+                out[idx:idx + len(ys)] = ys
+                y = ys[-1]
+                ay = np.abs(y).tolist()
+                idx += len(ys)
+            if len(ys) == len(tts):
+                block = min(2 * block, _BLOCK)
+                continue
+            block = _BLOCK // 4  # the run ended: this gap takes single steps
+            tt = t_eval[idx]
         while t < tt - 1e-14 * (1.0 + tt):
-            clipped = t + h > tt
-            hs = tt - t if clipped else h
-            whole = clipped and t == start
-            step = gaps.get(hs) if whole else None
-            if step is None:
-                step = ((hs * mnorm) ** _POWERS @ weighted).reshape(2 * dim,
-                                                                    dim)
-                if whole:
-                    gaps[hs] = step
+            hs = tt - t if t + h > tt else h
+            step = ((hs * mnorm) ** _POWERS @ weighted).reshape(2 * dim, dim)
             yerr = step @ y  # new state, then error estimate
             a = np.abs(yerr).tolist()
             sq = 0.0  # RMS of the error over atol + rtol * max(|y|, |ynew|)
@@ -179,11 +205,86 @@ def _rk45_linear(m: np.ndarray, y0: np.ndarray, t_eval: np.ndarray,
                 t += hs
                 y = yerr[:dim]
                 ay = a[:dim]
-            factor = (5.0 if errnorm == 0.0
-                      else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
-            h = hs * factor
+            h = hs * _factor(errnorm)
         out[idx] = y
+        idx += 1
     return out
+
+
+def _stable_step(eig: np.ndarray) -> float:
+    """The largest step h, to 1/256 of 4/|lambda|, such that every step up
+    to h lies in DOPRI5's stability region at each eigenvalue lambda of
+    the generator: |R(h' lambda)| <= 1 for h' <= h, R the new-state
+    polynomial ``_W[0]``.  The scan reaches |h lambda| = 4, beyond the
+    region's extent of about 3.3 along the negative real axis.  Past the
+    limit roundoff grows in the unstable mode from step to step, so blocks,
+    whose states round otherwise than the one-step loop's, stay below it."""
+    radius = np.linspace(0.0, 4.0, 257)
+    scale = np.abs(eig)
+    unit = eig / np.where(scale > 0.0, scale, 1.0)
+    z = unit[:, None] * radius[1:]
+    unstable = np.abs(np.polyval(_W[0, ::-1], z)) > 1.0
+    last = np.where(unstable.any(1), radius[unstable.argmax(1)], 4.0)
+    with np.errstate(divide="ignore"):
+        return float((last / scale).min())
+
+
+def _whole_gaps(weighted: np.ndarray, mnorm: float, stable: float,
+                y: np.ndarray, t: float, tts: np.ndarray, rtol: float,
+                atol: float) -> tuple[np.ndarray, float, float]:
+    """A run of steps that each span a whole gap, from the state y at t to
+    the output times ``tts``, the first step spanning its gap and at most
+    ``stable`` long, taken as array operations: the states at the outputs
+    it reaches, shape (n, d), then the new t and step.
+
+    The K step matrices are one stacked product of the gap powers with
+    ``weighted``, bit for bit the loop's, and the first step's product
+    with y is the loop's too.  The states after it come from an inclusive
+    Hillis-Steele prefix product of the new-state rows on a (d, d, K)
+    layout, the block on the last axis (log2 K rounds of broadcast
+    multiply-and-sum).  Each step's error comes from its own error rows
+    and the state before it; the RMS norm, the acceptance test and the
+    0.2-5 factor rule follow as in the loop.  The run keeps every step up
+    to the first rejected one, whose smaller step it hands back, or up to
+    a step after which the next output's step would no longer be a whole
+    gap within the limit: its new step falls short of the gap, the gap
+    exceeds ``stable`` or is below the landing slack of 1e-14 (1 + t), or
+    t does not land exactly on the output (the next gap would start
+    elsewhere).
+    """
+    dim = y.size
+    t_prev = np.concatenate(([t], tts[:-1]))
+    hs = tts - t_prev
+    t_next = t_prev + hs
+    stack = (((hs[:, None] * mnorm) ** _POWERS)[:, None] @ weighted).reshape(
+        -1, 2 * dim, dim)
+    steps = stack.transpose(1, 2, 0)
+    prod = steps[:dim].copy()
+    shift = 1
+    while shift < prod.shape[-1]:  # prod[..., k] = S_k ... S_1 S_0
+        prod[..., shift:] = (prod[:, :, None, shift:]
+                             * prod[None, :, :, :-shift]).sum(1)
+        shift *= 2
+    ys = (prod * y[None, :, None]).sum(1)  # (d, K): the state after each step
+    first = stack[0] @ y  # the loop's own first step
+    ys[:, 0] = first[:dim]
+    before = np.concatenate((y[:, None], ys[:, :-1]), axis=1)
+    err = (steps[dim:] * before[None]).sum(1)
+    err[:, 0] = first[dim:]
+    scale = atol + rtol * np.maximum(np.abs(before), np.abs(ys))
+    errnorm = np.sqrt(((np.abs(err) / scale) ** 2).sum(0) / dim)
+    with np.errstate(divide="ignore"):  # errnorm 0 gives the factor 5
+        h_next = hs * np.clip(0.9 * errnorm ** -0.2, 0.2, 5.0)
+    accepted = errnorm <= 1.0
+    goes_on = np.zeros_like(accepted)
+    after = tts[1:]
+    goes_on[:-1] = ((t_next[:-1] == tts[:-1]) & (hs[1:] <= stable)
+                    & (t_next[:-1] + h_next[:-1] > after)
+                    & (t_next[:-1] < after - 1e-14 * (1.0 + after)))
+    last = int(np.argmax(~accepted | ~goes_on))
+    n = last + int(accepted[last])
+    return (ys[:, :n].T, float(t_next[n - 1]) if n else t,
+            hs[last] * _factor(float(errnorm[last])))
 
 
 def _as_t_eval(tmax: float, t_eval, steps: int) -> np.ndarray:

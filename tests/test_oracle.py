@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 import qbattery as qb
-from qbattery.oracle import (_A, _B, _E, _W, STIFFNESS_BUDGET, _rk45_linear,
-                             integrate_memoryless, system_matrix)
+from qbattery import oracle
+from qbattery.oracle import (_A, _B, _E, _POWERS, _W, STIFFNESS_BUDGET,
+                             _rk45_linear, integrate_memoryless,
+                             system_matrix)
 from qbattery.propagator import solve_roots
 
 
@@ -285,8 +287,10 @@ def test_step_matrix_matches_stage_by_stage_on_output_grid(gamma, lam, taus,
 
 def test_step_matrices_kept_per_gap_not_per_step():
     """Peak traced allocation of one stiff call on 1001 points stays under
-    0.25 MB.  Keeping only whole-gap step matrices measured about 57 kB;
-    keeping one per distinct step size measured about 1.2 MB."""
+    0.25 MB.  The arrays of one block of a whole-gap run, at most
+    ``oracle._BLOCK`` (64) outputs, measured about 170 kB with the output
+    array; a cap of 128 measured about 280 kB, and keeping one step matrix
+    per distinct step size about 1.2 MB."""
     p = params(0.1, 50.0)
     taus = np.linspace(0.0, 50.0, 1001)
     init = qb.empty_battery_state()
@@ -338,3 +342,181 @@ def test_stiffness_budget_refuses_at_once():
     assert time.perf_counter() - start < 1.0
     assert np.max(np.abs(np.linalg.eigvals(system_matrix(p)))) * 25.0 \
         > STIFFNESS_BUDGET
+
+
+def _rk45_per_step(m, y0, t_eval, rtol, atol, rejected=None):
+    """The one-step loop ``_rk45_linear`` ran before it took whole-gap runs
+    in blocks, verbatim but for the record of the output indices of
+    rejected whole-gap steps in ``rejected``: the reference the blocks are
+    checked against."""
+    mnorm = np.abs(m).sum(axis=1).max()
+    dim = y0.size
+    mpow = np.stack([np.linalg.matrix_power(m / mnorm, p) for p in _POWERS])
+    weighted = (_W.T[:, :, None, None] * mpow[:, None]).reshape(
+        _POWERS.size, 2 * dim * dim)
+    gaps = {}  # whole-gap step size -> step matrix
+    out = np.empty((t_eval.size, dim), np.complex128)
+    t = 0.0
+    y = y0.copy()
+    ay = np.abs(y).tolist()
+    h = 0.01 / mnorm  # initial step from the matrix scale
+    for idx, tt in enumerate(t_eval):
+        start = t
+        while t < tt - 1e-14 * (1.0 + tt):
+            clipped = t + h > tt
+            hs = tt - t if clipped else h
+            whole = clipped and t == start
+            step = gaps.get(hs) if whole else None
+            if step is None:
+                step = ((hs * mnorm) ** _POWERS @ weighted).reshape(2 * dim,
+                                                                    dim)
+                if whole:
+                    gaps[hs] = step
+            yerr = step @ y  # new state, then error estimate
+            a = np.abs(yerr).tolist()
+            sq = 0.0  # RMS of the error over atol + rtol * max(|y|, |ynew|)
+            for old, new, err in zip(ay, a, a[dim:]):
+                err /= atol + rtol * (old if old > new else new)
+                sq += err * err
+            errnorm = math.sqrt(sq / dim)
+            if errnorm <= 1.0:
+                t += hs
+                y = yerr[:dim]
+                ay = a[:dim]
+            elif whole and rejected is not None:
+                rejected.append(idx)
+            factor = (5.0 if errnorm == 0.0
+                      else min(5.0, max(0.2, 0.9 * errnorm ** -0.2)))
+            h = hs * factor
+        out[idx] = y
+    return out
+
+
+# (45.3, 27.5): a spectral radius of 25, so a step of 0.25 lies outside
+# DOPRI5's stability interval and the controller sheds it.  On the
+# benchmark's grid at tol 1e-10 it rejects 4 steps, all in gaps 8 to 17,
+# before its first whole-gap step (gap 29).  (32.8, 16.1) rejects a
+# whole-gap step inside a run there: gap 35 from c(0) = (1, 0), gap 29
+# from (0, 1).
+REJECTING = (45.3, 27.5)
+REJECTING_IN_RUN = (32.8, 16.1)
+
+
+def _benchmark_grid(n=1001):
+    return np.linspace(0.0, 50.0, n)
+
+
+def _tiny_gaps():
+    """Each time of a coarse grid followed by one 5e-15 (1 + t) later, a
+    gap below the landing slack of 1e-14 (1 + t)."""
+    taus = np.linspace(0.0, 50.0, 201)
+    return np.sort(np.concatenate((taus, taus + 5e-15 * (1.0 + taus))))
+
+
+def _widening_gaps():
+    """Gaps growing from 0.01 to 0.3: a run of whole-gap steps goes on
+    until a gap outgrows the step the error or the stability allows."""
+    return np.concatenate(([0.0], np.cumsum(np.linspace(0.01, 0.3, 300))))
+
+
+def _spy_blocks(monkeypatch, taus):
+    """Record (first output index, outputs asked, outputs kept) of every
+    block ``_whole_gaps`` takes on the grid ``taus``."""
+    blocks = []
+    whole_gaps = oracle._whole_gaps
+
+    def spy(*args):
+        result = whole_gaps(*args)
+        tts = args[5]
+        blocks.append((int(np.searchsorted(taus, tts[0])), len(tts),
+                       len(result[0])))
+        return result
+
+    monkeypatch.setattr(oracle, "_whole_gaps", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("gamma,lam,taus", [
+    (0.1, 50.0, _benchmark_grid()), (0.1, 0.1, _benchmark_grid()),
+    (*TRIPLE_ROOT, _benchmark_grid()), (4.0, math.inf, _benchmark_grid()),
+    (0.1, 0.1, _uneven_times()), (0.1, 75.0, _benchmark_grid()),
+    (*REJECTING, _benchmark_grid()), (*REJECTING_IN_RUN, _benchmark_grid()),
+    (*REJECTING, np.repeat(_benchmark_grid(201), 2)),
+    (*REJECTING, np.concatenate(([0.0, 0.0], _benchmark_grid()[1:]))),
+    (*REJECTING, np.array([7.3])), (4.0, math.inf, np.array([0.0])),
+    (*REJECTING, _tiny_gaps()), (4.0, math.inf, _tiny_gaps()),
+    (*REJECTING, _benchmark_grid(5001)),
+    (4.0, math.inf, _benchmark_grid(5001))],
+    ids=["stiff", "slow", "triple-root", "memoryless-R0", "uneven-times",
+         "past-stability-limit", "rejections", "rejection-in-run",
+         "repeated-times", "first-gaps-0",
+         "single-time", "single-time-0", "tiny-gaps", "tiny-gaps-memoryless",
+         "5001-points", "5001-points-memoryless"])
+def test_whole_gap_blocks_match_per_step_loop(gamma, lam, taus, tol):
+    """Taking whole-gap runs in blocks keeps every decision of the one-step
+    loop: each output agrees with it within 1e-12, for three initial
+    states, on grids with repeated times, a first gap of 0, a single time,
+    gaps below the landing slack, and runs of many capped blocks.  At
+    (0.1, 75) the benchmark's gap of 0.05 is past the stability limit
+    (rho h = 3.75): blocks taken there moved the outputs by up to 1.9e-8
+    at tol 1e-8, so none is."""
+    m = system_matrix(params(gamma, lam))
+    for init in ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j)):
+        y0 = np.zeros(len(m), np.complex128)
+        y0[:2] = init
+        got = _rk45_linear(m, y0, taus, tol, tol)
+        want = _rk45_per_step(m, y0, taus, tol, tol)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("init", [(1.0, 0.0), (0.0, 1.0)])
+def test_rejected_step_inside_a_block(monkeypatch, init):
+    """A block keeps its steps up to the first rejected one and hands the
+    smaller step back: the rejected whole-gap step of (32.8, 16.1) falls
+    inside a block, after a kept step, and the outputs still match the
+    one-step loop within 1e-12."""
+    m = system_matrix(params(*REJECTING_IN_RUN))
+    y0 = np.zeros(3, np.complex128)
+    y0[:2] = init
+    taus = _benchmark_grid()
+    rejected = []
+    want = _rk45_per_step(m, y0, taus, 1e-10, 1e-10, rejected)
+    blocks = _spy_blocks(monkeypatch, taus)
+    got = _rk45_linear(m, y0, taus, 1e-10, 1e-10)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert any(first < idx < first + asked and kept == idx - first > 0
+               for idx in rejected for first, asked, kept in blocks)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_blocks_stop_at_the_stability_limit(monkeypatch, tol):
+    """Past DOPRI5's stability limit (a gap above 0.135 at (45.3, 27.5))
+    the controller keeps steps whose unstable mode holds only roundoff,
+    which grows about 3.3 times a step until a step is rejected: the
+    one-step loop's own outputs on these gaps moved by 4.9 tol (tol 1e-10)
+    and 9.2 tol (tol 1e-12) when c1(0) moved by one ulp.  Blocks take no
+    step past the limit, and the outputs agree with the loop within
+    20 tol, as the stage-by-stage checks."""
+    m = system_matrix(params(*REJECTING))
+    y0 = np.array([1.0, 0.0, 0.0], np.complex128)
+    taus = _widening_gaps()
+    blocks = _spy_blocks(monkeypatch, taus)
+    got = _rk45_linear(m, y0, taus, tol, tol)
+    want = _rk45_per_step(m, y0, taus, tol, tol)
+    assert np.max(np.abs(got - want)) <= 20 * tol
+    stable = oracle._stable_step(np.linalg.eigvals(m))
+    assert 0.13 < stable < 0.14
+    gaps = np.diff(taus)  # gaps[k - 1] leads to output k; they widen
+    assert blocks and all(gaps[first + kept - 2] <= stable
+                          for first, _, kept in blocks if kept)
+
+
+def test_stable_step_is_the_dopri5_stability_interval():
+    """Along the negative real axis DOPRI5 is stable up to |h lambda| of
+    about 3.307, along the imaginary axis up to about 0.99; the scan finds
+    each limit to 4/256 from below, and a zero eigenvalue sets none."""
+    assert 3.29 <= oracle._stable_step(np.array([-1.0 + 0j])) <= 3.307
+    assert 0.97 <= oracle._stable_step(np.array([1j, -1j])) <= 0.99
+    assert oracle._stable_step(np.array([0j, -2.0 + 0j])) == pytest.approx(
+        oracle._stable_step(np.array([-1.0 + 0j])) / 2.0)
