@@ -356,8 +356,7 @@ class TestAmplitudes:
             for init in inits:
                 got = amplitude_grid(p, init, tau)
                 want = amplitudes_memoryless_reference(p, init, tau)
-                series = qb.integrate(p, init, tau[-1], t_eval=tau[::50],
-                                      tol=1e-12)
+                series = qb.integrate(p, init, tau[-1], t_eval=tau[::50])
                 for x, y, z in zip(got, want, (series.c1, series.c2)):
                     assert np.max(np.abs(x - y)) <= 1e-8, k
                     assert np.max(np.abs(x[::50] - z)) <= 1e-8, k
@@ -693,14 +692,14 @@ class TestNearExceptionalPoints:
         """Three roots within eps**(1/5) of their centroid take the
         confluent terms of one triple root, and roots farther apart take
         partial fractions: either way c1 and c2 of the empty and the excited
-        battery are within 5e-10 of the RK45 oracle (tol 1e-12) on Omega*t
+        battery are within 5e-10 of the exponential oracle on Omega*t
         in [0, 30], and the BLP measure is answered without a guard error,
         within 1e-12 of the rises of the oracle's D = |c2|^2 (none: D
         falls)."""
         p = params(*cell)
         tau = np.linspace(0.0, 30.0, 601)
         for init in (qb.empty_battery_state(), excited_battery_state()):
-            series = qb.integrate(p, init, 30.0, t_eval=tau, tol=1e-12)
+            series = qb.integrate(p, init, 30.0, t_eval=tau)
             for x, y in zip(amplitude_grid(p, init, tau),
                             (series.c1, series.c2)):
                 assert np.max(np.abs(x - y)) <= 5e-10, init
@@ -711,14 +710,14 @@ class TestNearExceptionalPoints:
     def test_both_evaluators_match_oracle(self, cell, bound):
         """c1 and c2 of the empty and the excited battery, read at times
         and read on the grid (c1 = u and c2 = -i*w empty, c1 = -i*w and
-        c2 = v excited), against the RK45 oracle (tol 1e-12) on Omega*t in
+        c2 = v excited), against the exponential oracle on Omega*t in
         [0, 8]."""
         p = params(*cell)
         tau = np.linspace(0.0, 8.0, 801)
         u, w, v = grid_read(transfer(p), 8.0, tau.size)
         for init, on_grid in ((qb.empty_battery_state(), (u, -1j * w)),
                               (excited_battery_state(), (-1j * w, v))):
-            series = qb.integrate(p, init, 8.0, t_eval=tau, tol=1e-12)
+            series = qb.integrate(p, init, 8.0, t_eval=tau)
             for got in (amplitude_grid(p, init, tau), on_grid):
                 for x, y in zip(got, (series.c1, series.c2)):
                     assert np.max(np.abs(x - y)) <= bound, init

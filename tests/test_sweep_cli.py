@@ -325,8 +325,7 @@ class TestMaximaCommand:
         p = qb.make_params(1.0, 1.0, 100.0, math.inf)
 
         def oracle(t):
-            s = qb.integrate(p, qb.empty_battery_state(), t[-1], tol=1e-12,
-                             t_eval=t)
+            s = qb.integrate(p, qb.empty_battery_state(), t[-1], t_eval=t)
             return s.c2, 2.0 * np.real(np.conj(s.c2) * (-1j * s.c1))
 
         t = np.linspace(0.0, 2.0, 2001)
